@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .data import (
@@ -124,12 +125,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "epochs_run": len(traces),
         "metrics": {
             "validation": metrics,
-            "geometry": {
-                "l_align": geo.l_align,
-                "l_uniform": geo.l_uniform,
-                "l_uniform_user": geo.l_uniform_user,
-                "l_uniform_item": geo.l_uniform_item,
-            },
+            "geometry": asdict(geo),
         },
         "artifacts": {
             "checkpoint": str(out_dir / "embeddings.txt"),
@@ -137,8 +133,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "trace": str(out_dir / "trace.csv"),
         },
     }
-    for path in manifest["artifacts"].values():
-        assert Path(path).exists(), f"manifest references missing artifact {path}"
     with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -161,10 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = {
         "recall": {str(k): v for k, v in ranked.recall_at.items()},
         "ndcg": {str(k): v for k, v in ranked.ndcg_at.items()},
-        "l_align": geo.l_align,
-        "l_uniform": geo.l_uniform,
-        "l_uniform_user": geo.l_uniform_user,
-        "l_uniform_item": geo.l_uniform_item,
+        **asdict(geo),
     }
     print(json.dumps(report, indent=2))
     return 0
@@ -176,18 +167,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     data = read_id_pairs(
         Path(args.interactions), delim, n_users=table.n_users, n_items=table.n_items
     )
-    geo = geometry_report(table, data)
-    print(
-        json.dumps(
-            {
-                "l_align": geo.l_align,
-                "l_uniform": geo.l_uniform,
-                "l_uniform_user": geo.l_uniform_user,
-                "l_uniform_item": geo.l_uniform_item,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(asdict(geometry_report(table, data)), indent=2))
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import floor
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,7 +89,8 @@ class InteractionSet:
 
     def validate(self) -> None:
         """Check the full invariants (every ID used, popularity sums)."""
-        assert self.user_pop.sum() == self.n_pairs == self.item_pop.sum()
+        if not self.user_pop.sum() == self.n_pairs == self.item_pop.sum():
+            raise DataError("popularity counts do not sum to the number of pairs")
         if np.unique(self.users).size != self.n_users:
             raise DataError("some user IDs in [0, n_users) never appear")
         if np.unique(self.items).size != self.n_items:
@@ -107,12 +108,35 @@ class PositiveBatch:
         return int(self.users.size)
 
 
+class UserIndex(NamedTuple):
+    """Per-user rows in CSR form: row u is indices[indptr[u]:indptr[u + 1]], ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def build(cls, users: np.ndarray, values: np.ndarray, n_users: int) -> "UserIndex":
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=n_users), out=indptr[1:])
+        return cls(indptr, values[np.lexsort((values, users))])
+
+    def gather(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in `users`, value) for every entry of the given users' rows."""
+        starts = self.indptr[users]
+        counts = self.indptr[users + 1] - starts
+        rows = np.repeat(np.arange(users.size), counts)
+        # entry j of row r is indices[starts[r] + j] and lands at offsets[r] + j
+        offsets = np.cumsum(counts) - counts
+        return rows, self.indices[np.arange(rows.size) + (starts - offsets)[rows]]
+
+
 @dataclass
 class DatasetSplit:
     """Per-user train/validation/test partition of an InteractionSet.
 
     `validation` and `test` are (k, 2) arrays of held-out (user, item)
-    pairs, ordered by their position in the source set.
+    pairs, ordered by their position in the source set. The per-user item
+    indices of each part are built on first use and cached.
     """
 
     train: InteractionSet
@@ -121,26 +145,22 @@ class DatasetSplit:
     seed: int
 
     @cached_property
+    def train_index(self) -> UserIndex:
+        return UserIndex.build(self.train.users, self.train.items, self.train.n_users)
+
+    @cached_property
+    def validation_index(self) -> UserIndex:
+        return UserIndex.build(self.validation[:, 0], self.validation[:, 1], self.train.n_users)
+
+    @cached_property
+    def test_index(self) -> UserIndex:
+        return UserIndex.build(self.test[:, 0], self.test[:, 1], self.train.n_users)
+
+    @cached_property
     def train_item_sets(self) -> list[frozenset[int]]:
-        """Per-user frozensets of training items (masking, negative sampling)."""
-        grouped = group_by_user(
-            np.column_stack([self.train.users, self.train.items]), self.train.n_users
-        )
-        return [frozenset(g.tolist()) for g in grouped]
-
-
-def group_by_user(pairs: np.ndarray, n_users: int) -> list[np.ndarray]:
-    """Split a (k, 2) pair array into per-user item arrays (input order kept)."""
-    out: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(n_users)]
-    if pairs.size == 0:
-        return out
-    order = np.argsort(pairs[:, 0], kind="stable")
-    sorted_pairs = pairs[order]
-    uniq, starts = np.unique(sorted_pairs[:, 0], return_index=True)
-    bounds = np.append(starts, sorted_pairs.shape[0])
-    for k, u in enumerate(uniq.tolist()):
-        out[u] = sorted_pairs[bounds[k] : bounds[k + 1], 1].copy()
-    return out
+        """Per-user frozensets of training items (negative sampling)."""
+        bounds, items = self.train_index.indptr.tolist(), self.train_index.indices
+        return [frozenset(items[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
 
 
 def load_interactions(path: str | Path, delimiter: str = "\t") -> list[RawInteraction]:
@@ -242,31 +262,25 @@ def split(
         raise ValueError("ratios must be non-negative with a positive train share")
 
     rng = substream(seed, "split")
-    by_user_idx = group_by_user(
-        np.column_stack([data.users, np.arange(data.n_pairs, dtype=np.int64)]),
-        data.n_users,
-    )
-    train_idx: list[np.ndarray] = []
-    val_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
+    by_user = UserIndex.build(data.users, np.arange(data.n_pairs, dtype=np.int64), data.n_users)
+    bounds = by_user.indptr.tolist()
+    part = np.zeros(data.n_pairs, dtype=np.int8)  # 0 train, 1 validation, 2 test
     for u in range(data.n_users):
-        idx = by_user_idx[u]
+        idx = by_user.indices[bounds[u] : bounds[u + 1]]
         p = idx.size
         shuffled = idx[rng.permutation(p)]
         n_val = floor(ratios[1] * p)
         n_test = floor(ratios[2] * p)
-        val_idx.append(shuffled[:n_val])
-        test_idx.append(shuffled[n_val : n_val + n_test])
-        train_idx.append(shuffled[n_val + n_test :])
+        # the sum check's tolerance admits a train share too small for this
+        if p and n_val + n_test >= p:
+            raise DataError(f"ratios {ratios} leave user {u} without training pairs")
+        part[shuffled[:n_val]] = 1
+        part[shuffled[n_val : n_val + n_test]] = 2
 
-    tr = np.sort(np.concatenate(train_idx))
-    va = np.sort(np.concatenate(val_idx))
-    te = np.sort(np.concatenate(test_idx))
+    tr, va, te = (np.flatnonzero(part == k) for k in range(3))
     train_set = InteractionSet.from_pairs(
         data.users[tr], data.items[tr], data.n_users, data.n_items
     )
-    active = data.user_pop > 0
-    assert train_set.user_pop[active].min() >= 1, "split left a user without training pairs"
     return DatasetSplit(
         train=train_set,
         validation=np.column_stack([data.users[va], data.items[va]]),

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, InteractionSet, group_by_user
+from .data import DatasetSplit, InteractionSet
 from .encoders import EmbeddingTable, normalize_rows
-from .errors import InsufficientData, NothingToEvaluate
+from .errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from .losses import UNIFORMITY_SCALE, softplus
 
-_CHUNK = 1024
+_SCORE_BUDGET = 8 << 20  # bytes of one block of user x item scores
+_CHUNK = 1024  # rows per gram block in _weighted_potential_mean; sets its summation grouping
 
 
 @dataclass
@@ -53,56 +54,71 @@ def rank_eval(
 
     Users without target items are skipped. NDCG uses binary gains,
     discount 1/log2(rank + 1), and IDCG truncated at min(K, |targets|).
+    The top K is selected exactly, without sorting the whole catalog, from
+    score blocks of at most _SCORE_BUDGET bytes.
     """
     if target not in ("validation", "test"):
         raise ValueError(f"target must be 'validation' or 'test', got {target!r}")
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty positive integers")
-    pairs = split.validation if target == "validation" else split.test
-    if pairs.size == 0:
+    targets = split.validation_index if target == "validation" else split.test_index
+    if targets.indices.size == 0:
         raise NothingToEvaluate(f"{target} split is empty")
+    if not (np.isfinite(table.user_emb).all() and np.isfinite(table.item_emb).all()):
+        raise DegenerateEmbedding("non-finite embedding entries cannot be ranked")
 
-    n_users, n_items = table.n_users, table.n_items
-    targets_by_user = group_by_user(pairs, n_users)
-    train_by_user = group_by_user(
-        np.column_stack([split.train.users, split.train.items]), n_users
-    )
-    eval_users = [u for u in range(n_users) if targets_by_user[u].size > 0]
-    if not eval_users:
-        raise NothingToEvaluate("no user has target items")
+    n_items = table.n_items
+    n_targets = np.diff(targets.indptr)
+    eval_users = np.flatnonzero(n_targets)
+    n_targets = n_targets[eval_users]
+    rows, cols = targets.gather(eval_users)
+    target_keys = eval_users[rows] * n_items + cols
 
     ks = tuple(sorted(set(int(k) for k in ks)))
     kmax = min(max(ks), n_items)
     discounts = 1.0 / np.log2(np.arange(1, kmax + 1) + 1.0)
     idcg_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
 
-    recall_sum = {k: 0.0 for k in ks}
-    ndcg_sum = {k: 0.0 for k in ks}
-    for start in range(0, len(eval_users), _CHUNK):
-        chunk = eval_users[start : start + _CHUNK]
-        scores = table.user_emb[chunk] @ table.item_emb.T
-        for r, u in enumerate(chunk):
-            scores[r, train_by_user[u]] = -np.inf
-        # stable sort of -scores: equal scores keep ascending item-ID order
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :kmax]
-        for r, u in enumerate(chunk):
-            tgt = targets_by_user[u]
-            # masked (-inf) items are not recommendations, even when K
-            # exceeds the number of unmasked candidates
-            is_hit = np.isin(top[r], tgt) & (scores[r, top[r]] != -np.inf)
-            hit_disc = np.where(is_hit, discounts, 0.0)
-            for k in ks:
-                kk = min(k, kmax)
-                n_hits = int(is_hit[:kk].sum())
-                recall_sum[k] += n_hits / tgt.size
-                idcg = idcg_prefix[min(k, tgt.size)]
-                ndcg_sum[k] += float(hit_disc[:kk].sum()) / idcg
-    n_eval = len(eval_users)
-    return RankingMetrics(
-        recall_at={k: recall_sum[k] / n_eval for k in ks},
-        ndcg_at={k: ndcg_sum[k] / n_eval for k in ks},
-        n_users_evaluated=n_eval,
-    )
+    n_rows = min(max(1, _SCORE_BUDGET // (8 * n_items)), eval_users.size)
+    score_buf = np.empty((n_rows, n_items))
+    kth_buf = np.empty_like(score_buf)
+    is_hit = np.empty((eval_users.size, kmax), dtype=bool)
+    for start in range(0, eval_users.size, n_rows):
+        users = eval_users[start : start + n_rows]
+        scores = np.matmul(table.user_emb[users], table.item_emb.T, out=score_buf[: users.size])
+        scores[split.train_index.gather(users)] = -np.inf
+        items, top_scores = _top_k(scores, kmax, kth_buf[: users.size])
+        is_target = np.isin(users[:, None] * n_items + items, target_keys)
+        # masked (-inf) items are not recommendations, even when K
+        # exceeds the number of unmasked candidates
+        is_hit[start : start + users.size] = is_target & (top_scores != -np.inf)
+
+    # cumsum adds per-user values left to right in user order; np.sum would pair them
+    hit_disc = np.where(is_hit, discounts, 0.0)
+    n_eval = int(eval_users.size)
+    recall_at, ndcg_at = {}, {}
+    for k in ks:
+        kk = min(k, kmax)
+        recall_at[k] = float(np.cumsum(is_hit[:, :kk].sum(axis=1) / n_targets)[-1]) / n_eval
+        idcg = idcg_prefix[np.minimum(k, n_targets)]
+        ndcg_at[k] = float(np.cumsum(hit_disc[:, :kk].sum(axis=1) / idcg)[-1]) / n_eval
+    return RankingMetrics(recall_at, ndcg_at, n_eval)
+
+
+def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Item IDs and scores of each row's k best items, best first and equal
+    scores by ascending item ID; `work` is scratch space shaped like `scores`."""
+    n_items = scores.shape[1]
+    np.copyto(work, scores)
+    work.partition(n_items - k, axis=1)
+    # every item scoring at least the k-th best score, ties included
+    rows, items = np.nonzero(scores >= work[:, n_items - k, None])
+    vals = scores[rows, items]
+    order = np.lexsort((items, -vals, rows))
+    per_row = np.bincount(rows, minlength=scores.shape[0])
+    first = np.cumsum(per_row) - per_row
+    best = order[first[:, None] + np.arange(k)]
+    return items[best], vals[best]
 
 
 def measure_alignment(table: EmbeddingTable, interactions: InteractionSet) -> float:
@@ -125,8 +141,10 @@ def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> f
     off_diag = 0.0
     for start in range(0, xn.shape[0], _CHUNK):
         stop = min(start + _CHUNK, xn.shape[0])
-        gram = xn[start:stop] @ xn.T
-        pot = np.exp(2.0 * UNIFORMITY_SCALE * (gram - 1.0))
+        pot = xn[start:stop] @ xn.T
+        pot -= 1.0
+        pot *= 2.0 * UNIFORMITY_SCALE
+        np.exp(pot, out=pot)
         cols = np.arange(start, stop)
         pot[cols - start, cols] = 0.0
         off_diag += float(p[start:stop] @ pot @ p)

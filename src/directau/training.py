@@ -29,7 +29,7 @@ from .encoders import (
     read_embeddings,
     write_embeddings,
 )
-from .errors import ConfigError, DivergedGradient, InsufficientBatch
+from .errors import ConfigError, DivergedGradient, InsufficientBatch, NumericError
 from .evaluation import geometry_report, rank_eval
 from .losses import bpr_loss, direct_au_loss, sample_negatives
 from .optim import AdamState, adam_step
@@ -148,8 +148,8 @@ class EpochTrace:
 
 
 class TrainingDiverged(DivergedGradient):
-    """Raised when the loop hits non-finite gradients; carries the last
-    good snapshot so callers can still inspect/save it."""
+    """Raised when an epoch hits a NumericError; carries the last good
+    snapshot so callers can still inspect/save it."""
 
     def __init__(self, detail: str, table: EmbeddingTable, traces: list[EpochTrace], best_epoch: int):
         super().__init__(detail)
@@ -215,18 +215,17 @@ def train(
                     batch, table, propagator, user_state, item_state, split, cfg, neg_rng
                 )
                 n_batches += 1
-        except DivergedGradient as exc:
+            scoring = scoring_table()
+            geo = geometry_report(scoring, split.train)
+            val = (
+                rank_eval(scoring, split, "validation", ks=(20,)).ndcg_at[20]
+                if has_val
+                else nan
+            )
+        except NumericError as exc:
             raise TrainingDiverged(
                 f"epoch {epoch}: {exc}", best_table, traces, best_epoch
             ) from exc
-
-        scoring = scoring_table()
-        geo = geometry_report(scoring, split.train)
-        val = (
-            rank_eval(scoring, split, "validation", ks=(20,)).ndcg_at[20]
-            if has_val
-            else nan
-        )
         traces.append(
             EpochTrace(
                 epoch=epoch,

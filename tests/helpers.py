@@ -4,6 +4,8 @@ import numpy as np
 
 from directau import InteractionSet
 from directau.encoders import normalize_rows
+from directau.errors import NothingToEvaluate
+from directau.evaluation import RankingMetrics
 
 
 def finite_difference_gradients(fn, arrays, h=1e-5):
@@ -92,3 +94,56 @@ def random_interaction_set(rng, max_users=8, max_items=9, max_pairs=60):
     users = np.array([grid[s][0] for s in sel], dtype=np.int64)
     items = np.array([grid[s][1] for s in sel], dtype=np.int64)
     return InteractionSet.from_pairs(users, items, nu, ni)
+
+
+def _items_by_user(pairs, n_users):
+    """Per-user item arrays of a (k, 2) pair array, input order kept."""
+    out = [np.empty(0, dtype=np.int64) for _ in range(n_users)]
+    for u in np.unique(pairs[:, 0]).tolist():
+        out[u] = pairs[pairs[:, 0] == u, 1]
+    return out
+
+
+def naive_rank_eval(table, split, target="validation", ks=(10, 20, 50)):
+    """Reference full ranking: a stable argsort of every user's whole score
+    row in blocks of 1024 users, and per-user membership tests."""
+    pairs = split.validation if target == "validation" else split.test
+    if pairs.size == 0:
+        raise NothingToEvaluate(f"{target} split is empty")
+    n_users, n_items = table.n_users, table.n_items
+    targets_by_user = _items_by_user(pairs, n_users)
+    train_by_user = _items_by_user(
+        np.column_stack([split.train.users, split.train.items]), n_users
+    )
+    eval_users = [u for u in range(n_users) if targets_by_user[u].size > 0]
+
+    ks = tuple(sorted(set(int(k) for k in ks)))
+    kmax = min(max(ks), n_items)
+    discounts = 1.0 / np.log2(np.arange(1, kmax + 1) + 1.0)
+    idcg_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
+
+    recall_sum = {k: 0.0 for k in ks}
+    ndcg_sum = {k: 0.0 for k in ks}
+    for start in range(0, len(eval_users), 1024):
+        chunk = eval_users[start : start + 1024]
+        scores = table.user_emb[chunk] @ table.item_emb.T
+        for r, u in enumerate(chunk):
+            scores[r, train_by_user[u]] = -np.inf
+        # stable sort of -scores: equal scores keep ascending item-ID order
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :kmax]
+        for r, u in enumerate(chunk):
+            tgt = targets_by_user[u]
+            is_hit = np.isin(top[r], tgt) & (scores[r, top[r]] != -np.inf)
+            hit_disc = np.where(is_hit, discounts, 0.0)
+            for k in ks:
+                kk = min(k, kmax)
+                n_hits = int(is_hit[:kk].sum())
+                recall_sum[k] += n_hits / tgt.size
+                idcg = idcg_prefix[min(k, tgt.size)]
+                ndcg_sum[k] += float(hit_disc[:kk].sum()) / idcg
+    n_eval = len(eval_users)
+    return RankingMetrics(
+        recall_at={k: recall_sum[k] / n_eval for k in ks},
+        ndcg_at={k: ndcg_sum[k] / n_eval for k in ks},
+        n_users_evaluated=n_eval,
+    )

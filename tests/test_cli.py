@@ -131,6 +131,33 @@ class TestTrainCommand:
         meta = (out / "metadata.txt").read_text()
         assert "max_epochs=1" in meta and "seed=9" in meta
 
+    def test_degenerate_geometry_keeps_trace_and_checkpoint(
+        self, tmp_path, data_file, monkeypatch, capsys
+    ):
+        import directau.training as training_mod
+        from directau import read_trace
+        from directau.errors import DegenerateEmbedding
+
+        real = training_mod.geometry_report
+        calls = {"n": 0}
+
+        def degenerate_on_epoch_2(table, interactions):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise DegenerateEmbedding("zero-norm row")
+            return real(table, interactions)
+
+        monkeypatch.setattr(training_mod, "geometry_report", degenerate_on_epoch_2)
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                   "--out-dir", str(out)])
+        assert rc == 4
+        assert "zero-norm row" in capsys.readouterr().err
+        assert [t.epoch for t in read_trace(out / "trace.csv")] == [1]
+        assert (out / "embeddings.txt").exists()
+        assert "best_epoch=1" in (out / "metadata.txt").read_text()
+        assert not (out / "manifest.json").exists()
+
     def test_bpr_trace_shows_dynamics_signature(self, tmp_path, data_file):
         # pairwise-ranking training first tightens alignment at the cost of
         # uniformity; the emitted trace must show it
@@ -172,6 +199,16 @@ class TestEvalCommand:
         assert report["recall"] == manifest["metrics"]["validation"]["recall"]
         assert report["ndcg"] == manifest["metrics"]["validation"]["ndcg"]
         assert report["l_align"] == manifest["metrics"]["geometry"]["l_align"]
+
+    def test_geometry_key_order(self, trained, data_file, capsys):
+        geometry = ["l_align", "l_uniform", "l_uniform_user", "l_uniform_item"]
+        manifest = json.loads((trained / "manifest.json").read_text())
+        assert list(manifest["metrics"]["geometry"]) == geometry
+        assert main(["eval", "--checkpoint", str(trained), "--data", str(data_file)]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["recall", "ndcg", *geometry]
+        assert main(["probe", "--embeddings", str(trained / "embeddings.txt"),
+                     "--interactions", str(data_file)]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == geometry
 
     def test_single_k(self, trained, data_file, capsys):
         rc = main(["eval", "--checkpoint", str(trained), "--data", str(data_file),

@@ -13,7 +13,7 @@ from directau import (
     preprocess,
     split,
 )
-from directau.data import read_id_pairs, write_id_map, write_interactions
+from directau.data import UserIndex, read_id_pairs, write_id_map, write_interactions
 from directau.errors import (
     DataError,
     EmptyAfterFiltering,
@@ -149,6 +149,12 @@ class TestPreprocess:
         assert np.array_equal(once.items, again.items)
         assert (once.n_users, once.n_items) == (again.n_users, again.n_items)
 
+    def test_validate_rejects_inconsistent_popularity(self):
+        data = InteractionSet.from_pairs([0, 1], [1, 0])
+        data.user_pop = np.array([2, 1])
+        with pytest.raises(DataError, match="popularity"):
+            data.validate()
+
 
 class TestSplit:
     def make(self, counts, seed=0):
@@ -208,6 +214,44 @@ class TestSplit:
     def test_bad_ratios(self, two_cluster):
         with pytest.raises(ValueError):
             split(two_cluster, ratios=(0.8, 0.1, 0.2), seed=0)
+
+    def test_train_share_within_sum_tolerance_is_data_error(self):
+        # the ratios pass the sum check, but a user with two interactions
+        # would give one to validation and one to test
+        with pytest.raises(DataError, match="without training pairs"):
+            split(self.make([3, 2]), ratios=(1e-12, 0.5, 0.5), seed=0)
+
+
+class TestUserIndex:
+    def test_rows_match_brute_force(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n_users = int(rng.integers(1, 9))
+            users = rng.integers(0, n_users, size=int(rng.integers(0, 30)))
+            values = rng.integers(0, 50, size=users.size)
+            index = UserIndex.build(users, values, n_users)
+            rows = [np.sort(values[users == u]) for u in range(n_users)]
+            for u in range(n_users):
+                row = index.indices[index.indptr[u] : index.indptr[u + 1]]
+                assert np.array_equal(row, rows[u])
+            picked = rng.integers(0, n_users, size=int(rng.integers(0, 6)))
+            pos, got = index.gather(picked)
+            want = [(r, v) for r, u in enumerate(picked.tolist()) for v in rows[u].tolist()]
+            assert list(zip(pos.tolist(), got.tolist())) == want
+
+    def test_split_caches_each_part(self, two_cluster):
+        ds = split(two_cluster, seed=3)
+        assert ds.validation_index is ds.validation_index
+        for index, pairs in (
+            (ds.train_index, np.column_stack([ds.train.users, ds.train.items])),
+            (ds.validation_index, ds.validation),
+            (ds.test_index, ds.test),
+        ):
+            assert index.indptr[-1] == len(pairs)
+            got = {(u, i) for u in range(two_cluster.n_users)
+                   for i in index.indices[index.indptr[u] : index.indptr[u + 1]].tolist()}
+            assert got == {tuple(p) for p in pairs.tolist()}
+        assert ds.train_item_sets[5] == frozenset(ds.train.items[ds.train.users == 5].tolist())
 
 
 class TestIterBatches:

@@ -1,8 +1,11 @@
 """Ranking metrics, geometry estimators, and the bound harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from directau import evaluation
 from directau import (
     EmbeddingTable,
     InteractionSet,
@@ -14,8 +17,13 @@ from directau import (
     rank_eval,
     split,
 )
-from directau.errors import InsufficientData, NothingToEvaluate
-from helpers import naive_alignment, naive_uniformity, random_interaction_set
+from directau.errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
+from helpers import (
+    naive_alignment,
+    naive_rank_eval,
+    naive_uniformity,
+    random_interaction_set,
+)
 
 
 def manual_split(train_pairs, val_pairs, test_pairs, n_users, n_items):
@@ -130,6 +138,98 @@ class TestRankEval:
         ds = manual_split([(0, 3)], [(0, 0), (0, 1)], [], 1, 4)
         m = rank_eval(t, ds, "validation", ks=(2, 4))
         assert m.recall_at[2] == 1.0 and m.ndcg_at[2] == 1.0
+
+
+class TestRankEvalMatchesOracle:
+    """The partial top-K selection against the full stable sort of every row."""
+
+    @staticmethod
+    def random_split(rng, n_users, n_items, density):
+        users, items = np.nonzero(rng.random((n_users, n_items)) < density)
+        data = InteractionSet.from_pairs(users, items, n_users, n_items)
+        return split(data, ratios=(0.6, 0.2, 0.2), seed=int(rng.integers(1000)))
+
+    @staticmethod
+    def integer_table(rng, n_users, n_items):
+        # entries in {-1, 0, 1} over two dimensions: five distinct scores
+        return EmbeddingTable(
+            rng.integers(-1, 2, (n_users, 2)).astype(float),
+            rng.integers(-1, 2, (n_items, 2)).astype(float),
+        )
+
+    @staticmethod
+    def assert_matches(table, ds, ks):
+        for target in ("validation", "test"):
+            got = rank_eval(table, ds, target, ks)
+            assert got == naive_rank_eval(table, ds, target, ks)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_float_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = self.random_split(rng, 60, 40, 0.3)
+        t = EmbeddingTable(rng.standard_normal((60, 8)), rng.standard_normal((40, 8)))
+        self.assert_matches(t, ds, (1, 5, 10, 20))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_tables_with_heavy_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = self.random_split(rng, 60, 40, 0.3)
+        t = self.integer_table(rng, 60, 40)
+        self.assert_matches(t, ds, (1, 3, 10, 20))
+
+    def test_k_beyond_unmasked_items(self):
+        rng = np.random.default_rng(7)
+        ds = self.random_split(rng, 30, 12, 0.9)
+        unmasked = 12 - np.bincount(ds.train.users, minlength=30)
+        assert unmasked.max() < 12
+        for t in (
+            EmbeddingTable(rng.standard_normal((30, 4)), rng.standard_normal((12, 4))),
+            self.integer_table(rng, 30, 12),
+        ):
+            self.assert_matches(t, ds, (int(unmasked.max()) + 1, 12, 40))
+        # a target that is also a training item is masked, never a hit
+        t = EmbeddingTable(np.array([[0.9, 0.8, 0.1]]), np.eye(3))
+        ds = manual_split([(0, 1), (0, 2)], [(0, 1), (0, 0)], [(0, 2)], 1, 3)
+        self.assert_matches(t, ds, (1, 3, 5))
+
+    def test_more_users_than_one_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ds = self.random_split(rng, 300, 25, 0.3)
+        # seven user rows per score block
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 7 * 25 * 8)
+        assert rank_eval(self.integer_table(rng, 300, 25), ds).n_users_evaluated > 7
+        for t in (
+            EmbeddingTable(rng.standard_normal((300, 6)), rng.standard_normal((25, 6))),
+            self.integer_table(rng, 300, 25),
+        ):
+            self.assert_matches(t, ds, (1, 10, 20))
+
+    def test_peak_allocation_follows_the_budget(self, monkeypatch):
+        budget = 1 << 20
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", budget)
+        rng = np.random.default_rng(2)
+        n_users, n_items = 400, 4000  # the full score table is 12.2x the budget
+        ds = self.random_split(rng, n_users, n_items, 0.004)
+        t = EmbeddingTable(
+            rng.standard_normal((n_users, 16)), rng.standard_normal((n_items, 16))
+        )
+        rank_eval(t, ds)  # builds and caches the per-user indices
+        tracemalloc.start()
+        try:
+            got = rank_eval(t, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.n_users_evaluated * n_items * 8 > 10 * budget
+        assert peak < 3 * budget
+
+    def test_non_finite_table_is_rejected(self):
+        rng = np.random.default_rng(3)
+        ds = self.random_split(rng, 20, 10, 0.5)
+        t = EmbeddingTable(rng.standard_normal((20, 3)), rng.standard_normal((10, 3)))
+        t.item_emb[4, 1] = np.nan
+        with pytest.raises(DegenerateEmbedding):
+            rank_eval(t, ds)
 
 
 class TestMeasureAlignment:
