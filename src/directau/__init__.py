@@ -19,8 +19,6 @@ from .data import (
 from .encoders import (
     EmbeddingTable,
     GraphPropagator,
-    forward_lgcn,
-    forward_mf,
     init_xavier,
     normalize_rows,
     read_embeddings,
@@ -38,7 +36,6 @@ from .evaluation import (
 )
 from .losses import (
     LossOutput,
-    UniformityConfig,
     align_loss,
     bpr_loss,
     direct_au_loss,

@@ -141,8 +141,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    table, cfg, _ = load_checkpoint(Path(args.checkpoint))
-    data = read_id_pairs(Path(args.data), n_users=table.n_users, n_items=table.n_items)
+    checkpoint, data_path = Path(args.checkpoint), Path(args.data)
+    table, cfg, _ = load_checkpoint(checkpoint)
+    manifest_path = checkpoint / "manifest.json"
+    if manifest_path.exists():
+        # a file with the same counts would split differently, silently
+        try:
+            trained_on = json.loads(manifest_path.read_text(encoding="utf-8"))["dataset"]["sha256"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
+        if trained_on != _file_sha256(data_path):
+            raise DataError(
+                f"{data_path} is not the dataset this checkpoint was trained on "
+                f"(SHA-256 differs from {manifest_path})"
+            )
+    data = read_id_pairs(data_path, n_users=table.n_users, n_items=table.n_items)
     if data.n_users != table.n_users or data.n_items != table.n_items:
         raise DataError("checkpoint and dataset disagree on entity counts")
     ds = split(data, seed=cfg.seed)

@@ -19,25 +19,34 @@ from .rng import substream
 
 @dataclass
 class EmbeddingTable:
-    """Dense |U| x d and |I| x d parameter matrices."""
+    """One (|U|+|I|) x d parameter array, users first (the row order of the
+    dump and of the graph); user_emb/item_emb are row-block views of it."""
 
-    user_emb: np.ndarray
-    item_emb: np.ndarray
+    emb: np.ndarray
+    n_users: int
+
+    @classmethod
+    def from_parts(cls, user_emb: np.ndarray, item_emb: np.ndarray) -> "EmbeddingTable":
+        return cls(np.concatenate([user_emb, item_emb]), len(user_emb))
+
+    @property
+    def user_emb(self) -> np.ndarray:
+        return self.emb[: self.n_users]
+
+    @property
+    def item_emb(self) -> np.ndarray:
+        return self.emb[self.n_users :]
 
     @property
     def d(self) -> int:
-        return int(self.user_emb.shape[1])
-
-    @property
-    def n_users(self) -> int:
-        return int(self.user_emb.shape[0])
+        return int(self.emb.shape[1])
 
     @property
     def n_items(self) -> int:
-        return int(self.item_emb.shape[0])
+        return int(self.emb.shape[0]) - self.n_users
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.user_emb.copy(), self.item_emb.copy())
+        return EmbeddingTable(self.emb.copy(), self.n_users)
 
 
 def init_xavier(n_users: int, n_items: int, d: int, seed: int) -> EmbeddingTable:
@@ -49,23 +58,7 @@ def init_xavier(n_users: int, n_items: int, d: int, seed: int) -> EmbeddingTable
     a_item = np.sqrt(6.0 / (n_items + d))
     user = rng.uniform(-a_user, a_user, size=(n_users, d))
     item = rng.uniform(-a_item, a_item, size=(n_items, d))
-    return EmbeddingTable(user, item)
-
-
-def _check_ids(ids: np.ndarray, n: int, what: str) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise IndexError(f"{what} ID out of range [0, {n})")
-    return ids
-
-
-def forward_mf(
-    table: EmbeddingTable, users: np.ndarray, items: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain table lookup: returns the raw embedding rows."""
-    users = _check_ids(users, table.n_users, "user")
-    items = _check_ids(items, table.n_items, "item")
-    return table.user_emb[users], table.item_emb[items]
+    return EmbeddingTable.from_parts(user, item)
 
 
 @dataclass
@@ -113,33 +106,25 @@ class GraphPropagator:
 
     def propagate(self) -> EmbeddingTable:
         """Materialize the propagated representations for every user and item."""
-        stacked = np.vstack([self.base.user_emb, self.base.item_emb])
-        out = self._layer_mean(stacked)
-        nu = self.base.n_users
-        return EmbeddingTable(out[:nu], out[nu:])
+        return EmbeddingTable(self._layer_mean(self.base.emb), self.base.n_users)
 
-    def backward(
-        self, grad_user_out: np.ndarray, grad_item_out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pull output-side gradients back onto the base embeddings.
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Pull a gradient w.r.t. the stacked outputs back onto the stacked
+        base embeddings.
 
         The adjacency is symmetric, so the transpose pass reuses the same
         layer-mean propagation.
         """
-        stacked = np.vstack([grad_user_out, grad_item_out])
-        g = self._layer_mean(stacked)
-        nu = self.base.n_users
-        return g[:nu], g[nu:]
+        return self._layer_mean(grad_out)
 
 
-def forward_lgcn(
-    g: GraphPropagator, users: np.ndarray, items: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagated representations for the requested IDs."""
-    users = _check_ids(users, g.base.n_users, "user")
-    items = _check_ids(items, g.base.n_items, "item")
-    out = g.propagate()
-    return out.user_emb[users], out.item_emb[items]
+def _unit_rows(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit Euclidean norm, and the norms as (n, 1)."""
+    reps = np.asarray(reps, dtype=np.float64)
+    norms = np.linalg.norm(reps, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
+        raise DegenerateEmbedding("row with zero or non-finite norm")
+    return reps / norms, norms
 
 
 def normalize_rows(reps: np.ndarray) -> np.ndarray:
@@ -148,11 +133,7 @@ def normalize_rows(reps: np.ndarray) -> np.ndarray:
     Raises DegenerateEmbedding on zero or non-finite row norms rather than
     epsilon-fudging: those only arise from divergence and must not be masked.
     """
-    reps = np.asarray(reps, dtype=np.float64)
-    norms = np.linalg.norm(reps, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise DegenerateEmbedding("row with zero or non-finite norm")
-    return reps / norms
+    return _unit_rows(reps)[0]
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -160,9 +141,7 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     (users first), space-separated at 17 significant digits (lossless)."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{table.n_users} {table.n_items} {table.d}\n")
-        for mat in (table.user_emb, table.item_emb):
-            for row in mat:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, table.emb, fmt="%.17g")
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
@@ -186,4 +165,4 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
         raise DataError(
             f"{path}: expected {n_users + n_items} rows of width {d}, got {flat.shape}"
         )
-    return EmbeddingTable(flat[:n_users].copy(), flat[n_users:].copy())
+    return EmbeddingTable(flat, n_users)

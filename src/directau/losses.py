@@ -15,22 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetSplit
-from .encoders import EmbeddingTable
-from .errors import DegenerateEmbedding, InsufficientBatch, NoNegativeAvailable
+from .encoders import EmbeddingTable, _unit_rows
+from .errors import InsufficientBatch, NoNegativeAvailable
 
 
-@dataclass(frozen=True)
-class UniformityConfig:
-    """Scale of the pairwise Gaussian potential exp(-t * dist^2); fixed to 2."""
-
-    t: float = 2.0
-
-    def __post_init__(self):
-        if self.t != 2.0:
-            raise ValueError("the Gaussian-potential scale is fixed to 2")
-
-
-UNIFORMITY_SCALE = UniformityConfig().t
+# scale t of the pairwise Gaussian potential exp(-t * dist^2)
+UNIFORMITY_SCALE = 2.0
 
 
 @dataclass
@@ -62,15 +52,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize, returning (unit rows, norms as (n,1))."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise DegenerateEmbedding("zero or non-finite row norm in loss input")
-    return x / norms, norms
-
-
 def _chain(grad_xn: np.ndarray, xn: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. unit rows back to the raw rows."""
     radial = np.sum(grad_xn * xn, axis=1, keepdims=True)
@@ -86,8 +67,8 @@ def align_loss(u_reps: np.ndarray, i_reps: np.ndarray) -> LossOutput:
     n = u_reps.shape[0]
     if n < 1:
         raise ValueError("alignment needs at least one pair")
-    xn, xnorm = _normalize(u_reps)
-    yn, ynorm = _normalize(i_reps)
+    xn, xnorm = _unit_rows(u_reps)
+    yn, ynorm = _unit_rows(i_reps)
     diff = xn - yn
     value = float(np.mean(np.sum(diff * diff, axis=1)))
     g = (2.0 / n) * diff
@@ -108,7 +89,7 @@ def uniform_loss(reps: np.ndarray) -> LossOutput:
     n = reps.shape[0]
     if n < 2:
         raise InsufficientBatch("uniformity needs at least two rows")
-    xn, norms = _normalize(reps)
+    xn, norms = _unit_rows(reps)
     gram = xn @ xn.T
     d2 = np.clip(2.0 - 2.0 * gram, 0.0, None)
     logits = -UNIFORMITY_SCALE * d2
@@ -168,9 +149,9 @@ def bpr_loss(
             grad_neg=-c * u_reps,
         )
     if score == "cosine":
-        xn, xnorm = _normalize(u_reps)
-        pn, pnorm = _normalize(i_pos_reps)
-        qn, qnorm = _normalize(i_neg_reps)
+        xn, xnorm = _unit_rows(u_reps)
+        pn, pnorm = _unit_rows(i_pos_reps)
+        qn, qnorm = _unit_rows(i_neg_reps)
         delta = np.sum(xn * (pn - qn), axis=1)
         value = float(np.mean(softplus(-delta)))
         c = (-_sigmoid(-delta) / n)[:, None]

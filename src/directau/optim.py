@@ -14,18 +14,19 @@ import numpy as np
 
 from .errors import DivergedGradient
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Per-matrix optimizer state; exclusively owned by one trainer."""
+    """Optimizer state of one parameter array; exclusively owned by one trainer."""
 
     m: np.ndarray
     v: np.ndarray
     step: np.ndarray
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
@@ -66,9 +67,9 @@ def adam_step(
 
     state.step[rows] += 1
     t = state.step[rows][:, None].astype(np.float64)
-    state.m[rows] = state.beta1 * state.m[rows] + (1.0 - state.beta1) * g
-    state.v[rows] = state.beta2 * state.v[rows] + (1.0 - state.beta2) * g * g
-    m_hat = state.m[rows] / (1.0 - state.beta1**t)
-    v_hat = state.v[rows] / (1.0 - state.beta2**t)
-    params[rows] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m[rows] = BETA1 * state.m[rows] + (1.0 - BETA1) * g
+    state.v[rows] = BETA2 * state.v[rows] + (1.0 - BETA2) * g * g
+    m_hat = state.m[rows] / (1.0 - BETA1**t)
+    v_hat = state.v[rows] / (1.0 - BETA2**t)
+    params[rows] -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params

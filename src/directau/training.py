@@ -191,8 +191,7 @@ def train(
         if cfg.encoder == "lgcn"
         else None
     )
-    user_state = AdamState.for_params(table.user_emb, cfg.lr, cfg.weight_decay)
-    item_state = AdamState.for_params(table.item_emb, cfg.lr, cfg.weight_decay)
+    state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay)
     neg_rng = substream(cfg.seed, "negatives")
 
     def scoring_table() -> EmbeddingTable:
@@ -211,9 +210,7 @@ def train(
         n_batches = 0
         try:
             for batch in _training_batches(split, cfg, epoch):
-                loss_sum += _train_batch(
-                    batch, table, propagator, user_state, item_state, split, cfg, neg_rng
-                )
+                loss_sum += _train_batch(batch, table, propagator, state, split, cfg, neg_rng)
                 n_batches += 1
             scoring = scoring_table()
             geo = geometry_report(scoring, split.train)
@@ -260,67 +257,56 @@ def _batch_loss_and_grads(
     split: DatasetSplit,
     cfg: TrainConfig,
     neg_rng: np.random.Generator,
-) -> tuple[float, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Batch loss and its gradients w.r.t. the base parameter rows.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch loss and its gradients w.r.t. the stacked base parameter rows.
 
-    Returns (value, (user_rows, user_grads), (item_rows, item_grads));
-    duplicate batch rows are pre-accumulated, and for the graph encoder the
-    gradients are pulled back through the propagation (dense rows).
+    Returns (value, rows, grads) with rows indexing `table.emb` (items
+    offset by n_users); duplicate batch rows are pre-accumulated, and for
+    the graph encoder the gradients are pulled back through the
+    propagation (every row).
     """
     bu, bi = batch.users, batch.items
     out = propagator.propagate() if propagator is not None else table
     u_reps = out.user_emb[bu]
     i_reps = out.item_emb[bi]
 
-    negs = None
     if cfg.objective == "direct_au":
         lo = direct_au_loss(u_reps, i_reps, cfg.gamma)
+        item_ids, item_grads = bi, lo.grad_item
     else:
         strategy = "dynamic" if cfg.objective == "bpr_ds" else "uniform"
         negs = sample_negatives(
             split, bu, strategy, table=out, candidates=cfg.ds_candidates, rng=neg_rng
         )
         lo = bpr_loss(u_reps, i_reps, out.item_emb[negs], score="dot")
+        item_ids = np.concatenate([bi, negs])
+        item_grads = np.concatenate([lo.grad_item, lo.grad_neg])
 
-    item_ids = bi if negs is None else np.concatenate([bi, negs])
-    item_grads = lo.grad_item if negs is None else np.vstack([lo.grad_item, lo.grad_neg])
+    ids = np.concatenate([bu, table.n_users + item_ids])
+    grads = np.concatenate([lo.grad_user, item_grads])
     if propagator is None:
-        rows_u, inv_u = np.unique(bu, return_inverse=True)
-        grad_u = np.zeros((rows_u.size, table.d))
-        np.add.at(grad_u, inv_u, lo.grad_user)
-        rows_i, inv_i = np.unique(item_ids, return_inverse=True)
-        grad_i = np.zeros((rows_i.size, table.d))
-        np.add.at(grad_i, inv_i, item_grads)
-        return lo.value, (rows_u, grad_u), (rows_i, grad_i)
+        rows, inv = np.unique(ids, return_inverse=True)
+        acc = np.zeros((rows.size, table.d))
+        np.add.at(acc, inv, grads)
+        return lo.value, rows, acc
 
-    g_user = np.zeros_like(table.user_emb)
-    g_item = np.zeros_like(table.item_emb)
-    np.add.at(g_user, bu, lo.grad_user)
-    np.add.at(g_item, item_ids, item_grads)
-    gu_base, gi_base = propagator.backward(g_user, g_item)
-    return (
-        lo.value,
-        (np.arange(table.n_users), gu_base),
-        (np.arange(table.n_items), gi_base),
-    )
+    acc = np.zeros_like(table.emb)
+    np.add.at(acc, ids, grads)
+    return lo.value, np.arange(acc.shape[0]), propagator.backward(acc)
 
 
 def _train_batch(
     batch: PositiveBatch,
     table: EmbeddingTable,
     propagator: GraphPropagator | None,
-    user_state: AdamState,
-    item_state: AdamState,
+    state: AdamState,
     split: DatasetSplit,
     cfg: TrainConfig,
     neg_rng: np.random.Generator,
 ) -> float:
     """One gradient step; returns the batch loss value."""
-    value, (rows_u, grad_u), (rows_i, grad_i) = _batch_loss_and_grads(
-        batch, table, propagator, split, cfg, neg_rng
-    )
-    adam_step(user_state, table.user_emb, rows_u, grad_u)
-    adam_step(item_state, table.item_emb, rows_i, grad_i)
+    value, rows, grads = _batch_loss_and_grads(batch, table, propagator, split, cfg, neg_rng)
+    adam_step(state, table.emb, rows, grads)
     return value
 
 

@@ -2,10 +2,86 @@
 
 import numpy as np
 
-from directau import InteractionSet
+from directau import (
+    EmbeddingTable,
+    InteractionSet,
+    adam_step,
+    bpr_loss,
+    direct_au_loss,
+    sample_negatives,
+)
 from directau.encoders import normalize_rows
 from directau.errors import NothingToEvaluate
 from directau.evaluation import RankingMetrics
+
+
+def write_embeddings_per_float(table, path):
+    """Reference dump writer: formats each float on its own."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{table.n_users} {table.n_items} {table.d}\n")
+        for mat in (table.user_emb, table.item_emb):
+            for row in mat:
+                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_rng,
+                    adjacency=None):
+    """Reference training step on separate user and item matrices.
+
+    Each matrix has its own AdamState and takes its own adam_step; batch
+    gradients are scattered per matrix, and with an adjacency (the graph
+    encoder, cfg.layers layers) the two halves are stacked to propagate
+    and split again. Updates user, item and both states in place and
+    returns the batch loss.
+    """
+    nu = user.shape[0]
+
+    def layer_mean(x):
+        acc, cur = x.copy(), x
+        for _ in range(cfg.layers):
+            cur = adjacency @ cur
+            acc += cur
+        return acc / (cfg.layers + 1)
+
+    if adjacency is None:
+        out_user, out_item = user, item
+    else:
+        out = layer_mean(np.vstack([user, item]))
+        out_user, out_item = out[:nu], out[nu:]
+    bu, bi = batch.users, batch.items
+    u_reps, i_reps = out_user[bu], out_item[bi]
+
+    negs = None
+    if cfg.objective == "direct_au":
+        lo = direct_au_loss(u_reps, i_reps, cfg.gamma)
+    else:
+        strategy = "dynamic" if cfg.objective == "bpr_ds" else "uniform"
+        scoring = EmbeddingTable.from_parts(out_user, out_item)
+        negs = sample_negatives(
+            split, bu, strategy, table=scoring, candidates=cfg.ds_candidates, rng=neg_rng
+        )
+        lo = bpr_loss(u_reps, i_reps, out_item[negs], score="dot")
+
+    item_ids = bi if negs is None else np.concatenate([bi, negs])
+    item_grads = lo.grad_item if negs is None else np.vstack([lo.grad_item, lo.grad_neg])
+    if adjacency is None:
+        rows_u, inv_u = np.unique(bu, return_inverse=True)
+        grad_u = np.zeros((rows_u.size, user.shape[1]))
+        np.add.at(grad_u, inv_u, lo.grad_user)
+        rows_i, inv_i = np.unique(item_ids, return_inverse=True)
+        grad_i = np.zeros((rows_i.size, item.shape[1]))
+        np.add.at(grad_i, inv_i, item_grads)
+    else:
+        g_user = np.zeros_like(user)
+        g_item = np.zeros_like(item)
+        np.add.at(g_user, bu, lo.grad_user)
+        np.add.at(g_item, item_ids, item_grads)
+        g = layer_mean(np.vstack([g_user, g_item]))
+        rows_u, grad_u = np.arange(nu), g[:nu]
+        rows_i, grad_i = np.arange(item.shape[0]), g[nu:]
+    adam_step(user_state, user, rows_u, grad_u)
+    adam_step(item_state, item, rows_i, grad_i)
+    return lo.value
 
 
 def finite_difference_gradients(fn, arrays, h=1e-5):

@@ -104,7 +104,7 @@ def test_criterion_2_estimator_equivalence():
     for _ in range(200):
         inter = random_interaction_set(rng, max_users=8, max_items=9, max_pairs=60)
         d = int(rng.integers(2, 6))
-        table = EmbeddingTable(
+        table = EmbeddingTable.from_parts(
             rng.standard_normal((inter.n_users, d)),
             rng.standard_normal((inter.n_items, d)),
         )

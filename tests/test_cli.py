@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from directau import EmbeddingTable, init_xavier, write_embeddings
+from directau import EmbeddingTable, InteractionSet, init_xavier, write_embeddings
 from directau.cli import main
 from directau.data import write_interactions
 from helpers import naive_uniformity, two_cluster_dataset
@@ -225,6 +225,27 @@ class TestEvalCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_other_dataset_with_same_counts_is_data_error(self, trained, data_file, tmp_path, capsys):
+        data = two_cluster_dataset()
+        items = data.items.copy()
+        moved_to = next(j for j in range(data.n_items) if j not in items[data.users == 0])
+        items[0] = moved_to  # one pair of user 0 moved to an item it never had
+        other = tmp_path / "other.txt"
+        write_interactions(
+            InteractionSet.from_pairs(data.users, items, data.n_users, data.n_items), other
+        )
+        rc = main(["eval", "--checkpoint", str(trained), "--data", str(other)])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(trained), "--data", str(data_file)]) == 0
+
+        # a diverged run writes no manifest, so there is nothing to compare
+        no_manifest = tmp_path / "no-manifest"
+        no_manifest.mkdir()
+        for name in ("embeddings.txt", "metadata.txt"):
+            (no_manifest / name).write_bytes((trained / name).read_bytes())
+        assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(other)]) == 0
+
     def test_dimension_mismatch(self, trained, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("0\t0\n0\t1\n1\t0\n1\t1\n201\t0\n")
@@ -236,7 +257,7 @@ class TestEvalCommand:
 class TestProbeCommand:
     def test_all_equal_rows(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
-        t = EmbeddingTable(np.tile([[1.0, 2.0]], (3, 1)), np.tile([[1.0, 2.0]], (4, 1)))
+        t = EmbeddingTable.from_parts(np.tile([[1.0, 2.0]], (3, 1)), np.tile([[1.0, 2.0]], (4, 1)))
         write_embeddings(t, emb)
         inter = tmp_path / "inter.txt"
         inter.write_text("0\t0\n1\t1\n2\t2\n0\t3\n")

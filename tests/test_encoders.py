@@ -8,14 +8,13 @@ from directau import (
     EmbeddingTable,
     GraphPropagator,
     InteractionSet,
-    forward_lgcn,
-    forward_mf,
     init_xavier,
     normalize_rows,
     read_embeddings,
     write_embeddings,
 )
 from directau.errors import DataError, DegenerateEmbedding
+from helpers import write_embeddings_per_float
 
 
 class TestXavierInit:
@@ -45,28 +44,29 @@ class TestXavierInit:
             init_xavier(2, 2, 0, seed=0)
 
 
-class TestForwardMF:
-    def test_lookup_identity(self):
-        t = init_xavier(5, 6, 4, seed=1)
-        u, i = forward_mf(t, np.array([3]), np.array([2]))
-        assert np.array_equal(u[0], t.user_emb[3])
-        assert np.array_equal(i[0], t.item_emb[2])
+class TestEmbeddingTable:
+    def test_user_and_item_blocks_are_views_of_one_array(self):
+        t = init_xavier(3, 4, 2, seed=0)
+        assert t.emb.shape == (7, 2) and t.emb.flags.c_contiguous
+        t.user_emb[2, 1] = 5.0
+        t.item_emb[0, 0] = 7.0
+        assert t.emb[2, 1] == 5.0 and t.emb[3, 0] == 7.0
+        assert np.shares_memory(t.user_emb, t.emb) and np.shares_memory(t.item_emb, t.emb)
 
-    def test_repeated_ids_identical(self):
-        t = init_xavier(5, 6, 4, seed=1)
-        u, _ = forward_mf(t, np.array([2, 2, 2]), np.array([0, 1, 2]))
-        assert np.array_equal(u[0], u[1]) and np.array_equal(u[1], u[2])
+    def test_from_parts_stacks_users_first(self):
+        user, item = np.arange(6.0).reshape(3, 2), -np.arange(4.0).reshape(2, 2)
+        t = EmbeddingTable.from_parts(user, item)
+        assert (t.n_users, t.n_items, t.d) == (3, 2, 2)
+        assert np.array_equal(t.emb, np.concatenate([user, item]))
+        assert not np.shares_memory(t.emb, user)
 
-    def test_empty_lists(self):
-        t = init_xavier(5, 6, 4, seed=1)
-        u, i = forward_mf(t, np.array([], dtype=int), np.array([], dtype=int))
-        assert u.shape == (0, 4) and i.shape == (0, 4)
-
-    @pytest.mark.parametrize("bad", [np.array([5]), np.array([-1])])
-    def test_out_of_range(self, bad):
-        t = init_xavier(5, 6, 4, seed=1)
-        with pytest.raises(IndexError):
-            forward_mf(t, bad, np.array([0]))
+    def test_copy_shares_no_memory(self):
+        t = init_xavier(3, 4, 2, seed=0)
+        c = t.copy()
+        assert not np.shares_memory(c.emb, t.emb)
+        assert np.array_equal(c.emb, t.emb) and c.n_users == t.n_users
+        c.user_emb[0, 0] = 9.0
+        assert t.emb[0, 0] != 9.0
 
 
 class TestGraphPropagator:
@@ -74,17 +74,17 @@ class TestGraphPropagator:
         t = init_xavier(3, 2, 4, seed=2)
         empty = sp.csr_matrix((5, 5))
         g = GraphPropagator(base=t, n_layers=2, adjacency=empty)
-        u, i = forward_lgcn(g, np.arange(3), np.arange(2))
-        assert np.allclose(u, t.user_emb / 3.0)
-        assert np.allclose(i, t.item_emb / 3.0)
+        out = g.propagate()
+        assert np.allclose(out.user_emb, t.user_emb / 3.0)
+        assert np.allclose(out.item_emb, t.item_emb / 3.0)
 
     def test_single_edge_hand_propagation(self):
         t = init_xavier(1, 1, 4, seed=3)
         inter = InteractionSet.from_pairs([0], [0], 1, 1)
         g = GraphPropagator.build(t, inter, n_layers=1)
-        u, i = forward_lgcn(g, np.array([0]), np.array([0]))
-        assert np.allclose(u[0], (t.user_emb[0] + t.item_emb[0]) / 2.0)
-        assert np.allclose(i[0], (t.item_emb[0] + t.user_emb[0]) / 2.0)
+        out = g.propagate()
+        assert np.allclose(out.user_emb[0], (t.user_emb[0] + t.item_emb[0]) / 2.0)
+        assert np.allclose(out.item_emb[0], (t.item_emb[0] + t.user_emb[0]) / 2.0)
 
     def test_adjacency_weights(self):
         # u0 has degree 2, i0 degree 2, i1 degree 1 (via u1)
@@ -98,19 +98,18 @@ class TestGraphPropagator:
         assert np.array_equal(a, a.T)
 
     def test_zero_embeddings_propagate_to_zero(self):
-        t = EmbeddingTable(np.zeros((2, 3)), np.zeros((2, 3)))
+        t = EmbeddingTable.from_parts(np.zeros((2, 3)), np.zeros((2, 3)))
         inter = InteractionSet.from_pairs([0, 1], [0, 1], 2, 2)
         g = GraphPropagator.build(t, inter, n_layers=3)
-        u, i = forward_lgcn(g, np.arange(2), np.arange(2))
-        assert np.all(u == 0) and np.all(i == 0)
+        out = g.propagate()
+        assert np.all(out.user_emb == 0) and np.all(out.item_emb == 0)
 
     def test_zero_layers_degenerates_to_mf(self):
         t = init_xavier(4, 5, 3, seed=4)
         inter = InteractionSet.from_pairs([0, 1, 2, 3], [0, 1, 2, 3], 4, 5)
         g = GraphPropagator.build(t, inter, n_layers=0)
-        u, i = forward_lgcn(g, np.arange(4), np.arange(5))
-        mu, mi = forward_mf(t, np.arange(4), np.arange(5))
-        assert np.allclose(u, mu) and np.allclose(i, mi)
+        out = g.propagate()
+        assert np.allclose(out.user_emb, t.user_emb) and np.allclose(out.item_emb, t.item_emb)
 
     def test_finiteness_preserved(self):
         rng = np.random.default_rng(0)
@@ -129,12 +128,10 @@ class TestGraphPropagator:
         t = init_xavier(3, 3, 4, seed=6)
         g = GraphPropagator.build(t, inter, n_layers=2)
         x = rng.standard_normal((6, 4))
-        yu = rng.standard_normal((3, 4))
-        yi = rng.standard_normal((3, 4))
+        y = rng.standard_normal((6, 4))
         fwd = g._layer_mean(x)
-        bu, bi = g.backward(yu, yi)
-        lhs = float(np.sum(fwd[:3] * yu) + np.sum(fwd[3:] * yi))
-        rhs = float(np.sum(x * np.vstack([bu, bi])))
+        lhs = float(np.sum(fwd * y))
+        rhs = float(np.sum(x * g.backward(y)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -174,6 +171,24 @@ class TestEmbeddingDump:
         back = read_embeddings(p)
         assert np.array_equal(back.user_emb, t.user_emb)
         assert np.array_equal(back.item_emb, t.item_emb)
+
+    def test_writer_matches_per_float_oracle(self, tmp_path):
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1,
+                    1e16, 1e16 + 2.0, 3.0, -42.0, 1.0 / 3.0, 2.0**-1074 * 3]
+        rng = np.random.default_rng(9)
+        user = rng.standard_normal((4, 6))
+        user[0] = specials[:6]
+        item = rng.standard_normal((3, 6)) * 1e-3
+        item[1] = specials[6:]
+        t = EmbeddingTable.from_parts(user, item)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_embeddings(t, got)
+        write_embeddings_per_float(t, want)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_embeddings(got)
+        assert back.n_users == 4
+        assert np.array_equal(back.emb, t.emb)
+        assert np.array_equal(np.signbit(back.emb), np.signbit(t.emb))
 
     def test_header_format(self, tmp_path):
         t = init_xavier(2, 3, 4, seed=0)

@@ -44,7 +44,7 @@ class TestRankEval:
     def table_for_scores(self, scores):
         """One user whose dot products with one-hot items equal `scores`."""
         n_items = len(scores)
-        return EmbeddingTable(
+        return EmbeddingTable.from_parts(
             np.array([scores], dtype=float), np.eye(n_items, dtype=float)
         )
 
@@ -86,7 +86,7 @@ class TestRankEval:
             if not val_pairs:
                 continue
             ds = manual_split(train_pairs, val_pairs, [], data.n_users, data.n_items)
-            t = EmbeddingTable(
+            t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, 4)),
                 rng.standard_normal((data.n_items, 4)),
             )
@@ -104,13 +104,13 @@ class TestRankEval:
         assert m.ndcg_at[2] == pytest.approx(1.0 / np.log2(3.0), abs=1e-12)
 
     def test_users_without_targets_skipped(self):
-        t = EmbeddingTable(np.eye(2), np.eye(2))
+        t = EmbeddingTable.from_parts(np.eye(2), np.eye(2))
         ds = manual_split([(0, 0), (1, 1)], [(0, 1)], [], 2, 2)
         m = rank_eval(t, ds, "validation", ks=(1,))
         assert m.n_users_evaluated == 1
 
     def test_nothing_to_evaluate(self):
-        t = EmbeddingTable(np.eye(2), np.eye(2))
+        t = EmbeddingTable.from_parts(np.eye(2), np.eye(2))
         ds = manual_split([(0, 0), (1, 1)], [], [], 2, 2)
         with pytest.raises(NothingToEvaluate):
             rank_eval(t, ds, "validation", ks=(1,))
@@ -122,7 +122,7 @@ class TestRankEval:
             ds = split(data, ratios=(0.6, 0.2, 0.2), seed=2)
             if ds.validation.size == 0:
                 continue
-            t = EmbeddingTable(
+            t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, 3)),
                 rng.standard_normal((data.n_items, 3)),
             )
@@ -152,7 +152,7 @@ class TestRankEvalMatchesOracle:
     @staticmethod
     def integer_table(rng, n_users, n_items):
         # entries in {-1, 0, 1} over two dimensions: five distinct scores
-        return EmbeddingTable(
+        return EmbeddingTable.from_parts(
             rng.integers(-1, 2, (n_users, 2)).astype(float),
             rng.integers(-1, 2, (n_items, 2)).astype(float),
         )
@@ -167,7 +167,7 @@ class TestRankEvalMatchesOracle:
     def test_random_float_tables(self, seed):
         rng = np.random.default_rng(seed)
         ds = self.random_split(rng, 60, 40, 0.3)
-        t = EmbeddingTable(rng.standard_normal((60, 8)), rng.standard_normal((40, 8)))
+        t = EmbeddingTable.from_parts(rng.standard_normal((60, 8)), rng.standard_normal((40, 8)))
         self.assert_matches(t, ds, (1, 5, 10, 20))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -183,12 +183,12 @@ class TestRankEvalMatchesOracle:
         unmasked = 12 - np.bincount(ds.train.users, minlength=30)
         assert unmasked.max() < 12
         for t in (
-            EmbeddingTable(rng.standard_normal((30, 4)), rng.standard_normal((12, 4))),
+            EmbeddingTable.from_parts(rng.standard_normal((30, 4)), rng.standard_normal((12, 4))),
             self.integer_table(rng, 30, 12),
         ):
             self.assert_matches(t, ds, (int(unmasked.max()) + 1, 12, 40))
         # a target that is also a training item is masked, never a hit
-        t = EmbeddingTable(np.array([[0.9, 0.8, 0.1]]), np.eye(3))
+        t = EmbeddingTable.from_parts(np.array([[0.9, 0.8, 0.1]]), np.eye(3))
         ds = manual_split([(0, 1), (0, 2)], [(0, 1), (0, 0)], [(0, 2)], 1, 3)
         self.assert_matches(t, ds, (1, 3, 5))
 
@@ -199,7 +199,7 @@ class TestRankEvalMatchesOracle:
         monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 7 * 25 * 8)
         assert rank_eval(self.integer_table(rng, 300, 25), ds).n_users_evaluated > 7
         for t in (
-            EmbeddingTable(rng.standard_normal((300, 6)), rng.standard_normal((25, 6))),
+            EmbeddingTable.from_parts(rng.standard_normal((300, 6)), rng.standard_normal((25, 6))),
             self.integer_table(rng, 300, 25),
         ):
             self.assert_matches(t, ds, (1, 10, 20))
@@ -210,7 +210,7 @@ class TestRankEvalMatchesOracle:
         rng = np.random.default_rng(2)
         n_users, n_items = 400, 4000  # the full score table is 12.2x the budget
         ds = self.random_split(rng, n_users, n_items, 0.004)
-        t = EmbeddingTable(
+        t = EmbeddingTable.from_parts(
             rng.standard_normal((n_users, 16)), rng.standard_normal((n_items, 16))
         )
         rank_eval(t, ds)  # builds and caches the per-user indices
@@ -226,7 +226,7 @@ class TestRankEvalMatchesOracle:
     def test_non_finite_table_is_rejected(self):
         rng = np.random.default_rng(3)
         ds = self.random_split(rng, 20, 10, 0.5)
-        t = EmbeddingTable(rng.standard_normal((20, 3)), rng.standard_normal((10, 3)))
+        t = EmbeddingTable.from_parts(rng.standard_normal((20, 3)), rng.standard_normal((10, 3)))
         t.item_emb[4, 1] = np.nan
         with pytest.raises(DegenerateEmbedding):
             rank_eval(t, ds)
@@ -234,19 +234,19 @@ class TestRankEvalMatchesOracle:
 
 class TestMeasureAlignment:
     def test_all_equal_is_zero(self):
-        t = EmbeddingTable(np.tile([[1.0, 1.0]], (3, 1)), np.tile([[2.0, 2.0]], (4, 1)))
+        t = EmbeddingTable.from_parts(np.tile([[1.0, 1.0]], (3, 1)), np.tile([[2.0, 2.0]], (4, 1)))
         inter = InteractionSet.from_pairs([0, 1, 2], [0, 1, 3], 3, 4)
         assert measure_alignment(t, inter) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_orthogonal_pair(self):
-        t = EmbeddingTable(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        t = EmbeddingTable.from_parts(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         inter = InteractionSet.from_pairs([0], [0], 1, 1)
         assert measure_alignment(t, inter) == 2.0
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
         data = random_interaction_set(rng, max_pairs=20)
-        t = EmbeddingTable(
+        t = EmbeddingTable.from_parts(
             rng.standard_normal((data.n_users, 4)),
             rng.standard_normal((data.n_items, 4)),
         )
@@ -257,11 +257,11 @@ class TestMeasureAlignment:
     def test_rescale_invariant(self):
         rng = np.random.default_rng(6)
         data = random_interaction_set(rng)
-        t = EmbeddingTable(
+        t = EmbeddingTable.from_parts(
             rng.standard_normal((data.n_users, 4)),
             rng.standard_normal((data.n_items, 4)),
         )
-        scaled = EmbeddingTable(
+        scaled = EmbeddingTable.from_parts(
             t.user_emb * rng.uniform(0.5, 3.0, size=(data.n_users, 1)),
             t.item_emb * rng.uniform(0.5, 3.0, size=(data.n_items, 1)),
         )
@@ -272,7 +272,7 @@ class TestMeasureAlignment:
 
 class TestMeasureUniformity:
     def test_two_interactions_antipodal_users(self):
-        t = EmbeddingTable(
+        t = EmbeddingTable.from_parts(
             np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])
         )
         inter = InteractionSet.from_pairs([0, 1], [0, 1], 2, 2)
@@ -282,7 +282,7 @@ class TestMeasureUniformity:
         assert combined == pytest.approx(-4.0, abs=1e-12)
 
     def test_all_identical_is_zero(self):
-        t = EmbeddingTable(np.tile([[1.0, 2.0]], (3, 1)), np.tile([[3.0, 1.0]], (4, 1)))
+        t = EmbeddingTable.from_parts(np.tile([[1.0, 2.0]], (3, 1)), np.tile([[3.0, 1.0]], (4, 1)))
         inter = InteractionSet.from_pairs([0, 0, 1, 2], [0, 1, 2, 3], 3, 4)
         lu, li, combined = measure_uniformity(t, inter)
         assert lu == pytest.approx(0.0, abs=1e-12)
@@ -293,7 +293,7 @@ class TestMeasureUniformity:
         rng = np.random.default_rng(7)
         for _ in range(20):
             data = random_interaction_set(rng, max_users=6, max_items=7, max_pairs=30)
-            t = EmbeddingTable(
+            t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, 3)),
                 rng.standard_normal((data.n_items, 3)),
             )
@@ -302,7 +302,7 @@ class TestMeasureUniformity:
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_insufficient_data(self):
-        t = EmbeddingTable(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        t = EmbeddingTable.from_parts(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
         inter = InteractionSet.from_pairs([0], [0], 1, 1)
         with pytest.raises(InsufficientData):
             measure_uniformity(t, inter)
@@ -310,7 +310,7 @@ class TestMeasureUniformity:
     def test_geometry_report_bounds(self):
         rng = np.random.default_rng(8)
         data = random_interaction_set(rng)
-        t = EmbeddingTable(
+        t = EmbeddingTable.from_parts(
             rng.standard_normal((data.n_users, 5)),
             rng.standard_normal((data.n_items, 5)),
         )

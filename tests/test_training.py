@@ -218,10 +218,10 @@ class TestTrain:
         table = init_xavier(3, 3, 4, seed=2)
         batch = PositiveBatch(np.array([0, 2, 1, 0]), np.array([1, 0, 1, 0]))
 
-        def loss_of(user_emb, item_emb):
+        def loss_of(emb):
             from directau import EmbeddingTable
 
-            t = EmbeddingTable(user_emb, item_emb)
+            t = EmbeddingTable(emb, 3)
             prop = GraphPropagator.build(t, inter, n_layers=2)
             out = prop.propagate()
             from directau import direct_au_loss
@@ -231,14 +231,47 @@ class TestTrain:
             ).value
 
         prop = GraphPropagator.build(table, inter, n_layers=2)
-        _, (_, grad_u), (_, grad_i) = _batch_loss_and_grads(
+        _, rows, grads = _batch_loss_and_grads(
             batch, table, prop, ds, cfg, np.random.default_rng(0)
         )
-        fd_u, fd_i = finite_difference_gradients(
-            loss_of, [table.user_emb, table.item_emb]
-        )
-        assert relative_gradient_error(grad_u, fd_u) < 1e-4
-        assert relative_gradient_error(grad_i, fd_i) < 1e-4
+        (fd,) = finite_difference_gradients(loss_of, [table.emb])
+        assert np.array_equal(rows, np.arange(6))
+        assert relative_gradient_error(grads, fd) < 1e-4
+
+    @pytest.mark.parametrize(
+        "objective, encoder, layers",
+        [("direct_au", "mf", 0), ("bpr_ds", "mf", 0), ("direct_au", "lgcn", 2)],
+    )
+    def test_stacked_step_matches_two_matrix_oracle(self, two_cluster, objective, encoder, layers):
+        # one scatter and one adam_step on the stacked array must reproduce,
+        # bit for bit, separate user/item matrices with their own Adam states
+        from directau import AdamState, GraphPropagator
+        from directau.training import _train_batch, _training_batches
+        from helpers import two_matrix_step
+
+        ds = split(two_cluster, seed=5)
+        cfg = small_cfg(objective=objective, encoder=encoder, layers=layers, weight_decay=1e-3)
+        table = init_xavier(two_cluster.n_users, two_cluster.n_items, cfg.d, cfg.seed)
+        user, item = table.user_emb.copy(), table.item_emb.copy()
+        prop = GraphPropagator.build(table, ds.train, layers) if encoder == "lgcn" else None
+        state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay)
+        user_state = AdamState.for_params(user, cfg.lr, cfg.weight_decay)
+        item_state = AdamState.for_params(item, cfg.lr, cfg.weight_decay)
+        rng_stacked, rng_oracle = np.random.default_rng(7), np.random.default_rng(7)
+        adjacency = None if prop is None else prop.adjacency
+        for batch in _training_batches(ds, cfg, epoch=1)[:3]:
+            got = _train_batch(batch, table, prop, state, ds, cfg, rng_stacked)
+            want = two_matrix_step(
+                batch, user, item, user_state, item_state, ds, cfg, rng_oracle, adjacency
+            )
+            assert got == want
+        nu = table.n_users
+        assert np.array_equal(table.user_emb, user)
+        assert np.array_equal(table.item_emb, item)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name)[:nu], getattr(user_state, name))
+            assert np.array_equal(getattr(state, name)[nu:], getattr(item_state, name))
+        assert state.step.max() == 3
 
     def test_lgcn_smoke_and_determinism(self, two_cluster):
         ds = split(two_cluster, seed=6)
