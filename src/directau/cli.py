@@ -155,7 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"{data_path} is not the dataset this checkpoint was trained on "
                 f"(SHA-256 differs from {manifest_path})"
             )
-    data = read_id_pairs(data_path, n_users=table.n_users, n_items=table.n_items)
+    data = read_id_pairs(data_path)  # counts inferred, as train infers them
     if data.n_users != table.n_users or data.n_items != table.n_items:
         raise DataError("checkpoint and dataset disagree on entity counts")
     ds = split(data, seed=cfg.seed)

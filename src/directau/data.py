@@ -1,8 +1,7 @@
 """Interaction ingestion, k-core preprocessing, per-user splits, batching.
 
 File format: UTF-8 text, one interaction per line, `user<delim>item[<delim>...]`,
-lines starting with '#' ignored. Columns past the second are ignored for
-modeling (a third column is kept as a timestamp when it parses as an integer).
+lines starting with '#' ignored. Columns past the second are ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ class RawInteraction:
 
     user_key: str
     item_key: str
-    timestamp: int | None = None
 
 
 @dataclass
@@ -83,10 +81,6 @@ class InteractionSet:
     def n_pairs(self) -> int:
         return int(self.users.size)
 
-    @property
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        return zip(self.users.tolist(), self.items.tolist())
-
     def validate(self) -> None:
         """Check the full invariants (every ID used, popularity sums)."""
         if not self.user_pop.sum() == self.n_pairs == self.item_pop.sum():
@@ -129,6 +123,17 @@ class UserIndex(NamedTuple):
         offsets = np.cumsum(counts) - counts
         return rows, self.indices[np.arange(rows.size) + (starts - offsets)[rows]]
 
+    def contains(self, users: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+        """Whether each value is in its user's row, broadcasting `users`
+        against `values`; every row value and query value lies in [0, width)."""
+        n_rows = self.indptr.size - 1
+        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
+        # ascending, since rows ascend and values ascend within a row; the
+        # sentinel exceeds every query, so each search lands on a key
+        keys = np.append(rows * width + self.indices, n_rows * width)
+        queries = np.asarray(users, dtype=np.int64) * width + np.asarray(values, dtype=np.int64)
+        return keys[np.searchsorted(keys, queries)] == queries
+
 
 @dataclass
 class DatasetSplit:
@@ -156,43 +161,39 @@ class DatasetSplit:
     def test_index(self) -> UserIndex:
         return UserIndex.build(self.test[:, 0], self.test[:, 1], self.train.n_users)
 
-    @cached_property
-    def train_item_sets(self) -> list[frozenset[int]]:
-        """Per-user frozensets of training items (negative sampling)."""
-        bounds, items = self.train_index.indptr.tolist(), self.train_index.indices
-        return [frozenset(items[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+def _key_pairs(path: str | Path, delimiter: str) -> Iterator[tuple[str, str]]:
+    """(user key, item key) of every interaction line, in file order.
+
+    Raises MalformedLine with the offending line number, EmptyInput when
+    nothing parses.
+    """
+    path = Path(path)
+    found = False
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(delimiter)
+            if len(fields) < 2:
+                raise MalformedLine(str(path), lineno, f"expected >=2 fields, got {len(fields)}")
+            user_key, item_key = fields[0].strip(), fields[1].strip()
+            if not user_key or not item_key:
+                raise MalformedLine(str(path), lineno, "empty user or item field")
+            found = True
+            yield user_key, item_key
+    if not found:
+        raise EmptyInput(f"no interactions in {path}")
 
 
 def load_interactions(path: str | Path, delimiter: str = "\t") -> list[RawInteraction]:
     """Parse an interaction file into RawInteractions, preserving file order.
 
     Duplicate lines survive here; deduplication belongs to preprocess().
-    Raises MalformedLine with the offending line number, EmptyInput when
-    nothing parses.
+    Raises MalformedLine or EmptyInput as _key_pairs does.
     """
-    path = Path(path)
-    rows: list[RawInteraction] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(delimiter)]
-            if len(fields) < 2:
-                raise MalformedLine(str(path), lineno, f"expected >=2 fields, got {len(fields)}")
-            user_key, item_key = fields[0], fields[1]
-            if not user_key or not item_key:
-                raise MalformedLine(str(path), lineno, "empty user or item field")
-            ts: int | None = None
-            if len(fields) >= 3:
-                try:
-                    ts = int(fields[2])
-                except ValueError:
-                    ts = None
-            rows.append(RawInteraction(user_key, item_key, ts))
-    if not rows:
-        raise EmptyInput(f"no interactions in {path}")
-    return rows
+    return [RawInteraction(u, i) for u, i in _key_pairs(path, delimiter)]
 
 
 def preprocess(raw: Sequence[RawInteraction], k_core: int = 5) -> InteractionSet:
@@ -331,10 +332,10 @@ def read_id_pairs(
     IDs need not be contiguous (popularity is zero for unused IDs), but
     duplicates and out-of-range IDs are rejected.
     """
-    raw = load_interactions(path, delimiter)
+    keys = list(_key_pairs(path, delimiter))
     try:
-        users = [int(r.user_key) for r in raw]
-        items = [int(r.item_key) for r in raw]
+        users = [int(u) for u, _ in keys]
+        items = [int(i) for _, i in keys]
     except ValueError as exc:
         raise DataError(f"{path}: expected integer IDs ({exc})") from exc
     return InteractionSet.from_pairs(users, items, n_users, n_items)

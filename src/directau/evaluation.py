@@ -23,8 +23,7 @@ from .encoders import EmbeddingTable, normalize_rows
 from .errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from .losses import UNIFORMITY_SCALE, softplus
 
-_SCORE_BUDGET = 8 << 20  # bytes of one block of user x item scores
-_CHUNK = 1024  # rows per gram block in _weighted_potential_mean; sets its summation grouping
+_SCORE_BUDGET = 8 << 20  # bytes of one block of user x item scores or of one gram block
 
 
 @dataclass
@@ -71,8 +70,6 @@ def rank_eval(
     n_targets = np.diff(targets.indptr)
     eval_users = np.flatnonzero(n_targets)
     n_targets = n_targets[eval_users]
-    rows, cols = targets.gather(eval_users)
-    target_keys = eval_users[rows] * n_items + cols
 
     ks = tuple(sorted(set(int(k) for k in ks)))
     kmax = min(max(ks), n_items)
@@ -88,7 +85,7 @@ def rank_eval(
         scores = np.matmul(table.user_emb[users], table.item_emb.T, out=score_buf[: users.size])
         scores[split.train_index.gather(users)] = -np.inf
         items, top_scores = _top_k(scores, kmax, kth_buf[: users.size])
-        is_target = np.isin(users[:, None] * n_items + items, target_keys)
+        is_target = targets.contains(users[:, None], items, n_items)
         # masked (-inf) items are not recommendations, even when K
         # exceeds the number of unmasked candidates
         is_hit[start : start + users.size] = is_target & (top_scores != -np.inf)
@@ -135,13 +132,17 @@ def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> f
     Sums p(a) p(b) exp(-2 ||x_a - x_b||^2) over distinct entity pairs,
     adds sum_a p(a)(p(a) - 1) for same-entity distinct interactions (the
     exact diagonal correction, computed in integers so no cancellation),
-    and normalizes by |R| (|R| - 1).
+    and normalizes by |R| (|R| - 1). Gram row blocks of at most
+    _SCORE_BUDGET bytes set the summation grouping.
     """
     p = pop.astype(np.float64)
+    n = xn.shape[0]
+    n_rows = max(1, _SCORE_BUDGET // (8 * n))
+    gram_buf = np.empty((min(n_rows, n), n))
     off_diag = 0.0
-    for start in range(0, xn.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, xn.shape[0])
-        pot = xn[start:stop] @ xn.T
+    for start in range(0, n, n_rows):
+        stop = min(start + n_rows, n)
+        pot = np.matmul(xn[start:stop], xn.T, out=gram_buf[: stop - start])
         pot -= 1.0
         pot *= 2.0 * UNIFORMITY_SCALE
         np.exp(pot, out=pot)

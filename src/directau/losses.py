@@ -174,9 +174,10 @@ def sample_negatives(
 ) -> np.ndarray:
     """One negative item per user, drawn outside the user's training items.
 
-    'uniform' rejection-samples a single item; 'dynamic' rejection-samples
-    `candidates` items and picks one with probability proportional to the
-    softmax of their predicted dot scores (harder negatives more likely).
+    Every slot is drawn at once and only slots hitting a training item are
+    redrawn. 'uniform' returns the draws; 'dynamic' draws `candidates` per
+    user and picks one by the softmax of their dot scores (harder negatives
+    more likely).
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -188,28 +189,23 @@ def sample_negatives(
         raise ValueError(f"candidates must be >= 1, got {candidates}")
 
     n_items = split.train.n_items
-    item_sets = split.train_item_sets
-    out = np.empty(len(users), dtype=np.int64)
-    for k, u in enumerate(np.asarray(users, dtype=np.int64).tolist()):
-        interacted = item_sets[u]
-        if len(interacted) >= n_items:
-            raise NoNegativeAvailable(f"user {u} interacted with every item")
-        if strategy == "uniform":
-            out[k] = _draw_outside(rng, n_items, interacted)
-        else:
-            cands = np.array(
-                [_draw_outside(rng, n_items, interacted) for _ in range(candidates)],
-                dtype=np.int64,
-            )
-            scores = table.item_emb[cands] @ table.user_emb[u]
-            probs = np.exp(scores - scores.max())
-            probs /= probs.sum()
-            out[k] = int(rng.choice(cands, p=probs))
-    return out
+    index = split.train_index
+    users = np.asarray(users, dtype=np.int64)
+    full = np.diff(index.indptr)[users] >= n_items
+    if full.any():
+        raise NoNegativeAvailable(f"user {users[full][0]} interacted with every item")
 
+    owners = np.repeat(users, 1 if strategy == "uniform" else candidates)
+    drawn = np.empty(owners.size, dtype=np.int64)
+    todo = np.arange(owners.size)
+    while todo.size:
+        drawn[todo] = rng.integers(0, n_items, size=todo.size)
+        todo = todo[index.contains(owners[todo], drawn[todo], n_items)]
+    if strategy == "uniform":
+        return drawn
 
-def _draw_outside(rng: np.random.Generator, n_items: int, interacted: frozenset) -> int:
-    while True:
-        j = int(rng.integers(0, n_items))
-        if j not in interacted:
-            return j
+    pool = drawn.reshape(users.size, candidates)
+    scores = np.einsum("bd,bcd->bc", table.user_emb[users], table.item_emb[pool])
+    # Gumbel-max: argmax of the scores plus i.i.d. Gumbel noise is an exact softmax draw
+    pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
+    return pool[np.arange(users.size), pick]

@@ -84,6 +84,33 @@ def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_r
     return lo.value
 
 
+def per_user_negatives(split, users, strategy, table=None, candidates=32, rng=None):
+    """Reference sampler: one user at a time, each draw rejection-sampled
+    against the user's training items on its own; 'dynamic' picks from its
+    candidate pool with the normalized softmax and rng.choice."""
+    n_items = split.train.n_items
+    bounds, items = split.train_index.indptr, split.train_index.indices
+    out = np.empty(len(users), dtype=np.int64)
+    for k, u in enumerate(np.asarray(users).tolist()):
+        interacted = frozenset(items[bounds[u] : bounds[u + 1]].tolist())
+
+        def draw():
+            while True:
+                j = int(rng.integers(0, n_items))
+                if j not in interacted:
+                    return j
+
+        if strategy == "uniform":
+            out[k] = draw()
+            continue
+        cands = np.array([draw() for _ in range(candidates)], dtype=np.int64)
+        scores = table.item_emb[cands] @ table.user_emb[u]
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        out[k] = int(rng.choice(cands, p=probs))
+    return out
+
+
 def finite_difference_gradients(fn, arrays, h=1e-5):
     """Central-difference gradients of a scalar function of several arrays."""
     grads = [np.zeros_like(a) for a in arrays]

@@ -246,6 +246,24 @@ class TestEvalCommand:
             (no_manifest / name).write_bytes((trained / name).read_bytes())
         assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(other)]) == 0
 
+    def test_fewer_users_without_manifest_is_data_error(self, trained, data_file, tmp_path,
+                                                        capsys):
+        # a diverged run leaves no manifest; the entity counts still have to agree
+        no_manifest = tmp_path / "no-manifest"
+        no_manifest.mkdir()
+        for name in ("embeddings.txt", "metadata.txt"):
+            (no_manifest / name).write_bytes((trained / name).read_bytes())
+        data = two_cluster_dataset()
+        keep = data.users != data.users.max()
+        fewer = tmp_path / "fewer-users.txt"
+        write_interactions(
+            InteractionSet.from_pairs(data.users[keep], data.items[keep]), fewer
+        )
+        rc = main(["eval", "--checkpoint", str(no_manifest), "--data", str(fewer)])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(data_file)]) == 0
+
     def test_dimension_mismatch(self, trained, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("0\t0\n0\t1\n1\t0\n1\t1\n201\t0\n")

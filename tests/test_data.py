@@ -60,14 +60,8 @@ class TestLoadInteractions:
         p = tmp_path / "a.csv"
         p.write_text("u1,i1,5.0,1234\nu2,i2,3.0,5678\n")
         rows = load_interactions(p, delimiter=",")
-        assert rows[0].user_key == "u1" and rows[0].item_key == "i1"
-        # non-integer third column is not a timestamp; ignored
-        assert rows[0].timestamp is None
-
-    def test_integer_timestamp_kept(self, tmp_path):
-        p = tmp_path / "a.txt"
-        p.write_text("u1\ti1\t99\n")
-        assert load_interactions(p)[0].timestamp == 99
+        # columns past the second are ignored
+        assert [(r.user_key, r.item_key) for r in rows] == [("u1", "i1"), ("u2", "i2")]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -100,7 +94,8 @@ class TestPreprocess:
         pairs += [("u0", "i9"), ("u1", "i9"), ("u2", "i9"), ("u3", "i9")]
         expected = brute_force_k_core(pairs, 5)
         out = preprocess(raw(*pairs), k_core=5)
-        back = [(out.user_keys[u], out.item_keys[i]) for u, i in out.pairs]
+        back = [(out.user_keys[u], out.item_keys[i])
+                for u, i in zip(out.users.tolist(), out.items.tolist())]
         assert back == expected
         assert "u_weak" not in out.user_keys and "i9" not in out.item_keys
 
@@ -118,7 +113,8 @@ class TestPreprocess:
                 preprocess(raw(*pairs), k_core=k)
             return
         out = preprocess(raw(*pairs), k_core=k)
-        back = [(out.user_keys[u], out.item_keys[i]) for u, i in out.pairs]
+        back = [(out.user_keys[u], out.item_keys[i])
+                for u, i in zip(out.users.tolist(), out.items.tolist())]
         assert back == expected
 
     def test_empty_fixpoint_raises(self):
@@ -143,7 +139,9 @@ class TestPreprocess:
         pairs = [(f"u{rng.integers(0, 8)}", f"i{rng.integers(0, 8)}") for _ in range(80)]
         once = preprocess(raw(*pairs), k_core=3)
         again = preprocess(
-            [RawInteraction(str(u), str(i)) for u, i in once.pairs], k_core=3
+            [RawInteraction(str(u), str(i))
+             for u, i in zip(once.users.tolist(), once.items.tolist())],
+            k_core=3,
         )
         assert np.array_equal(once.users, again.users)
         assert np.array_equal(once.items, again.items)
@@ -198,8 +196,8 @@ class TestSplit:
         counts = [int(rng.integers(1, 15)) for _ in range(10)]
         data = self.make(counts)
         ds = split(data, seed=4)
-        src = set(data.pairs)
-        tr = set(ds.train.pairs)
+        src = set(zip(data.users.tolist(), data.items.tolist()))
+        tr = set(zip(ds.train.users.tolist(), ds.train.items.tolist()))
         va = {tuple(p) for p in ds.validation.tolist()}
         te = {tuple(p) for p in ds.test.tolist()}
         assert tr | va | te == src
@@ -239,6 +237,45 @@ class TestUserIndex:
             want = [(r, v) for r, u in enumerate(picked.tolist()) for v in rows[u].tolist()]
             assert list(zip(pos.tolist(), got.tolist())) == want
 
+    def test_contains_matches_brute_force(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            n_users, width = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            users = rng.integers(0, n_users, size=int(rng.integers(0, 40)))
+            values = rng.integers(0, width, size=users.size)
+            index = UserIndex.build(users, values, n_users)
+            members = set(zip(users.tolist(), values.tolist()))
+            # a column of users against a row of values, every value 0..width-1 included
+            q_users = rng.integers(0, n_users, size=(int(rng.integers(1, 5)), 1))
+            q_values = np.arange(width)[None, :]
+            got = index.contains(q_users, q_values, width)
+            want = [[(u, v) in members for v in range(width)] for u in q_users[:, 0].tolist()]
+            assert got.shape == (q_users.shape[0], width)
+            assert got.tolist() == want
+            # elementwise pairs of equal shape, and one user against many values
+            flat_u = rng.integers(0, n_users, size=15)
+            flat_v = rng.integers(0, width, size=15)
+            assert index.contains(flat_u, flat_v, width).tolist() == [
+                (u, v) in members for u, v in zip(flat_u.tolist(), flat_v.tolist())
+            ]
+            assert index.contains(n_users - 1, q_values[0], width).tolist() == [
+                (n_users - 1, v) in members for v in range(width)
+            ]
+
+    def test_contains_on_empty_index(self):
+        index = UserIndex.build(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)
+        got = index.contains(np.array([[0], [2]]), np.array([0, 4]), 5)
+        assert got.shape == (2, 2) and not got.any()
+        assert not UserIndex.build(np.array([1]), np.array([0]), 2).contains(0, 0, 3)
+
+    def test_contains_at_the_edges_of_each_row(self):
+        # rows hold the first and last value, so a neighbour row's key is one off
+        index = UserIndex.build(np.array([0, 0, 1, 2]), np.array([4, 0, 0, 4]), 3)
+        got = index.contains(np.arange(3)[:, None], np.arange(5)[None, :], 5)
+        want = np.zeros((3, 5), dtype=bool)
+        want[0, [0, 4]] = want[1, 0] = want[2, 4] = True
+        assert np.array_equal(got, want)
+
     def test_split_caches_each_part(self, two_cluster):
         ds = split(two_cluster, seed=3)
         assert ds.validation_index is ds.validation_index
@@ -251,7 +288,10 @@ class TestUserIndex:
             got = {(u, i) for u in range(two_cluster.n_users)
                    for i in index.indices[index.indptr[u] : index.indptr[u + 1]].tolist()}
             assert got == {tuple(p) for p in pairs.tolist()}
-        assert ds.train_item_sets[5] == frozenset(ds.train.items[ds.train.users == 5].tolist())
+        n_items = two_cluster.n_items
+        row_5 = set(ds.train.items[ds.train.users == 5].tolist())
+        got = ds.train_index.contains(5, np.arange(n_items), n_items)
+        assert got.tolist() == [i in row_5 for i in range(n_items)]
 
 
 class TestIterBatches:
@@ -279,7 +319,7 @@ class TestIterBatches:
         got = Counter()
         for b in iter_batches(ds, 33, seed=1, epoch=4):
             got.update(zip(b.users.tolist(), b.items.tolist()))
-        want = Counter(ds.train.pairs)
+        want = Counter(zip(ds.train.users.tolist(), ds.train.items.tolist()))
         assert got == want
 
     def test_bad_batch_size(self, two_cluster):

@@ -76,7 +76,7 @@ class TestRankEval:
         rng = np.random.default_rng(0)
         for _ in range(10):
             data = random_interaction_set(rng, max_users=6, max_items=8, max_pairs=25)
-            train_pairs = list(data.pairs)
+            train_pairs = list(zip(data.users.tolist(), data.items.tolist()))
             val_pairs = [
                 (u, i)
                 for u in range(data.n_users)
@@ -300,6 +300,41 @@ class TestMeasureUniformity:
             got = measure_uniformity(t, data)
             want = naive_uniformity(t, data)
             assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("budget_rows", [1, 2, 5])
+    def test_gram_blocks_match_naive_double_loop(self, monkeypatch, budget_rows):
+        rng = np.random.default_rng(budget_rows)
+        for _ in range(10):
+            data = random_interaction_set(rng, max_users=8, max_items=9, max_pairs=40)
+            # budget_rows rows of the wider side's gram per block
+            width = max(data.n_users, data.n_items)
+            monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * width * budget_rows)
+            t = EmbeddingTable.from_parts(
+                rng.standard_normal((data.n_users, 3)),
+                rng.standard_normal((data.n_items, 3)),
+            )
+            got = measure_uniformity(t, data)
+            assert got == pytest.approx(naive_uniformity(t, data), abs=1e-10)
+
+    def test_peak_allocation_follows_the_budget(self, monkeypatch):
+        budget = 1 << 20
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", budget)
+        rng = np.random.default_rng(4)
+        n_users, n_items = 1500, 300  # the user gram is 17x the budget
+        users = np.repeat(np.arange(n_users), 2)
+        items = np.column_stack([np.arange(n_users), np.arange(n_users) + 1]).ravel() % n_items
+        data = InteractionSet.from_pairs(users, items, n_users, n_items)
+        t = EmbeddingTable.from_parts(
+            rng.standard_normal((n_users, 16)), rng.standard_normal((n_items, 16))
+        )
+        tracemalloc.start()
+        try:
+            measure_uniformity(t, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_users * n_users * 8 > 10 * budget
+        assert peak < 3 * budget
 
     def test_insufficient_data(self):
         t = EmbeddingTable.from_parts(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))

@@ -1,9 +1,13 @@
 """Loss values, analytic gradients vs finite differences, negative sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from directau import (
+    EmbeddingTable,
     InteractionSet,
     align_loss,
     bpr_loss,
@@ -13,7 +17,7 @@ from directau import (
     uniform_loss,
 )
 from directau.errors import InsufficientBatch, NoNegativeAvailable
-from helpers import finite_difference_gradients, relative_gradient_error
+from helpers import finite_difference_gradients, per_user_negatives, relative_gradient_error
 
 SHAPES = [(n, d) for n in (2, 3, 8) for d in (2, 4, 16)]
 
@@ -224,11 +228,69 @@ class TestSampleNegatives:
         )
         assert np.array_equal(a, b)
         for u, neg in zip([0, 1, 0, 1], a.tolist()):
-            assert neg not in ds.train_item_sets[u]
+            assert neg not in ds.train.items[ds.train.users == u]
+
+    def test_negatives_lie_outside_training_rows(self):
+        rng = np.random.default_rng(4)
+        n_users, n_items = 30, 25
+        dense = rng.random((n_users, n_items)) < rng.uniform(0.1, 0.9, size=(n_users, 1))
+        dense[:, 0] = True  # every user has a training item and misses another
+        dense[np.arange(n_users), rng.integers(1, n_items, size=n_users)] = False
+        users, items = np.nonzero(dense)
+        ds = self.make_split(users, items, n_users, n_items)
+        table = EmbeddingTable.from_parts(
+            rng.standard_normal((n_users, 4)), rng.standard_normal((n_items, 4))
+        )
+        batch_users = rng.integers(0, n_users, size=500)
+        for strategy in ("uniform", "dynamic"):
+            negs = sample_negatives(ds, batch_users, strategy, table, 8, rng)
+            assert negs.shape == batch_users.shape
+            assert not dense[batch_users, negs].any()
+
+    def test_uniform_is_uniform_over_non_interacted_items(self):
+        n_items, draws = 12, 8000
+        rows = {0: [0, 3, 4, 11], 1: [5], 2: [1, 2, 3, 4, 5, 6, 7, 8, 9]}
+        users = [u for u, r in rows.items() for _ in r]
+        ds = self.make_split(users, sum(rows.values(), []), 3, n_items)
+        batch_users = np.repeat([0, 1, 2], draws)
+        negs = sample_negatives(ds, batch_users, "uniform", rng=np.random.default_rng(5))
+        for u, row in rows.items():
+            allowed = [i for i in range(n_items) if i not in row]
+            counts = np.bincount(negs[batch_users == u], minlength=n_items)
+            assert counts[row].sum() == 0
+            # chi-square goodness of fit against the uniform over allowed items
+            assert stats.chisquare(counts[allowed]).pvalue > 1e-3
+
+    def test_dynamic_pick_frequencies_match_the_oracle(self):
+        # user 0 has item 0; scores of items 1..5 are fixed, and a pool of 3
+        # i.i.d. candidates makes the pick depend on both pool and softmax
+        ds = self.make_split([0, 1], [0, 1], 2, 6)
+        scores = np.array([0.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+        table = EmbeddingTable.from_parts(
+            np.array([[1.0, 0.0], [0.0, 1.0]]), np.column_stack([scores, np.zeros(6)])
+        )
+        draws, candidates = 6000, 3
+        users = np.zeros(draws, dtype=np.int64)
+        got = sample_negatives(
+            ds, users, "dynamic", table, candidates, np.random.default_rng(6)
+        )
+        want = per_user_negatives(
+            ds, users, "dynamic", table, candidates, np.random.default_rng(7)
+        )
+        got_counts = np.bincount(got, minlength=6)[1:]
+        want_counts = np.bincount(want, minlength=6)[1:]
+        assert got_counts.sum() == want_counts.sum() == draws
+        # two-sample chi-square: both samplers draw from the same distribution
+        assert stats.chi2_contingency([got_counts, want_counts]).pvalue > 1e-3
+        # and the sampler's frequencies match the exact pick distribution
+        exact = np.zeros(6)
+        for pool in itertools.product(range(1, 6), repeat=candidates):
+            w = np.exp(scores[list(pool)])
+            for item, share in zip(pool, w / w.sum()):
+                exact[item] += share / 5**candidates
+        assert stats.chisquare(got_counts, draws * exact[1:]).pvalue > 1e-3
 
     def test_dynamic_prefers_high_scores(self):
-        from directau import EmbeddingTable
-
         ds = self.make_split([0, 0], [0, 1], 1, 8)
         # item 7 massively outscores the rest for user 0
         user = np.array([[1.0, 0.0]])
@@ -251,6 +313,15 @@ class TestSampleNegatives:
         ds = self.make_split([0, 0], [0, 1], 1, 2)
         with pytest.raises(NoNegativeAvailable):
             sample_negatives(ds, np.array([0]), "uniform", rng=np.random.default_rng(0))
+
+    def test_full_row_raises_before_any_draw(self):
+        # user 1 holds every item, user 0 does not
+        ds = self.make_split([0, 1, 1, 1], [0, 0, 1, 2], 2, 3)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(NoNegativeAvailable, match="user 1"):
+            sample_negatives(ds, np.array([0, 0, 1]), "uniform", rng=rng)
+        assert rng.bit_generator.state == before
 
     def test_unknown_strategy(self):
         ds = self.make_split([0, 0], [0, 1], 1, 3)
