@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .data import (
     load_interactions,
+    open_atomic,
     preprocess,
     read_id_pairs,
     split,
@@ -92,6 +93,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a manifest only ever sits beside the checkpoint of a completed run
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     try:
         table, traces, best_epoch = train(ds, cfg)
     except TrainingDiverged as exc:
@@ -133,7 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "trace": str(out_dir / "trace.csv"),
         },
     }
-    with (out_dir / "manifest.json").open("w", encoding="utf-8") as fh:
+    with open_atomic(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     print(f"best_epoch={best_epoch} epochs_run={len(traces)} out_dir={out_dir}")

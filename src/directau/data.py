@@ -6,12 +6,14 @@ lines starting with '#' ignored. Columns past the second are ignored.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -305,6 +307,21 @@ def iter_batches(
     for start in range(0, train.n_pairs, batch_size):
         sel = perm[start : start + batch_size]
         yield PositiveBatch(users=train.users[sel], items=train.items[sel])
+
+
+@contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Write text to a temporary file beside `path` that replaces `path`
+    (os.replace) when the block exits cleanly; if the block raises, the
+    temporary file is removed and `path` keeps its previous content."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_interactions(data: InteractionSet, path: str | Path, delimiter: str = "\t") -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .data import InteractionSet
+from .data import InteractionSet, open_atomic
 from .errors import DataError, DegenerateEmbedding
 from .rng import substream
 
@@ -96,26 +96,44 @@ class GraphPropagator:
         adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return cls(base=base, n_layers=n_layers, adjacency=adj)
 
-    def _layer_mean(self, x: np.ndarray) -> np.ndarray:
-        acc = x.copy()
+    def propagate(self, rows=slice(None)) -> np.ndarray:
+        """Layer mean of the propagated representations at `rows` (every
+        user and item by default), in the stacked row order.
+
+        Layers before the last run on the whole graph; the last one is
+        computed only at `rows`. Slicing CSR rows keeps each row's
+        summation order, so the result equals the full pass's rows bit for
+        bit.
+        """
+        x = self.base.emb
+        acc = x[rows].copy()
         cur = x
-        for _ in range(self.n_layers):
+        for _ in range(self.n_layers - 1):
             cur = self.adjacency @ cur
-            acc += cur
+            acc += cur[rows]
+        if self.n_layers > 0:
+            acc += self.adjacency[rows] @ cur
         return acc / (self.n_layers + 1)
 
-    def propagate(self) -> EmbeddingTable:
-        """Materialize the propagated representations for every user and item."""
-        return EmbeddingTable(self._layer_mean(self.base.emb), self.base.n_users)
+    def backward(self, rows: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
+        """Pull a gradient w.r.t. the outputs at `rows` (sorted, unique; zero
+        at every other row) back onto every row of the stacked base
+        embeddings.
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Pull a gradient w.r.t. the stacked outputs back onto the stacked
-        base embeddings.
-
-        The adjacency is symmetric, so the transpose pass reuses the same
-        layer-mean propagation.
+        The adjacency is symmetric, so the transpose pass is the same
+        layer mean; its first layer reads only the given rows, as
+        `adjacency[rows].T @ grad_rows`, which adds the same nonzero terms
+        in the same order as the full product with the zero-padded gradient.
         """
-        return self._layer_mean(grad_out)
+        acc = np.zeros((self.adjacency.shape[0], grad_rows.shape[1]))
+        acc[rows] = grad_rows
+        if self.n_layers > 0:
+            cur = self.adjacency[rows].T @ grad_rows
+            acc += cur
+            for _ in range(self.n_layers - 1):
+                cur = self.adjacency @ cur
+                acc += cur
+        return acc / (self.n_layers + 1)
 
 
 def _unit_rows(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +156,9 @@ def normalize_rows(reps: np.ndarray) -> np.ndarray:
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """Dump as text: header 'n_users n_items d', then one row per entity
-    (users first), space-separated at 17 significant digits (lossless)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    (users first), space-separated at 17 significant digits (lossless).
+    The file at `path` is replaced whole when the dump is complete."""
+    with open_atomic(path) as fh:
         fh.write(f"{table.n_users} {table.n_items} {table.d}\n")
         np.savetxt(fh, table.emb, fmt="%.17g")
 

@@ -51,25 +51,43 @@ def adam_step(
 
     `rows` must be unique (accumulate duplicate-row gradients before
     calling); rows not listed are untouched, including their moments.
+    When `rows` is every row in order, the update runs on views of the
+    arrays instead of gathering and scattering the rows.
     """
     rows = np.asarray(rows, dtype=np.int64)
     grads = np.asarray(grads, dtype=np.float64)
     if rows.size == 0:
         return params
-    if np.unique(rows).size != rows.size:
+    every_row = rows.size == len(params) and np.array_equal(rows, np.arange(rows.size))
+    if not every_row and np.unique(rows).size != rows.size:
         raise ValueError("duplicate rows in one adam_step call; pre-accumulate instead")
     if not np.all(np.isfinite(grads)):
         raise DivergedGradient("non-finite gradient entries")
 
+    at = slice(None) if every_row else rows
+    p, m, v, step = params[at], state.m[at], state.v[at], state.step[at]
     g = grads
     if state.weight_decay > 0.0:
-        g = g + state.weight_decay * params[rows]
+        g = g + state.weight_decay * p
 
-    state.step[rows] += 1
-    t = state.step[rows][:, None].astype(np.float64)
-    state.m[rows] = BETA1 * state.m[rows] + (1.0 - BETA1) * g
-    state.v[rows] = BETA2 * state.v[rows] + (1.0 - BETA2) * g * g
-    m_hat = state.m[rows] / (1.0 - BETA1**t)
-    v_hat = state.v[rows] / (1.0 - BETA2**t)
-    params[rows] -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    # in place, in the operation order of BETA1 * m + (1 - BETA1) * g,
+    # BETA2 * v + (1 - BETA2) * g * g and lr * m_hat / (sqrt(v_hat) + EPS),
+    # so the results equal those out-of-place formulas bit for bit
+    step += 1
+    t = step[:, None].astype(np.float64)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    g2 = (1.0 - BETA2) * g
+    g2 *= g
+    v += g2
+    update = m / (1.0 - BETA1**t)
+    update *= state.lr
+    v_hat = v / (1.0 - BETA2**t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += EPS
+    update /= v_hat
+    p -= update
+    if not every_row:
+        params[rows], state.m[rows], state.v[rows], state.step[rows] = p, m, v, step
     return params

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, PositiveBatch, iter_batches
+from .data import DatasetSplit, PositiveBatch, iter_batches, open_atomic
 from .encoders import (
     EmbeddingTable,
     GraphPropagator,
@@ -195,7 +195,7 @@ def train(
     neg_rng = substream(cfg.seed, "negatives")
 
     def scoring_table() -> EmbeddingTable:
-        return propagator.propagate() if propagator is not None else table
+        return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table
 
     has_val = split.validation.size > 0
     traces: list[EpochTrace] = []
@@ -263,36 +263,34 @@ def _batch_loss_and_grads(
     Returns (value, rows, grads) with rows indexing `table.emb` (items
     offset by n_users); duplicate batch rows are pre-accumulated, and for
     the graph encoder the gradients are pulled back through the
-    propagation (every row).
+    propagation (every row). DirectAU reads the propagated outputs only at
+    the batch rows; BPR propagates every row, since its sampler scores
+    candidates across the catalog.
     """
     bu, bi = batch.users, batch.items
-    out = propagator.propagate() if propagator is not None else table
-    u_reps = out.user_emb[bu]
-    i_reps = out.item_emb[bi]
-
+    n_users = table.n_users
     if cfg.objective == "direct_au":
-        lo = direct_au_loss(u_reps, i_reps, cfg.gamma)
-        item_ids, item_grads = bi, lo.grad_item
+        ids = np.concatenate([bu, n_users + bi])
+        rows, inv = np.unique(ids, return_inverse=True)
+        reps = table.emb[ids] if propagator is None else propagator.propagate(rows)[inv]
+        lo = direct_au_loss(reps[: bu.size], reps[bu.size :], cfg.gamma)
+        grads = np.concatenate([lo.grad_user, lo.grad_item])
     else:
+        out = table if propagator is None else EmbeddingTable(propagator.propagate(), n_users)
         strategy = "dynamic" if cfg.objective == "bpr_ds" else "uniform"
         negs = sample_negatives(
             split, bu, strategy, table=out, candidates=cfg.ds_candidates, rng=neg_rng
         )
-        lo = bpr_loss(u_reps, i_reps, out.item_emb[negs], score="dot")
-        item_ids = np.concatenate([bi, negs])
-        item_grads = np.concatenate([lo.grad_item, lo.grad_neg])
-
-    ids = np.concatenate([bu, table.n_users + item_ids])
-    grads = np.concatenate([lo.grad_user, item_grads])
-    if propagator is None:
+        lo = bpr_loss(out.user_emb[bu], out.item_emb[bi], out.item_emb[negs], score="dot")
+        ids = np.concatenate([bu, n_users + bi, n_users + negs])
         rows, inv = np.unique(ids, return_inverse=True)
-        acc = np.zeros((rows.size, table.d))
-        np.add.at(acc, inv, grads)
-        return lo.value, rows, acc
+        grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
 
-    acc = np.zeros_like(table.emb)
-    np.add.at(acc, ids, grads)
-    return lo.value, np.arange(acc.shape[0]), propagator.backward(acc)
+    acc = np.zeros((rows.size, table.d))
+    np.add.at(acc, inv, grads)
+    if propagator is None:
+        return lo.value, rows, acc
+    return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)
 
 
 def _train_batch(
@@ -322,8 +320,9 @@ TRACE_COLUMNS = (
 
 
 def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
-    """Write the per-epoch trace as CSV at 9 significant digits."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    """Write the per-epoch trace as CSV at 9 significant digits, replacing
+    the file at `path` whole."""
+    with open_atomic(path, newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for t in traces:
             vals = [str(t.epoch)] + [
@@ -347,7 +346,8 @@ def read_trace(path: str | Path) -> list[EpochTrace]:
 def save_checkpoint(
     out_dir: str | Path, table: EmbeddingTable, cfg: TrainConfig, best_epoch: int
 ) -> tuple[Path, Path]:
-    """Write embeddings.txt + metadata.txt (config echo, best epoch)."""
+    """Write embeddings.txt + metadata.txt (config echo, best epoch), each
+    replaced whole."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     emb_path = out_dir / "embeddings.txt"
@@ -355,7 +355,7 @@ def save_checkpoint(
     write_embeddings(table, emb_path)
     meta = cfg.to_mapping()
     meta["best_epoch"] = str(best_epoch)
-    with meta_path.open("w", encoding="utf-8") as fh:
+    with open_atomic(meta_path) as fh:
         for key, val in meta.items():
             fh.write(f"{key}={val}\n")
     return emb_path, meta_path

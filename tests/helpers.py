@@ -5,13 +5,12 @@ import numpy as np
 from directau import (
     EmbeddingTable,
     InteractionSet,
-    adam_step,
     bpr_loss,
     direct_au_loss,
     sample_negatives,
 )
 from directau.encoders import normalize_rows
-from directau.errors import NothingToEvaluate
+from directau.errors import DivergedGradient, NothingToEvaluate
 from directau.evaluation import RankingMetrics
 
 
@@ -24,29 +23,56 @@ def write_embeddings_per_float(table, path):
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def layer_mean(adjacency, x, n_layers):
+    """Reference graph propagation: the mean of x, A x, ..., A^L x, every
+    layer a full-graph product."""
+    acc, cur = x.copy(), x
+    for _ in range(n_layers):
+        cur = adjacency @ cur
+        acc += cur
+    return acc / (n_layers + 1)
+
+
+def gather_adam_step(state, params, rows, grads):
+    """Reference lazy Adam step: gathers the listed rows, updates them
+    out of place and scatters them back, for any row order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    grads = np.asarray(grads, dtype=np.float64)
+    if rows.size == 0:
+        return params
+    if np.unique(rows).size != rows.size:
+        raise ValueError("duplicate rows in one adam_step call; pre-accumulate instead")
+    if not np.all(np.isfinite(grads)):
+        raise DivergedGradient("non-finite gradient entries")
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    g = grads
+    if state.weight_decay > 0.0:
+        g = g + state.weight_decay * params[rows]
+    state.step[rows] += 1
+    t = state.step[rows][:, None].astype(np.float64)
+    state.m[rows] = b1 * state.m[rows] + (1.0 - b1) * g
+    state.v[rows] = b2 * state.v[rows] + (1.0 - b2) * g * g
+    m_hat = state.m[rows] / (1.0 - b1**t)
+    v_hat = state.v[rows] / (1.0 - b2**t)
+    params[rows] -= state.lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
 def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_rng,
                     adjacency=None):
     """Reference training step on separate user and item matrices.
 
-    Each matrix has its own AdamState and takes its own adam_step; batch
-    gradients are scattered per matrix, and with an adjacency (the graph
-    encoder, cfg.layers layers) the two halves are stacked to propagate
-    and split again. Updates user, item and both states in place and
-    returns the batch loss.
+    Each matrix has its own AdamState and takes its own gather_adam_step;
+    batch gradients are scattered per matrix, and with an adjacency (the
+    graph encoder, cfg.layers layers) the two halves are stacked to
+    propagate over the full graph and split again. Updates user, item and
+    both states in place and returns the batch loss.
     """
     nu = user.shape[0]
-
-    def layer_mean(x):
-        acc, cur = x.copy(), x
-        for _ in range(cfg.layers):
-            cur = adjacency @ cur
-            acc += cur
-        return acc / (cfg.layers + 1)
-
     if adjacency is None:
         out_user, out_item = user, item
     else:
-        out = layer_mean(np.vstack([user, item]))
+        out = layer_mean(adjacency, np.vstack([user, item]), cfg.layers)
         out_user, out_item = out[:nu], out[nu:]
     bu, bi = batch.users, batch.items
     u_reps, i_reps = out_user[bu], out_item[bi]
@@ -76,11 +102,11 @@ def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_r
         g_item = np.zeros_like(item)
         np.add.at(g_user, bu, lo.grad_user)
         np.add.at(g_item, item_ids, item_grads)
-        g = layer_mean(np.vstack([g_user, g_item]))
+        g = layer_mean(adjacency, np.vstack([g_user, g_item]), cfg.layers)
         rows_u, grad_u = np.arange(nu), g[:nu]
         rows_i, grad_i = np.arange(item.shape[0]), g[nu:]
-    adam_step(user_state, user, rows_u, grad_u)
-    adam_step(item_state, item, rows_i, grad_i)
+    gather_adam_step(user_state, user, rows_u, grad_u)
+    gather_adam_step(item_state, item, rows_i, grad_i)
     return lo.value
 
 

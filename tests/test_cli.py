@@ -158,6 +158,46 @@ class TestTrainCommand:
         assert "best_epoch=1" in (out / "metadata.txt").read_text()
         assert not (out / "manifest.json").exists()
 
+    def test_diverged_rerun_leaves_no_manifest(self, tmp_path, data_file, monkeypatch):
+        import directau.training as training_mod
+        from directau.errors import DegenerateEmbedding
+
+        out = tmp_path / "run"
+        args = ["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                "--out-dir", str(out)]
+        assert main(args + ["--set", "seed=3"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+        def degenerate(table, interactions):
+            raise DegenerateEmbedding("zero-norm row")
+
+        monkeypatch.setattr(training_mod, "geometry_report", degenerate)
+        assert main(args + ["--set", "seed=4"]) == 4
+        assert "seed=4" in (out / "metadata.txt").read_text()
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_checkpoint_write_keeps_the_previous_file(
+        self, tmp_path, data_file, monkeypatch
+    ):
+        out = tmp_path / "run"
+        args = ["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                "--out-dir", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        real = np.savetxt
+
+        def fails_partway(fh, rows, **kw):
+            real(fh, rows[:5], **kw)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savetxt", fails_partway)
+        assert main(args + ["--set", "seed=6"]) == 3
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(after) == {"trace.csv", "embeddings.txt", "metadata.txt"}
+        assert after["embeddings.txt"] == before["embeddings.txt"]
+        assert after["metadata.txt"] == before["metadata.txt"]
+
     def test_bpr_trace_shows_dynamics_signature(self, tmp_path, data_file):
         # pairwise-ranking training first tightens alignment at the cost of
         # uniformity; the emitted trace must show it

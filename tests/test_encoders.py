@@ -14,7 +14,7 @@ from directau import (
     write_embeddings,
 )
 from directau.errors import DataError, DegenerateEmbedding
-from helpers import write_embeddings_per_float
+from helpers import layer_mean, write_embeddings_per_float
 
 
 class TestXavierInit:
@@ -74,7 +74,7 @@ class TestGraphPropagator:
         t = init_xavier(3, 2, 4, seed=2)
         empty = sp.csr_matrix((5, 5))
         g = GraphPropagator(base=t, n_layers=2, adjacency=empty)
-        out = g.propagate()
+        out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.allclose(out.user_emb, t.user_emb / 3.0)
         assert np.allclose(out.item_emb, t.item_emb / 3.0)
 
@@ -82,7 +82,7 @@ class TestGraphPropagator:
         t = init_xavier(1, 1, 4, seed=3)
         inter = InteractionSet.from_pairs([0], [0], 1, 1)
         g = GraphPropagator.build(t, inter, n_layers=1)
-        out = g.propagate()
+        out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.allclose(out.user_emb[0], (t.user_emb[0] + t.item_emb[0]) / 2.0)
         assert np.allclose(out.item_emb[0], (t.item_emb[0] + t.user_emb[0]) / 2.0)
 
@@ -101,14 +101,14 @@ class TestGraphPropagator:
         t = EmbeddingTable.from_parts(np.zeros((2, 3)), np.zeros((2, 3)))
         inter = InteractionSet.from_pairs([0, 1], [0, 1], 2, 2)
         g = GraphPropagator.build(t, inter, n_layers=3)
-        out = g.propagate()
+        out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.all(out.user_emb == 0) and np.all(out.item_emb == 0)
 
     def test_zero_layers_degenerates_to_mf(self):
         t = init_xavier(4, 5, 3, seed=4)
         inter = InteractionSet.from_pairs([0, 1, 2, 3], [0, 1, 2, 3], 4, 5)
         g = GraphPropagator.build(t, inter, n_layers=0)
-        out = g.propagate()
+        out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.allclose(out.user_emb, t.user_emb) and np.allclose(out.item_emb, t.item_emb)
 
     def test_finiteness_preserved(self):
@@ -118,21 +118,57 @@ class TestGraphPropagator:
         )
         t = init_xavier(12, 12, 6, seed=5)
         g = GraphPropagator.build(t, inter, n_layers=4)
-        out = g.propagate()
+        out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.all(np.isfinite(out.user_emb)) and np.all(np.isfinite(out.item_emb))
 
     def test_backward_is_transpose_of_forward(self):
         # <A x, y> == <x, A^T y>: the backward pass must be the exact adjoint
         rng = np.random.default_rng(1)
         inter = InteractionSet.from_pairs([0, 0, 1, 2], [0, 1, 1, 2], 3, 3)
-        t = init_xavier(3, 3, 4, seed=6)
-        g = GraphPropagator.build(t, inter, n_layers=2)
         x = rng.standard_normal((6, 4))
         y = rng.standard_normal((6, 4))
-        fwd = g._layer_mean(x)
+        g = GraphPropagator.build(EmbeddingTable(x, 3), inter, n_layers=2)
+        fwd = g.propagate()
         lhs = float(np.sum(fwd * y))
-        rhs = float(np.sum(x * g.backward(y)))
+        rhs = float(np.sum(x * g.backward(np.arange(6), y)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @staticmethod
+    def random_graph(n_layers, seed=0, n_users=40, n_items=30, d=5):
+        rng = np.random.default_rng(seed)
+        pairs = rng.choice(n_users * n_items, size=200, replace=False)
+        inter = InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items)
+        t = init_xavier(n_users, n_items, d, seed=seed)
+        return rng, GraphPropagator.build(t, inter, n_layers)
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_propagate_at_rows_equals_the_full_pass_rows(self, n_layers):
+        rng, g = self.random_graph(n_layers)
+        n = g.adjacency.shape[0]
+        full = g.propagate()
+        dense = g.adjacency.toarray()
+        power, want = np.eye(n), np.zeros_like(full)
+        for _ in range(n_layers + 1):
+            want += power @ g.base.emb
+            power = dense @ power
+        assert np.allclose(full, want / (n_layers + 1), rtol=0.0, atol=1e-12)
+        for rows in (np.unique(rng.integers(0, n, size=15)), np.arange(n), np.array([n - 1]),
+                     rng.permutation(n)[:20]):
+            assert np.array_equal(g.propagate(rows), full[rows])
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_backward_from_rows_equals_the_padded_full_layer_mean(self, n_layers):
+        rng, g = self.random_graph(n_layers, seed=1)
+        n = g.adjacency.shape[0]
+        for rows in (np.unique(rng.integers(0, n, size=15)), np.arange(n), np.array([0])):
+            grad_rows = rng.standard_normal((rows.size, g.base.d))
+            grad_rows[0, 0] = -0.0
+            padded = np.zeros((n, g.base.d))
+            padded[rows] = grad_rows
+            got = g.backward(rows, grad_rows)
+            want = layer_mean(g.adjacency, padded, n_layers)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestNormalizeRows:

@@ -5,6 +5,7 @@ import pytest
 
 from directau import AdamState, adam_step
 from directau.errors import DivergedGradient
+from helpers import gather_adam_step
 
 
 def fresh(shape=(4, 3), lr=1e-3, wd=0.0):
@@ -98,3 +99,62 @@ class TestAdamStep:
         assert state.step.tolist() == [3, 2]
         # identical constant gradients keep m_hat/sqrt(v_hat) = 1 per row
         assert np.allclose(params, p_before - state.lr, rtol=1e-6)
+
+
+def warmed(wd, n=9, d=4):
+    """Random parameters whose rows have taken different numbers of steps."""
+    rng = np.random.default_rng(5)
+    params = rng.standard_normal((n, d))
+    state = AdamState.for_params(params, lr=1e-2, weight_decay=wd)
+    for k in range(4):
+        rows = rng.choice(n, size=k + 2, replace=False)
+        gather_adam_step(state, params, rows, rng.standard_normal((rows.size, d)))
+    assert len(set(state.step.tolist())) > 1
+    return rng, state, params
+
+
+def clone(state, params):
+    return (
+        AdamState(state.m.copy(), state.v.copy(), state.step.copy(), state.lr, state.weight_decay),
+        params.copy(),
+    )
+
+
+def row_sets(rng, n):
+    permuted = rng.permutation(n)
+    while np.array_equal(permuted, np.arange(n)):
+        permuted = rng.permutation(n)
+    return {
+        "in_order": np.arange(n),
+        "permuted": permuted,
+        "subset": rng.choice(n, size=4, replace=False),
+    }
+
+
+class TestAdamStepMatchesGatherOracle:
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["in_order", "permuted", "subset"])
+    def test_bit_equal_to_oracle(self, wd, kind):
+        rng, state, params = warmed(wd)
+        want_state, want = clone(state, params)
+        for _ in range(3):
+            rows = row_sets(rng, len(params))[kind]
+            grads = rng.standard_normal((rows.size, params.shape[1]))
+            adam_step(state, params, rows, grads)
+            gather_adam_step(want_state, want, rows, grads)
+        assert np.array_equal(params, want)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(want_state, name))
+
+    @pytest.mark.parametrize("kind", ["in_order", "permuted", "subset"])
+    def test_diverged_gradient_writes_nothing(self, kind):
+        rng, state, params = warmed(0.05)
+        before_state, before = clone(state, params)
+        rows = row_sets(rng, len(params))[kind]
+        grads = rng.standard_normal((rows.size, params.shape[1]))
+        grads[-1, -1] = np.inf
+        with pytest.raises(DivergedGradient):
+            adam_step(state, params, rows, grads)
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))

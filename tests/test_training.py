@@ -223,7 +223,7 @@ class TestTrain:
 
             t = EmbeddingTable(emb, 3)
             prop = GraphPropagator.build(t, inter, n_layers=2)
-            out = prop.propagate()
+            out = EmbeddingTable(prop.propagate(), 3)
             from directau import direct_au_loss
 
             return direct_au_loss(
@@ -240,7 +240,15 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "objective, encoder, layers",
-        [("direct_au", "mf", 0), ("bpr_ds", "mf", 0), ("direct_au", "lgcn", 2)],
+        [
+            ("direct_au", "mf", 0),
+            ("bpr_ds", "mf", 0),
+            ("direct_au", "lgcn", 1),
+            ("direct_au", "lgcn", 2),
+            ("direct_au", "lgcn", 3),
+            ("bpr", "lgcn", 2),
+            ("bpr_ds", "lgcn", 2),
+        ],
     )
     def test_stacked_step_matches_two_matrix_oracle(self, two_cluster, objective, encoder, layers):
         # one scatter and one adam_step on the stacked array must reproduce,
