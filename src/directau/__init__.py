@@ -10,7 +10,6 @@ from .data import (
     DatasetSplit,
     InteractionSet,
     PositiveBatch,
-    RawInteraction,
     iter_batches,
     load_interactions,
     preprocess,

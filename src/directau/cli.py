@@ -25,7 +25,7 @@ from .data import (
 )
 from .encoders import read_embeddings
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import geometry_report, rank_eval
+from .evaluation import GeometryReport, geometry_report, rank_eval
 from .training import (
     TrainConfig,
     emit_trace,
@@ -62,9 +62,11 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
+    if args.k_core < 1:
+        raise ConfigError(f"--k-core must be >= 1, got {args.k_core}")
     delim = _DELIMITERS[args.delimiter]
-    raw = load_interactions(args.input, delim)
-    data = preprocess(raw, k_core=args.k_core)
+    user_keys, item_keys = load_interactions(args.input, delim)
+    data = preprocess(user_keys, item_keys, k_core=args.k_core)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_interactions(data, out, delim)
@@ -113,7 +115,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             "recall": {str(k): v for k, v in ranked.recall_at.items()},
             "ndcg": {str(k): v for k, v in ranked.ndcg_at.items()},
         }
-    geo = geometry_report(table, ds.train)
+    if best_epoch:
+        # training measured this very table at its best epoch, with the same
+        # expression as measure_uniformity; an untrained run measured nothing
+        best = traces[best_epoch - 1]
+        lu, li = best.l_uniform_user, best.l_uniform_item
+        geo = GeometryReport(best.l_align, (lu + li) / 2.0, lu, li)
+    else:
+        geo = geometry_report(table, ds.train)
     manifest = {
         "config": cfg.to_mapping(),
         "seed": cfg.seed,
@@ -144,6 +153,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    try:
+        ks = tuple(int(k) for k in args.ks.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--ks expects comma-separated integers: {exc}") from exc
+    if min(ks) < 1:
+        raise ConfigError(f"--ks values must be >= 1, got {args.ks}")
     checkpoint, data_path = Path(args.checkpoint), Path(args.data)
     table, cfg, _ = load_checkpoint(checkpoint)
     manifest_path = checkpoint / "manifest.json"
@@ -162,10 +177,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if data.n_users != table.n_users or data.n_items != table.n_items:
         raise DataError("checkpoint and dataset disagree on entity counts")
     ds = split(data, seed=cfg.seed)
-    try:
-        ks = tuple(int(k) for k in args.ks.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--ks expects comma-separated integers: {exc}") from exc
     ranked = rank_eval(table, ds, args.split, ks=ks)
     geo = geometry_report(table, ds.train)
     report = {

@@ -7,7 +7,6 @@ lines starting with '#' ignored. Columns past the second are ignored.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,14 +18,6 @@ import numpy as np
 
 from .errors import DataError, EmptyAfterFiltering, EmptyInput, MalformedLine
 from .rng import substream
-
-
-@dataclass(frozen=True)
-class RawInteraction:
-    """One parsed input line; keys are opaque strings."""
-
-    user_key: str
-    item_key: str
 
 
 @dataclass
@@ -189,58 +180,83 @@ def _key_pairs(path: str | Path, delimiter: str) -> Iterator[tuple[str, str]]:
         raise EmptyInput(f"no interactions in {path}")
 
 
-def load_interactions(path: str | Path, delimiter: str = "\t") -> list[RawInteraction]:
-    """Parse an interaction file into RawInteractions, preserving file order.
+def load_interactions(path: str | Path, delimiter: str = "\t") -> tuple[list[str], list[str]]:
+    """Parse an interaction file into its user keys and item keys, aligned
+    and in file order.
 
     Duplicate lines survive here; deduplication belongs to preprocess().
     Raises MalformedLine or EmptyInput as _key_pairs does.
     """
-    return [RawInteraction(u, i) for u, i in _key_pairs(path, delimiter)]
+    user_keys: list[str] = []
+    item_keys: list[str] = []
+    for u, i in _key_pairs(path, delimiter):
+        user_keys.append(u)
+        item_keys.append(i)
+    return user_keys, item_keys
 
 
-def preprocess(raw: Sequence[RawInteraction], k_core: int = 5) -> InteractionSet:
+def _intern(keys: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Integer code of every key, codes in first-appearance order, and the
+    distinct keys by code. Keys stay Python strings: numpy's fixed-width
+    string dtype drops trailing NULs and would merge "a\x00" with "a"."""
+    codes: dict[str, int] = {}
+    coded = np.fromiter(
+        (codes.setdefault(k, len(codes)) for k in keys), dtype=np.int64, count=len(keys)
+    )
+    return coded, list(codes)
+
+
+def _first_seen_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous IDs numbering the distinct codes in order of first
+    position, and those codes by ID."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], distinct[order]
+
+
+def preprocess(
+    user_keys: Sequence[str], item_keys: Sequence[str], k_core: int = 5
+) -> InteractionSet:
     """Dedup, k-core filter to a fixpoint, remap keys to contiguous IDs.
 
+    `user_keys[n]` and `item_keys[n]` form the n-th interaction. The keys
+    are interned to integer codes and all the work runs on the codes.
     Deduplication keeps the first occurrence. Filtering repeatedly removes
     users/items with fewer than k_core interactions until none remain (a
     single pass is not enough: dropping a user can push an item below the
     threshold). Surviving keys get IDs in first-seen input order.
     """
-    if not raw:
+    if len(user_keys) != len(item_keys):
+        raise ValueError("user_keys and item_keys must have equal length")
+    if not user_keys:
         raise EmptyInput("no interactions to preprocess")
     if k_core < 1:
         raise ValueError(f"k_core must be >= 1, got {k_core}")
 
-    seen: set[tuple[str, str]] = set()
-    pairs: list[tuple[str, str]] = []
-    for r in raw:
-        key = (r.user_key, r.item_key)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
+    users, user_names = _intern(user_keys)
+    items, item_names = _intern(item_keys)
+    # the first occurrence of every distinct pair, kept in input order
+    _, first = np.unique(users * len(item_names) + items, return_index=True)
+    kept = np.sort(first)
+    users, items = users[kept], items[kept]
 
     while True:
-        user_cnt = Counter(u for u, _ in pairs)
-        item_cnt = Counter(i for _, i in pairs)
-        bad_users = {u for u, c in user_cnt.items() if c < k_core}
-        bad_items = {i for i, c in item_cnt.items() if c < k_core}
-        if not bad_users and not bad_items:
+        user_cnt = np.bincount(users, minlength=len(user_names))
+        item_cnt = np.bincount(items, minlength=len(item_names))
+        keep = (user_cnt[users] >= k_core) & (item_cnt[items] >= k_core)
+        if keep.all():
             break
-        pairs = [(u, i) for u, i in pairs if u not in bad_users and i not in bad_items]
-        if not pairs:
+        users, items = users[keep], items[keep]
+        if users.size == 0:
             raise EmptyAfterFiltering(f"no interactions survive {k_core}-core filtering")
 
-    user_ids: dict[str, int] = {}
-    item_ids: dict[str, int] = {}
-    users = np.empty(len(pairs), dtype=np.int64)
-    items = np.empty(len(pairs), dtype=np.int64)
-    for k, (u, i) in enumerate(pairs):
-        users[k] = user_ids.setdefault(u, len(user_ids))
-        items[k] = item_ids.setdefault(i, len(item_ids))
-
-    out = InteractionSet.from_pairs(users, items, len(user_ids), len(item_ids))
-    out.user_keys = tuple(user_ids)
-    out.item_keys = tuple(item_ids)
+    users, user_codes = _first_seen_ids(users)
+    items, item_codes = _first_seen_ids(items)
+    out = InteractionSet.from_pairs(users, items, user_codes.size, item_codes.size)
+    out.user_keys = tuple(user_names[c] for c in user_codes.tolist())
+    out.item_keys = tuple(item_names[c] for c in item_codes.tolist())
     out.validate()
     return out
 
@@ -325,15 +341,17 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
 
 
 def write_interactions(data: InteractionSet, path: str | Path, delimiter: str = "\t") -> None:
-    """Serialize remapped integer-ID pairs, one per line, input order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Serialize remapped integer-ID pairs, one per line, input order,
+    replacing the file at `path` whole."""
+    with open_atomic(path) as fh:
         for u, i in zip(data.users.tolist(), data.items.tolist()):
             fh.write(f"{u}{delimiter}{i}\n")
 
 
 def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -> None:
-    """Two-column sidecar: original key, remapped contiguous ID."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Two-column sidecar: original key, remapped contiguous ID, replacing
+    the file at `path` whole."""
+    with open_atomic(path) as fh:
         for new_id, key in enumerate(keys):
             fh.write(f"{key}{delimiter}{new_id}\n")
 

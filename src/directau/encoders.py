@@ -8,13 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import InteractionSet, open_atomic
 from .errors import DataError, DegenerateEmbedding
 from .rng import substream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -68,7 +71,8 @@ class GraphPropagator:
     adjacency is (|U|+|I|) square, rows/cols users first; the entry for a
     training edge (u, i) is 1/sqrt(p(u) * p(i)) with p(.) the training
     degree. No self-loops and no feature transforms; layer outputs are
-    combined by their mean.
+    combined by their mean. scipy is imported by `build`, so commands that
+    never build a graph do not load it.
     """
 
     base: EmbeddingTable
@@ -79,6 +83,8 @@ class GraphPropagator:
     def build(
         cls, base: EmbeddingTable, interactions: InteractionSet, n_layers: int
     ) -> "GraphPropagator":
+        import scipy.sparse as sp
+
         if n_layers < 0:
             raise ValueError(f"n_layers must be >= 0, got {n_layers}")
         if interactions.n_users != base.n_users or interactions.n_items != base.n_items:

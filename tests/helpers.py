@@ -1,5 +1,7 @@
 """Shared test utilities: oracles and synthetic data builders."""
 
+from collections import Counter
+
 import numpy as np
 
 from directau import (
@@ -10,7 +12,12 @@ from directau import (
     sample_negatives,
 )
 from directau.encoders import normalize_rows
-from directau.errors import DivergedGradient, NothingToEvaluate
+from directau.errors import (
+    DivergedGradient,
+    EmptyAfterFiltering,
+    EmptyInput,
+    NothingToEvaluate,
+)
 from directau.evaluation import RankingMetrics
 
 
@@ -211,6 +218,47 @@ def naive_alignment(table, inter):
         diff = un[u] - im[i]
         total += float(diff @ diff)
     return total / inter.n_pairs
+
+
+def naive_preprocess(user_keys, item_keys, k_core=5):
+    """Reference preprocess on the key strings themselves: set dedup,
+    Counter rounds of k-core filtering, dict remap in first-seen order."""
+    if not user_keys:
+        raise EmptyInput("no interactions to preprocess")
+    if k_core < 1:
+        raise ValueError(f"k_core must be >= 1, got {k_core}")
+
+    seen = set()
+    pairs = []
+    for key in zip(user_keys, item_keys):
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+
+    while True:
+        user_cnt = Counter(u for u, _ in pairs)
+        item_cnt = Counter(i for _, i in pairs)
+        bad_users = {u for u, c in user_cnt.items() if c < k_core}
+        bad_items = {i for i, c in item_cnt.items() if c < k_core}
+        if not bad_users and not bad_items:
+            break
+        pairs = [(u, i) for u, i in pairs if u not in bad_users and i not in bad_items]
+        if not pairs:
+            raise EmptyAfterFiltering(f"no interactions survive {k_core}-core filtering")
+
+    user_ids = {}
+    item_ids = {}
+    users = np.empty(len(pairs), dtype=np.int64)
+    items = np.empty(len(pairs), dtype=np.int64)
+    for k, (u, i) in enumerate(pairs):
+        users[k] = user_ids.setdefault(u, len(user_ids))
+        items[k] = item_ids.setdefault(i, len(item_ids))
+
+    out = InteractionSet.from_pairs(users, items, len(user_ids), len(item_ids))
+    out.user_keys = tuple(user_ids)
+    out.item_keys = tuple(item_ids)
+    out.validate()
+    return out
 
 
 def random_interaction_set(rng, max_users=8, max_items=9, max_pairs=60):

@@ -1,13 +1,22 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import directau
 from directau import EmbeddingTable, InteractionSet, init_xavier, write_embeddings
 from directau.cli import main
-from directau.data import write_interactions
+from directau.data import read_id_pairs, split, write_interactions
+from directau.evaluation import geometry_report
+from directau.training import load_checkpoint
 from helpers import naive_uniformity, two_cluster_dataset
 
 BASE_CONFIG = """\
@@ -66,6 +75,39 @@ class TestPreprocessCommand:
         assert rc == 3
         assert not out.exists()
         assert "data error" in capsys.readouterr().err
+
+    def test_failed_write_keeps_the_previous_outputs(self, tmp_path, monkeypatch):
+        import directau.data as data_mod
+
+        inp = tmp_path / "raw.txt"
+        inp.write_text("".join(f"u{u}\ti{i}\n" for u in range(6) for i in range(5)))
+        out = tmp_path / "clean.txt"
+        args = ["preprocess", "--input", str(inp), "--output", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        real = data_mod.open_atomic
+
+        class FailsPartway:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2 + 1])
+                raise OSError("disk full")
+
+        @contextmanager
+        def open_failing(path, newline=None):
+            with real(path, newline) as fh:
+                yield FailsPartway(fh)
+
+        inp.write_text("".join(f"v{u}\tj{i}\n" for u in range(5) for i in range(7)))
+        monkeypatch.setattr(data_mod, "open_atomic", open_failing)
+        assert main(args) == 3
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert set(after) == set(before)
+        for name in ("clean.txt", "clean.txt.users.map", "clean.txt.items.map"):
+            assert after[name] == before[name]
 
     def test_comma_delimiter(self, tmp_path, capsys):
         inp = tmp_path / "raw.csv"
@@ -377,3 +419,90 @@ class TestUsageErrors:
         rc = main(["eval", "--checkpoint", str(out), "--data", str(data_file),
                    "--ks", "ten"])
         assert rc == 2
+
+    def test_k_core_below_1_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "raw.txt"
+        inp.write_text("a\tx\n")
+        out = tmp_path / "clean.txt"
+        rc = main(["preprocess", "--input", str(inp), "--output", str(out), "--k-core", "0"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ks", ["0", "20,-5"])
+    def test_ks_below_1_is_usage_error(self, trained, data_file, ks, capsys):
+        rc = main(["eval", "--checkpoint", str(trained), "--data", str(data_file), "--ks", ks])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+
+class TestManifestGeometry:
+    """The manifest's geometry is that of the saved checkpoint."""
+
+    @staticmethod
+    def checkpoint_geometry(out, data_file):
+        table, cfg, _ = load_checkpoint(out)
+        ds = split(read_id_pairs(data_file), seed=cfg.seed)
+        return asdict(geometry_report(table, ds.train))
+
+    def test_untrained_run(self, tmp_path, data_file):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out), "--set", "max_epochs=0"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["best_epoch"] == 0 and manifest["epochs_run"] == 0
+        assert manifest["metrics"]["geometry"] == self.checkpoint_geometry(out, data_file)
+
+    @pytest.mark.parametrize("encoder", ["encoder=mf", "encoder=lgcn"])
+    def test_early_stopped_run(self, tmp_path, data_file, encoder):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out), "--set", encoder, "--set", "layers=2",
+                     "--set", "lr=0.1", "--set", "patience=1", "--set", "max_epochs=20"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the best epoch is neither the last one run nor the last one allowed
+        assert 1 <= manifest["best_epoch"] < manifest["epochs_run"] < 20
+        assert manifest["metrics"]["geometry"] == self.checkpoint_geometry(out, data_file)
+
+
+def _modules_after(tmp_path, script):
+    """Run `script` in a fresh interpreter; the scipy modules it left loaded."""
+    src = str(Path(directau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = script + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    """Only the graph encoder loads scipy."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert _modules_after(tmp_path, "import directau.cli") == []
+
+    def test_mf_pipeline_loads_no_scipy(self, tmp_path):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("".join(f"u{u}\ti{(u + t) % 40}\n" for u in range(60) for t in range(10)))
+        write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        script = """
+from directau.cli import main
+assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt"]) == 0
+assert main(["train", "--data", "clean.txt", "--config", "run.conf", "--out-dir", "run"]) == 0
+assert main(["eval", "--checkpoint", "run", "--data", "clean.txt"]) == 0
+assert main(["probe", "--embeddings", "run/embeddings.txt", "--interactions", "clean.txt"]) == 0
+"""
+        assert _modules_after(tmp_path, script) == []
+
+    def test_lgcn_train_loads_scipy(self, tmp_path, data_file):
+        write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        script = f"""
+from directau.cli import main
+assert main(["train", "--data", {str(data_file)!r}, "--config", "run.conf", "--out-dir", "run",
+             "--set", "encoder=lgcn", "--set", "layers=1"]) == 0
+"""
+        assert "scipy.sparse" in _modules_after(tmp_path, script)

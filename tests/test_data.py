@@ -7,7 +7,6 @@ import pytest
 
 from directau import (
     InteractionSet,
-    RawInteraction,
     iter_batches,
     load_interactions,
     preprocess,
@@ -20,23 +19,24 @@ from directau.errors import (
     EmptyInput,
     MalformedLine,
 )
+from helpers import naive_preprocess
 
 
-def raw(*pairs):
-    return [RawInteraction(u, i) for u, i in pairs]
+def keys(*pairs):
+    """The user keys and the item keys of (user, item) pairs."""
+    return [u for u, _ in pairs], [i for _, i in pairs]
 
 
 class TestLoadInteractions:
     def test_basic_tab_parse(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("u1\ti1\nu1\ti2\n")
-        rows = load_interactions(p)
-        assert [(r.user_key, r.item_key) for r in rows] == [("u1", "i1"), ("u1", "i2")]
+        assert load_interactions(p) == (["u1", "u1"], ["i1", "i2"])
 
     def test_duplicates_survive_parsing(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("u1\ti1\nu1\ti1\n")
-        assert len(load_interactions(p)) == 2
+        assert load_interactions(p) == (["u1", "u1"], ["i1", "i1"])
 
     def test_empty_file_raises(self, tmp_path):
         p = tmp_path / "a.txt"
@@ -47,7 +47,7 @@ class TestLoadInteractions:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("# header\n\nu1\ti1\n   \nu2\ti2\n")
-        assert len(load_interactions(p)) == 2
+        assert load_interactions(p) == (["u1", "u2"], ["i1", "i2"])
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "a.txt"
@@ -59,9 +59,8 @@ class TestLoadInteractions:
     def test_comma_delimiter_with_extra_columns(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("u1,i1,5.0,1234\nu2,i2,3.0,5678\n")
-        rows = load_interactions(p, delimiter=",")
         # columns past the second are ignored
-        assert [(r.user_key, r.item_key) for r in rows] == [("u1", "i1"), ("u2", "i2")]
+        assert load_interactions(p, delimiter=",") == (["u1", "u2"], ["i1", "i2"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -84,7 +83,7 @@ class TestPreprocess:
     def test_already_k_core_retained(self):
         # 6 users x 5 items, every item appears 6 times
         pairs = [(f"u{u}", f"i{i}") for u in range(6) for i in range(5)]
-        out = preprocess(raw(*pairs), k_core=5)
+        out = preprocess(*keys(*pairs), k_core=5)
         assert out.n_users == 6 and out.n_items == 5 and out.n_pairs == 30
 
     def test_iterative_removal_matches_brute_force(self):
@@ -93,7 +92,7 @@ class TestPreprocess:
         pairs += [("u_weak", "i0"), ("u_weak", "i1"), ("u_weak", "i2"), ("u_weak", "i9")]
         pairs += [("u0", "i9"), ("u1", "i9"), ("u2", "i9"), ("u3", "i9")]
         expected = brute_force_k_core(pairs, 5)
-        out = preprocess(raw(*pairs), k_core=5)
+        out = preprocess(*keys(*pairs), k_core=5)
         back = [(out.user_keys[u], out.item_keys[i])
                 for u, i in zip(out.users.tolist(), out.items.tolist())]
         assert back == expected
@@ -110,26 +109,26 @@ class TestPreprocess:
         expected = brute_force_k_core(pairs, k)
         if not expected:
             with pytest.raises(EmptyAfterFiltering):
-                preprocess(raw(*pairs), k_core=k)
+                preprocess(*keys(*pairs), k_core=k)
             return
-        out = preprocess(raw(*pairs), k_core=k)
+        out = preprocess(*keys(*pairs), k_core=k)
         back = [(out.user_keys[u], out.item_keys[i])
                 for u, i in zip(out.users.tolist(), out.items.tolist())]
         assert back == expected
 
     def test_empty_fixpoint_raises(self):
         with pytest.raises(EmptyAfterFiltering):
-            preprocess(raw(("u1", "i1"), ("u2", "i2")), k_core=5)
+            preprocess(*keys(("u1", "i1"), ("u2", "i2")), k_core=5)
 
     def test_min_popularity_after_filtering(self):
         rng = np.random.default_rng(5)
         pairs = list({(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 12)}") for _ in range(120)})
-        out = preprocess(raw(*pairs), k_core=3)
+        out = preprocess(*keys(*pairs), k_core=3)
         assert out.user_pop.min() >= 3 and out.item_pop.min() >= 3
 
     def test_dedup_keeps_first_and_first_seen_ids(self):
         pairs = [("b", "y"), ("a", "x"), ("b", "y"), ("a", "y"), ("b", "x"), ("a", "x")]
-        out = preprocess(raw(*pairs), k_core=1)
+        out = preprocess(*keys(*pairs), k_core=1)
         assert out.user_keys == ("b", "a")
         assert out.item_keys == ("y", "x")
         assert out.n_pairs == 4
@@ -137,10 +136,10 @@ class TestPreprocess:
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         pairs = [(f"u{rng.integers(0, 8)}", f"i{rng.integers(0, 8)}") for _ in range(80)]
-        once = preprocess(raw(*pairs), k_core=3)
+        once = preprocess(*keys(*pairs), k_core=3)
         again = preprocess(
-            [RawInteraction(str(u), str(i))
-             for u, i in zip(once.users.tolist(), once.items.tolist())],
+            [str(u) for u in once.users.tolist()],
+            [str(i) for i in once.items.tolist()],
             k_core=3,
         )
         assert np.array_equal(once.users, again.users)
@@ -152,6 +151,89 @@ class TestPreprocess:
         data.user_pop = np.array([2, 1])
         with pytest.raises(DataError, match="popularity"):
             data.validate()
+
+
+def k_core_rounds(pairs, k):
+    """Removal rounds the k-core fixpoint of the deduplicated pairs takes."""
+    pairs, rounds = list(dict.fromkeys(pairs)), 0
+    while True:
+        uc = Counter(u for u, _ in pairs)
+        ic = Counter(i for _, i in pairs)
+        keep = [(u, i) for u, i in pairs if uc[u] >= k and ic[i] >= k]
+        if len(keep) == len(pairs):
+            return rounds
+        pairs, rounds = keep, rounds + 1
+
+
+class TestPreprocessMatchesNaive:
+    """The integer-code preprocess against the string-keyed reference."""
+
+    @staticmethod
+    def check(pairs, k_core):
+        user_keys, item_keys = keys(*pairs)
+        want = naive_preprocess(user_keys, item_keys, k_core=k_core)
+        got = preprocess(user_keys, item_keys, k_core=k_core)
+        assert np.array_equal(got.users, want.users)
+        assert np.array_equal(got.items, want.items)
+        assert got.user_keys == want.user_keys
+        assert got.item_keys == want.item_keys
+        assert (got.n_users, got.n_items) == (want.n_users, want.n_items)
+        return got
+
+    @pytest.mark.parametrize("k_core", [1, 2, 5])
+    def test_seeded_synthetic_log(self, k_core):
+        rng = np.random.default_rng(17)
+        users = rng.zipf(1.6, size=3000) % 400
+        items = rng.zipf(1.4, size=3000) % 300
+        pairs = [(f"user-{u}", f"item-{i}") for u, i in zip(users.tolist(), items.tolist())]
+        out = self.check(pairs, k_core)
+        assert out.n_pairs < len(set(pairs)) or k_core == 1
+
+    @pytest.mark.parametrize("k_core", [1, 2])
+    def test_first_seen_order_differs_from_sort_order(self, k_core):
+        pairs = [("10", "b"), ("9", "a"), ("10", "a"), ("9", "b"), ("9", "c"), ("10", "c")]
+        out = self.check(pairs, k_core)
+        assert out.user_keys == ("10", "9")
+        assert out.item_keys == ("b", "a", "c")
+
+    def test_duplicates_before_and_after_removals(self):
+        core = [(f"u{u}", f"i{i}") for u in range(3) for i in range(3)]
+        # "weak" has four lines but two distinct items, so it falls below k = 3
+        # only if dedup comes first; dropping it leaves "i_weak" with two users,
+        # whose "i_weak" lines repeat again after the removed ones
+        pairs = (
+            [("weak", "i0"), ("weak", "i0")] + core[:4] + [("weak", "i_weak")]
+            + [("u0", "i_weak"), ("u1", "i_weak"), ("weak", "i_weak")]
+            + core[4:] + core[::-1] + [("u0", "i_weak"), ("u1", "i_weak")]
+        )
+        out = self.check(pairs, 3)
+        assert out.user_keys == ("u0", "u1", "u2") and out.n_pairs == 9
+
+    def test_cascade_of_several_rounds(self):
+        # a 3 x 3 core with a path hanging off user c0: each round peels one
+        # end of the path, so the fixpoint needs six removal rounds
+        pairs = [(f"c{u}", f"x{i}") for u in range(3) for i in range(3)]
+        pairs += [("c0", "p1"), ("q1", "p1"), ("q1", "p2"), ("q2", "p2"), ("q2", "p3"), ("q3", "p3")]
+        assert k_core_rounds(pairs, 2) == 6
+        out = self.check(pairs, 2)
+        assert out.n_pairs == 9
+
+    @pytest.mark.parametrize("k_core", [1, 2])
+    def test_keys_differing_by_a_trailing_nul_stay_apart(self, k_core):
+        pairs = [("a", "x"), ("a\x00", "x"), ("a", "x\x00"), ("a\x00", "x\x00"), ("a", "x")]
+        out = self.check(pairs, k_core)
+        assert out.user_keys == ("a", "a\x00") and out.item_keys == ("x", "x\x00")
+        assert out.n_pairs == 4
+
+    def test_errors(self):
+        with pytest.raises(EmptyInput):
+            preprocess([], [])
+        with pytest.raises(EmptyAfterFiltering):
+            preprocess(*keys(("u1", "i1"), ("u1", "i2"), ("u2", "i1")), k_core=2)
+        with pytest.raises(ValueError):
+            preprocess(["u1"], ["i1"], k_core=0)
+        with pytest.raises(ValueError):
+            preprocess(["u1", "u2"], ["i1"])
 
 
 class TestSplit:
