@@ -5,7 +5,8 @@ representation rows; normalization is part of each loss, chained through
 the Jacobian d(x/||x||)/dx = (I - x_n x_n^T) / ||x||.
 
 Numerical conventions: -log(sigmoid(z)) is computed as softplus(-z);
-log-mean-exp uses max-subtraction.
+log-mean-exp uses max-subtraction. DirectAU normalizes each side once and
+runs both in-batch uniformities in one reused B x B buffer.
 """
 
 from __future__ import annotations
@@ -58,17 +59,20 @@ def _chain(grad_xn: np.ndarray, xn: np.ndarray, norms: np.ndarray) -> np.ndarray
     return (grad_xn - radial * xn) / norms
 
 
-def align_loss(u_reps: np.ndarray, i_reps: np.ndarray) -> LossOutput:
-    """Mean squared distance between normalized positive pairs; range [0, 4]."""
+def _unit_pairs(u_reps: np.ndarray, i_reps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(xn, xnorm, yn, ynorm): both sides of a paired batch as unit rows and
+    norms, checked to align."""
     u_reps = np.atleast_2d(u_reps)
     i_reps = np.atleast_2d(i_reps)
     if u_reps.shape != i_reps.shape:
         raise ValueError("paired batches must have identical shapes")
-    n = u_reps.shape[0]
-    if n < 1:
+    if u_reps.shape[0] < 1:
         raise ValueError("alignment needs at least one pair")
-    xn, xnorm = _unit_rows(u_reps)
-    yn, ynorm = _unit_rows(i_reps)
+    return *_unit_rows(u_reps), *_unit_rows(i_reps)
+
+
+def _align(xn: np.ndarray, xnorm: np.ndarray, yn: np.ndarray, ynorm: np.ndarray) -> LossOutput:
+    n = xn.shape[0]
     diff = xn - yn
     value = float(np.mean(np.sum(diff * diff, axis=1)))
     g = (2.0 / n) * diff
@@ -77,6 +81,42 @@ def align_loss(u_reps: np.ndarray, i_reps: np.ndarray) -> LossOutput:
         grad_user=_chain(g, xn, xnorm),
         grad_item=_chain(-g, yn, ynorm),
     )
+
+
+def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[float, np.ndarray]:
+    """Uniformity value of the unit rows `xn` and its gradient w.r.t. the
+    raw rows, computed in the (n, n) scratch `buf`, which is overwritten.
+
+    Each in-place step keeps the operation order of
+    logits = -t * clip(2 - 2 * (xn @ xn.T), 0, None) and exp(logits - max),
+    so the results equal those out-of-place expressions bit for bit.
+    """
+    n = xn.shape[0]
+    # numpy runs the xn @ xn.T form as one symmetric rank-k update; a gemm
+    # on a copy of xn.T differs in the last bits
+    np.matmul(xn, xn.T, out=buf)
+    buf *= 2.0
+    np.subtract(2.0, buf, out=buf)
+    np.clip(buf, 0.0, None, out=buf)
+    buf *= -UNIFORMITY_SCALE
+    np.fill_diagonal(buf, -np.inf)
+    m = float(np.max(buf))
+    buf -= m
+    weights = np.exp(buf, out=buf)  # exp(-inf - m) = 0 on the diagonal
+    total = weights.sum() / 2.0  # symmetric, unordered pairs counted once
+    n_pairs = n * (n - 1) / 2.0
+    value = m + float(np.log(total / n_pairs))
+
+    # d value / d x_j = (-4 / W) * sum_k w_jk (x_j - x_k), with w_jk / W
+    # computed from the max-shifted weights.
+    row_sum = weights.sum(axis=1, keepdims=True)
+    g = (-2.0 * UNIFORMITY_SCALE / total) * (xn * row_sum - weights @ xn)
+    return value, _chain(g, xn, norms)
+
+
+def align_loss(u_reps: np.ndarray, i_reps: np.ndarray) -> LossOutput:
+    """Mean squared distance between normalized positive pairs; range [0, 4]."""
+    return _align(*_unit_pairs(u_reps, i_reps))
 
 
 def uniform_loss(reps: np.ndarray) -> LossOutput:
@@ -90,34 +130,30 @@ def uniform_loss(reps: np.ndarray) -> LossOutput:
     if n < 2:
         raise InsufficientBatch("uniformity needs at least two rows")
     xn, norms = _unit_rows(reps)
-    gram = xn @ xn.T
-    d2 = np.clip(2.0 - 2.0 * gram, 0.0, None)
-    logits = -UNIFORMITY_SCALE * d2
-    np.fill_diagonal(logits, -np.inf)
-    m = float(np.max(logits))
-    weights = np.exp(logits - m)  # exp(-inf - m) = 0 on the diagonal
-    total = weights.sum() / 2.0  # symmetric, unordered pairs counted once
-    n_pairs = n * (n - 1) / 2.0
-    value = m + float(np.log(total / n_pairs))
-
-    # d value / d x_j = (-4 / W) * sum_k w_jk (x_j - x_k), with w_jk / W
-    # computed from the max-shifted weights.
-    row_sum = weights.sum(axis=1, keepdims=True)
-    g = (-2.0 * UNIFORMITY_SCALE / total) * (xn * row_sum - weights @ xn)
-    return LossOutput(value=value, grad_user=_chain(g, xn, norms))
+    value, grad = _uniformity(xn, norms, np.empty((n, n)))
+    return LossOutput(value=value, grad_user=grad)
 
 
 def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> LossOutput:
-    """Alignment plus gamma-weighted mean of the two in-batch uniformities."""
+    """Alignment plus gamma-weighted mean of the two in-batch uniformities.
+
+    Each side is normalized once, and both uniformities run in turn in one
+    (B, B) scratch buffer.
+    """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    a = align_loss(u_reps, i_reps)
-    uu = uniform_loss(u_reps)
-    ui = uniform_loss(i_reps)
+    xn, xnorm, yn, ynorm = _unit_pairs(u_reps, i_reps)
+    a = _align(xn, xnorm, yn, ynorm)
+    n = xn.shape[0]
+    if n < 2:
+        raise InsufficientBatch("uniformity needs at least two rows")
+    buf = np.empty((n, n))
+    uu_value, uu_grad = _uniformity(xn, xnorm, buf)
+    ui_value, ui_grad = _uniformity(yn, ynorm, buf)
     return LossOutput(
-        value=a.value + gamma * (uu.value + ui.value) / 2.0,
-        grad_user=a.grad_user + (gamma / 2.0) * uu.grad_user,
-        grad_item=a.grad_item + (gamma / 2.0) * ui.grad_user,
+        value=a.value + gamma * (uu_value + ui_value) / 2.0,
+        grad_user=a.grad_user + (gamma / 2.0) * uu_grad,
+        grad_item=a.grad_item + (gamma / 2.0) * ui_grad,
     )
 
 

@@ -51,6 +51,8 @@ def adam_step(
 
     `rows` must be unique (accumulate duplicate-row gradients before
     calling); rows not listed are untouched, including their moments.
+    Strictly ascending rows (as `np.unique` returns them) are known unique
+    from one pass; other orders are checked by sorting.
     When `rows` is every row in order, the update runs on views of the
     arrays instead of gathering and scattering the rows.
     """
@@ -58,9 +60,12 @@ def adam_step(
     grads = np.asarray(grads, dtype=np.float64)
     if rows.size == 0:
         return params
-    every_row = rows.size == len(params) and np.array_equal(rows, np.arange(rows.size))
-    if not every_row and np.unique(rows).size != rows.size:
+    ascending = bool(np.all(rows[1:] > rows[:-1]))
+    if not ascending and np.unique(rows).size != rows.size:
         raise ValueError("duplicate rows in one adam_step call; pre-accumulate instead")
+    every_row = (
+        ascending and rows.size == len(params) and rows[0] == 0 and rows[-1] == rows.size - 1
+    )
     if not np.all(np.isfinite(grads)):
         raise DivergedGradient("non-finite gradient entries")
 

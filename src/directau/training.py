@@ -250,6 +250,15 @@ def train(
     return best_table, traces, best_epoch
 
 
+def _sum_rows(inv: np.ndarray, grads: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row k is the sum of the rows grads[inv == k], each entry added in
+    batch order onto 0.0, through one scatter on the flat array."""
+    d = grads.shape[1]
+    acc = np.zeros(n_rows * d)
+    np.add.at(acc, (inv[:, None] * d + np.arange(d)).ravel(), grads.ravel())
+    return acc.reshape(n_rows, d)
+
+
 def _batch_loss_and_grads(
     batch: PositiveBatch,
     table: EmbeddingTable,
@@ -264,8 +273,10 @@ def _batch_loss_and_grads(
     offset by n_users); duplicate batch rows are pre-accumulated, and for
     the graph encoder the gradients are pulled back through the
     propagation (every row). DirectAU reads the propagated outputs only at
-    the batch rows; BPR propagates every row, since its sampler scores
-    candidates across the catalog.
+    the batch rows. BPR propagates every row with either sampler, though
+    only `bpr_ds` needs it: its sampler scores candidates drawn from the
+    whole catalog. Uniform `bpr` never reads the table while sampling, and
+    its loss reads only the batch rows.
     """
     bu, bi = batch.users, batch.items
     n_users = table.n_users
@@ -286,8 +297,7 @@ def _batch_loss_and_grads(
         rows, inv = np.unique(ids, return_inverse=True)
         grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
 
-    acc = np.zeros((rows.size, table.d))
-    np.add.at(acc, inv, grads)
+    acc = _sum_rows(inv, grads, rows.size)
     if propagator is None:
         return lo.value, rows, acc
     return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)

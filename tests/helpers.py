@@ -11,14 +11,16 @@ from directau import (
     direct_au_loss,
     sample_negatives,
 )
-from directau.encoders import normalize_rows
+from directau.encoders import _unit_rows, normalize_rows
 from directau.errors import (
     DivergedGradient,
     EmptyAfterFiltering,
     EmptyInput,
+    InsufficientBatch,
     NothingToEvaluate,
 )
 from directau.evaluation import RankingMetrics
+from directau.losses import UNIFORMITY_SCALE, LossOutput, _chain
 
 
 def write_embeddings_per_float(table, path):
@@ -38,6 +40,63 @@ def layer_mean(adjacency, x, n_layers):
         cur = adjacency @ cur
         acc += cur
     return acc / (n_layers + 1)
+
+
+def naive_align_loss(u_reps, i_reps):
+    """Reference alignment: normalizes both sides itself."""
+    u_reps = np.atleast_2d(u_reps)
+    i_reps = np.atleast_2d(i_reps)
+    if u_reps.shape != i_reps.shape:
+        raise ValueError("paired batches must have identical shapes")
+    n = u_reps.shape[0]
+    if n < 1:
+        raise ValueError("alignment needs at least one pair")
+    xn, xnorm = _unit_rows(u_reps)
+    yn, ynorm = _unit_rows(i_reps)
+    diff = xn - yn
+    value = float(np.mean(np.sum(diff * diff, axis=1)))
+    g = (2.0 / n) * diff
+    return LossOutput(
+        value=value,
+        grad_user=_chain(g, xn, xnorm),
+        grad_item=_chain(-g, yn, ynorm),
+    )
+
+
+def naive_uniform_loss(reps):
+    """Reference uniformity: out-of-place expressions, each step a fresh
+    (n, n) array."""
+    reps = np.atleast_2d(reps)
+    n = reps.shape[0]
+    if n < 2:
+        raise InsufficientBatch("uniformity needs at least two rows")
+    xn, norms = _unit_rows(reps)
+    gram = xn @ xn.T
+    d2 = np.clip(2.0 - 2.0 * gram, 0.0, None)
+    logits = -UNIFORMITY_SCALE * d2
+    np.fill_diagonal(logits, -np.inf)
+    m = float(np.max(logits))
+    weights = np.exp(logits - m)  # exp(-inf - m) = 0 on the diagonal
+    total = weights.sum() / 2.0  # symmetric, unordered pairs counted once
+    n_pairs = n * (n - 1) / 2.0
+    value = m + float(np.log(total / n_pairs))
+    row_sum = weights.sum(axis=1, keepdims=True)
+    g = (-2.0 * UNIFORMITY_SCALE / total) * (xn * row_sum - weights @ xn)
+    return LossOutput(value=value, grad_user=_chain(g, xn, norms))
+
+
+def naive_direct_au_loss(u_reps, i_reps, gamma):
+    """Reference DirectAU: three separate losses, each side normalized twice."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    a = naive_align_loss(u_reps, i_reps)
+    uu = naive_uniform_loss(u_reps)
+    ui = naive_uniform_loss(i_reps)
+    return LossOutput(
+        value=a.value + gamma * (uu.value + ui.value) / 2.0,
+        grad_user=a.grad_user + (gamma / 2.0) * uu.grad_user,
+        grad_item=a.grad_item + (gamma / 2.0) * ui.grad_user,
+    )
 
 
 def gather_adam_step(state, params, rows, grads):

@@ -1,6 +1,7 @@
 """Loss values, analytic gradients vs finite differences, negative sampling."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from directau import (
     uniform_loss,
 )
 from directau.errors import InsufficientBatch, NoNegativeAvailable
-from helpers import finite_difference_gradients, per_user_negatives, relative_gradient_error
+from helpers import (
+    finite_difference_gradients,
+    naive_direct_au_loss,
+    naive_uniform_loss,
+    per_user_negatives,
+    relative_gradient_error,
+)
 
 SHAPES = [(n, d) for n in (2, 3, 8) for d in (2, 4, 16)]
 
@@ -135,6 +142,89 @@ class TestDirectAUValues:
         x = np.ones((2, 2))
         with pytest.raises(ValueError):
             direct_au_loss(x, x, gamma=-0.1)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def oracle_batch(rng, n, duplicated, d=64):
+    x = rng.standard_normal((n, d))
+    if duplicated:
+        # every row repeats one of n // 4 rows (all one row at n = 2)
+        x = x[rng.integers(0, max(1, n // 4), size=n)]
+    return x
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the oracle's exception type is the expectation
+        return type(exc)
+    return None
+
+
+ORACLE_SIZES = [2, 24, 256, 257, 1024]
+BAD_BATCHES = {
+    "shape_mismatch": (np.ones((3, 4)), np.ones((3, 5))),
+    "empty": (np.empty((0, 4)), np.empty((0, 4))),
+    "single_pair": (np.ones((1, 4)), np.ones((1, 4))),
+    "zero_row": (np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]]), np.ones((3, 2))),
+}
+
+
+class TestMatchesNaiveOracle:
+    """The in-place uniformity kernel reproduces the out-of-place
+    expressions bit for bit: values ==, gradients equal with sign bits."""
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_direct_au(self, n, gamma, duplicated):
+        rng = np.random.default_rng(n)
+        u, i = oracle_batch(rng, n, duplicated), oracle_batch(rng, n, duplicated)
+        got = direct_au_loss(u, i, gamma)
+        want = naive_direct_au_loss(u, i, gamma)
+        assert got.value == want.value
+        assert same_bits(got.grad_user, want.grad_user)
+        assert same_bits(got.grad_item, want.grad_item)
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_uniform(self, n, duplicated):
+        x = oracle_batch(np.random.default_rng(n + 1), n, duplicated)
+        got, want = uniform_loss(x), naive_uniform_loss(x)
+        assert got.value == want.value
+        assert same_bits(got.grad_user, want.grad_user)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+    def test_direct_au_raises_like_oracle(self, case):
+        u, i = BAD_BATCHES[case]
+        want = raised(naive_direct_au_loss, u, i, 1.0)
+        assert want is not None
+        assert raised(direct_au_loss, u, i, 1.0) is want
+
+    @pytest.mark.parametrize("case", ["empty", "single_pair", "zero_row"])
+    def test_uniform_raises_like_oracle(self, case):
+        x = BAD_BATCHES[case][0]
+        want = raised(naive_uniform_loss, x)
+        assert want is not None
+        assert raised(uniform_loss, x) is want
+
+    def test_direct_au_allocates_one_square_buffer(self):
+        # the oracle holds about six (n, n) float64 arrays per uniformity;
+        # the kernel needs one, shared by both sides, plus (n, d) arrays
+        n, d = 512, 64
+        rng = np.random.default_rng(8)
+        u, i = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        direct_au_loss(u, i, 1.0)
+        tracemalloc.start()
+        try:
+            direct_au_loss(u, i, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestBPRValues:

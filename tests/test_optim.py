@@ -124,16 +124,22 @@ def row_sets(rng, n):
     permuted = rng.permutation(n)
     while np.array_equal(permuted, np.arange(n)):
         permuted = rng.permutation(n)
+    subset = rng.choice(n, size=4, replace=False)
     return {
         "in_order": np.arange(n),
         "permuted": permuted,
-        "subset": rng.choice(n, size=4, replace=False),
+        "subset": subset,
+        "ascending": np.sort(subset),
+        "unsorted": np.sort(subset)[::-1],
     }
+
+
+ROW_KINDS = ["in_order", "permuted", "subset", "ascending", "unsorted"]
 
 
 class TestAdamStepMatchesGatherOracle:
     @pytest.mark.parametrize("wd", [0.0, 0.05])
-    @pytest.mark.parametrize("kind", ["in_order", "permuted", "subset"])
+    @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_bit_equal_to_oracle(self, wd, kind):
         rng, state, params = warmed(wd)
         want_state, want = clone(state, params)
@@ -146,7 +152,7 @@ class TestAdamStepMatchesGatherOracle:
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(want_state, name))
 
-    @pytest.mark.parametrize("kind", ["in_order", "permuted", "subset"])
+    @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_diverged_gradient_writes_nothing(self, kind):
         rng, state, params = warmed(0.05)
         before_state, before = clone(state, params)
@@ -155,6 +161,16 @@ class TestAdamStepMatchesGatherOracle:
         grads[-1, -1] = np.inf
         with pytest.raises(DivergedGradient):
             adam_step(state, params, rows, grads)
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
+    @pytest.mark.parametrize("rows", [[3, 1, 3], [1, 1, 2]])
+    def test_duplicate_rows_write_nothing(self, rows):
+        rng, state, params = warmed(0.05)
+        before_state, before = clone(state, params)
+        with pytest.raises(ValueError):
+            adam_step(state, params, np.array(rows), rng.standard_normal((3, params.shape[1])))
         assert np.array_equal(params, before)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(before_state, name))

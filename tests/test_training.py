@@ -238,6 +238,24 @@ class TestTrain:
         assert np.array_equal(rows, np.arange(6))
         assert relative_gradient_error(grads, fd) < 1e-4
 
+    def test_flat_row_sum_matches_2d_scatter(self):
+        # one item 87 times among 256 rows, and -0.0 entries: every entry
+        # must be summed onto 0.0 in batch order, as np.add.at on rows does
+        from directau.training import _sum_rows
+
+        rng = np.random.default_rng(3)
+        ids = np.concatenate([np.full(87, 11), [39, 39], rng.integers(0, 39, size=167)])
+        rng.shuffle(ids)
+        rows, inv = np.unique(ids, return_inverse=True)
+        grads = rng.standard_normal((ids.size, 16)) * 10.0 ** rng.integers(-8, 8, (ids.size, 1))
+        grads[rng.random(grads.shape) < 0.2] = -0.0
+        grads[ids == 39] = -0.0  # a row summing -0.0 only
+        want = np.zeros((rows.size, 16))
+        np.add.at(want, inv, grads)
+        got = _sum_rows(inv, grads, rows.size)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     @pytest.mark.parametrize(
         "objective, encoder, layers",
         [
