@@ -30,6 +30,7 @@ from .training import (
     TrainConfig,
     emit_trace,
     load_checkpoint,
+    read_key_values,
     save_checkpoint,
     train,
     TrainingDiverged,
@@ -46,21 +47,6 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and '#' comments allowed."""
-    raw: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            raw[key.strip()] = val.strip()
-    return raw
-
-
 def cmd_preprocess(args: argparse.Namespace) -> int:
     if args.k_core < 1:
         raise ConfigError(f"--k-core must be >= 1, got {args.k_core}")
@@ -69,7 +55,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     data = preprocess(user_keys, item_keys, k_core=args.k_core)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_interactions(data, out, delim)
+    # the clean file is tab-separated, as train and eval read it; a key
+    # may hold a tab but never the input delimiter, so the maps keep it
+    write_interactions(data, out)
     write_id_map(data.user_keys, Path(str(out) + ".users.map"), delim)
     write_id_map(data.item_keys, Path(str(out) + ".items.map"), delim)
     density = data.n_pairs / (data.n_users * data.n_items)
@@ -81,7 +69,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    raw_cfg = _read_config_file(Path(args.config))
+    raw_cfg = read_key_values(args.config)
     for override in args.set or []:
         key, sep, val = override.partition("=")
         if not sep:

@@ -1,7 +1,13 @@
 """Interaction ingestion, k-core preprocessing, per-user splits, batching.
 
 File format: UTF-8 text, one interaction per line, `user<delim>item[<delim>...]`,
-lines starting with '#' ignored. Columns past the second are ignored.
+lines starting with '#' ignored. Columns past the second are ignored. The
+integer-ID file that preprocessing writes is always tab-separated, the form
+`read_id_pairs` reads by default; its `.users.map`/`.items.map` sidecars keep
+the input delimiter, which no key can contain. Config files and checkpoint
+`metadata.txt` are key=value text read by `training.read_key_values`. A file
+that is not UTF-8 raises DataError (exit 3), or ConfigError (exit 2) for
+key=value files.
 """
 
 from __future__ import annotations
@@ -155,43 +161,36 @@ class DatasetSplit:
         return UserIndex.build(self.test[:, 0], self.test[:, 1], self.train.n_users)
 
 
-def _key_pairs(path: str | Path, delimiter: str) -> Iterator[tuple[str, str]]:
-    """(user key, item key) of every interaction line, in file order.
-
-    Raises MalformedLine with the offending line number, EmptyInput when
-    nothing parses.
-    """
-    path = Path(path)
-    found = False
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(delimiter)
-            if len(fields) < 2:
-                raise MalformedLine(str(path), lineno, f"expected >=2 fields, got {len(fields)}")
-            user_key, item_key = fields[0].strip(), fields[1].strip()
-            if not user_key or not item_key:
-                raise MalformedLine(str(path), lineno, "empty user or item field")
-            found = True
-            yield user_key, item_key
-    if not found:
-        raise EmptyInput(f"no interactions in {path}")
-
-
 def load_interactions(path: str | Path, delimiter: str = "\t") -> tuple[list[str], list[str]]:
     """Parse an interaction file into its user keys and item keys, aligned
     and in file order.
 
     Duplicate lines survive here; deduplication belongs to preprocess().
-    Raises MalformedLine or EmptyInput as _key_pairs does.
+    Raises MalformedLine with the offending line number, EmptyInput when
+    nothing parses, DataError naming the file when it is not UTF-8.
     """
+    path = Path(path)
     user_keys: list[str] = []
     item_keys: list[str] = []
-    for u, i in _key_pairs(path, delimiter):
-        user_keys.append(u)
-        item_keys.append(i)
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split(delimiter)
+                if len(fields) < 2:
+                    detail = f"expected >=2 fields, got {len(fields)}"
+                    raise MalformedLine(str(path), lineno, detail)
+                user_key, item_key = fields[0].strip(), fields[1].strip()
+                if not user_key or not item_key:
+                    raise MalformedLine(str(path), lineno, "empty user or item field")
+                user_keys.append(user_key)
+                item_keys.append(item_key)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    if not user_keys:
+        raise EmptyInput(f"no interactions in {path}")
     return user_keys, item_keys
 
 
@@ -340,12 +339,12 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         tmp.unlink(missing_ok=True)
 
 
-def write_interactions(data: InteractionSet, path: str | Path, delimiter: str = "\t") -> None:
-    """Serialize remapped integer-ID pairs, one per line, input order,
-    replacing the file at `path` whole."""
+def write_interactions(data: InteractionSet, path: str | Path) -> None:
+    """Serialize remapped integer-ID pairs tab-separated, one per line,
+    input order, replacing the file at `path` whole."""
     with open_atomic(path) as fh:
         for u, i in zip(data.users.tolist(), data.items.tolist()):
-            fh.write(f"{u}{delimiter}{i}\n")
+            fh.write(f"{u}\t{i}\n")
 
 
 def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -> None:
@@ -365,12 +364,13 @@ def read_id_pairs(
     """Load a preprocessed integer-ID interaction file.
 
     IDs need not be contiguous (popularity is zero for unused IDs), but
-    duplicates and out-of-range IDs are rejected.
+    duplicates and out-of-range IDs are rejected. Each ID parses as Python's
+    int() does, and must fit in int64.
     """
-    keys = list(_key_pairs(path, delimiter))
+    user_keys, item_keys = load_interactions(path, delimiter)
     try:
-        users = [int(u) for u, _ in keys]
-        items = [int(i) for _, i in keys]
-    except ValueError as exc:
+        users = np.array(user_keys, dtype=np.int64)
+        items = np.array(item_keys, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: expected integer IDs ({exc})") from exc
     return InteractionSet.from_pairs(users, items, n_users, n_items)

@@ -173,13 +173,13 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse a write_embeddings() dump; raises DataError on malformed content."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise DataError(f"{path}: malformed header, expected 'n_users n_items d'")
-        try:
-            n_users, n_items, d = (int(x) for x in header)
+        try:  # UnicodeDecodeError is a ValueError too
+            header = [int(x) for x in fh.readline().split()]
         except ValueError as exc:
             raise DataError(f"{path}: malformed header ({exc})") from exc
+        if len(header) != 3:
+            raise DataError(f"{path}: malformed header, expected 'n_users n_items d'")
+        n_users, n_items, d = header
         if n_users < 1 or n_items < 1 or d < 1:
             raise DataError(f"{path}: non-positive counts in header")
         try:

@@ -166,15 +166,21 @@ def bpr_loss(
     """Pairwise ranking loss: mean of -log sigmoid(s(u,i) - s(u,i-)).
 
     score 'dot' uses raw dot products (the training setting); 'cosine'
-    normalizes all three inputs first (used by the theoretical harness).
+    (used by the theoretical harness) is 'dot' on the three inputs'
+    unit rows, each gradient pulled back to the raw rows.
     """
     u_reps = np.atleast_2d(u_reps)
     i_pos_reps = np.atleast_2d(i_pos_reps)
     i_neg_reps = np.atleast_2d(i_neg_reps)
     if not (u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
         raise ValueError("user, positive, and negative batches must align")
-    n = u_reps.shape[0]
+    if score == "cosine":
+        units = [_unit_rows(r) for r in (u_reps, i_pos_reps, i_neg_reps)]
+        out = bpr_loss(*(xn for xn, _ in units), score="dot")
+        grads = (out.grad_user, out.grad_item, out.grad_neg)
+        return LossOutput(out.value, *(_chain(g, *unit) for g, unit in zip(grads, units)))
     if score == "dot":
+        n = u_reps.shape[0]
         delta = np.sum(u_reps * (i_pos_reps - i_neg_reps), axis=1)
         value = float(np.mean(softplus(-delta)))
         c = (-_sigmoid(-delta) / n)[:, None]
@@ -183,19 +189,6 @@ def bpr_loss(
             grad_user=c * (i_pos_reps - i_neg_reps),
             grad_item=c * u_reps,
             grad_neg=-c * u_reps,
-        )
-    if score == "cosine":
-        xn, xnorm = _unit_rows(u_reps)
-        pn, pnorm = _unit_rows(i_pos_reps)
-        qn, qnorm = _unit_rows(i_neg_reps)
-        delta = np.sum(xn * (pn - qn), axis=1)
-        value = float(np.mean(softplus(-delta)))
-        c = (-_sigmoid(-delta) / n)[:, None]
-        return LossOutput(
-            value=value,
-            grad_user=_chain(c * (pn - qn), xn, xnorm),
-            grad_item=_chain(c * xn, pn, pnorm),
-            grad_neg=_chain(-c * xn, qn, qnorm),
         )
     raise ValueError(f"unknown score function {score!r}")
 

@@ -371,17 +371,30 @@ def save_checkpoint(
     return emb_path, meta_path
 
 
+def read_key_values(path: str | Path) -> dict[str, str]:
+    """Flat key=value lines, key and value stripped; blank lines and '#'
+    comments allowed, a later key overrides an earlier one. Raises
+    ConfigError on a line without '=' or a file that is not UTF-8."""
+    raw: dict[str, str] = {}
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, val = line.partition("=")
+                if not sep:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raw[key.strip()] = val.strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    return raw
+
+
 def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, int]:
     """Inverse of save_checkpoint."""
     out_dir = Path(out_dir)
     table = read_embeddings(out_dir / "embeddings.txt")
-    raw: dict[str, str] = {}
-    with (out_dir / "metadata.txt").open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            raw[key] = val
+    raw = read_key_values(out_dir / "metadata.txt")
     best_epoch = int(raw.pop("best_epoch", "0"))
     return table, TrainConfig.from_mapping(raw), best_epoch

@@ -1,6 +1,7 @@
 """Shared test utilities: oracles and synthetic data builders."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -13,14 +14,17 @@ from directau import (
 )
 from directau.encoders import _unit_rows, normalize_rows
 from directau.errors import (
+    ConfigError,
+    DataError,
     DivergedGradient,
     EmptyAfterFiltering,
     EmptyInput,
     InsufficientBatch,
+    MalformedLine,
     NothingToEvaluate,
 )
 from directau.evaluation import RankingMetrics
-from directau.losses import UNIFORMITY_SCALE, LossOutput, _chain
+from directau.losses import UNIFORMITY_SCALE, LossOutput, _chain, _sigmoid, softplus
 
 
 def write_embeddings_per_float(table, path):
@@ -97,6 +101,103 @@ def naive_direct_au_loss(u_reps, i_reps, gamma):
         grad_user=a.grad_user + (gamma / 2.0) * uu.grad_user,
         grad_item=a.grad_item + (gamma / 2.0) * ui.grad_user,
     )
+
+
+def naive_cosine_bpr(u_reps, i_pos_reps, i_neg_reps):
+    """Reference cosine BPR: its own copy of the pairwise formula on the
+    normalized inputs, each gradient pulled back to the raw rows."""
+    u_reps = np.atleast_2d(u_reps)
+    i_pos_reps = np.atleast_2d(i_pos_reps)
+    i_neg_reps = np.atleast_2d(i_neg_reps)
+    if not (u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
+        raise ValueError("user, positive, and negative batches must align")
+    n = u_reps.shape[0]
+    xn, xnorm = _unit_rows(u_reps)
+    pn, pnorm = _unit_rows(i_pos_reps)
+    qn, qnorm = _unit_rows(i_neg_reps)
+    delta = np.sum(xn * (pn - qn), axis=1)
+    value = float(np.mean(softplus(-delta)))
+    c = (-_sigmoid(-delta) / n)[:, None]
+    return LossOutput(
+        value=value,
+        grad_user=_chain(c * (pn - qn), xn, xnorm),
+        grad_item=_chain(c * xn, pn, pnorm),
+        grad_neg=_chain(-c * xn, qn, qnorm),
+    )
+
+
+def naive_key_pairs(path, delimiter):
+    """Reference interaction parser: (user key, item key) of every line, in
+    file order, from a generator; MalformedLine and EmptyInput as the
+    library raises them."""
+    path = Path(path)
+    found = False
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(delimiter)
+            if len(fields) < 2:
+                raise MalformedLine(str(path), lineno, f"expected >=2 fields, got {len(fields)}")
+            user_key, item_key = fields[0].strip(), fields[1].strip()
+            if not user_key or not item_key:
+                raise MalformedLine(str(path), lineno, "empty user or item field")
+            found = True
+            yield user_key, item_key
+    if not found:
+        raise EmptyInput(f"no interactions in {path}")
+
+
+def naive_load_interactions(path, delimiter="\t"):
+    """Reference key lists: naive_key_pairs unzipped."""
+    user_keys, item_keys = [], []
+    for u, i in naive_key_pairs(path, delimiter):
+        user_keys.append(u)
+        item_keys.append(i)
+    return user_keys, item_keys
+
+
+def naive_read_id_pairs(path, delimiter="\t", n_users=None, n_items=None):
+    """Reference integer-ID reader: int() on every key, then from_pairs on
+    Python lists."""
+    keys = list(naive_key_pairs(path, delimiter))
+    try:
+        users = [int(u) for u, _ in keys]
+        items = [int(i) for _, i in keys]
+    except ValueError as exc:
+        raise DataError(f"{path}: expected integer IDs ({exc})") from exc
+    return InteractionSet.from_pairs(users, items, n_users, n_items)
+
+
+def naive_read_config_file(path):
+    """Reference config reader: flat key=value lines, blank lines and '#'
+    comments allowed."""
+    raw = {}
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raw[key.strip()] = val.strip()
+    return raw
+
+
+def naive_read_metadata(path):
+    """Reference metadata.txt reader: lax key=value lines, blank lines
+    skipped, nothing else checked or stripped around '='."""
+    raw = {}
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            key, _, val = line.partition("=")
+            raw[key] = val
+    return raw
 
 
 def gather_adam_step(state, params, rows, grads):

@@ -116,7 +116,20 @@ class TestPreprocessCommand:
         rc = main(["preprocess", "--input", str(inp), "--output", str(out),
                    "--delimiter", "comma"])
         assert rc == 0
-        assert out.read_text().splitlines()[0] == "0,0"
+        assert out.read_text().splitlines()[0] == "0\t0"
+
+    def test_comma_input_gives_a_clean_file_that_trains(self, tmp_path, capsys):
+        inp = tmp_path / "raw.csv"
+        inp.write_text("".join(f"u{u},i{(u + t) % 40},5\n" for u in range(60) for t in range(10)))
+        out = tmp_path / "clean.txt"
+        assert main(["preprocess", "--input", str(inp), "--output", str(out),
+                     "--delimiter", "comma"]) == 0
+        assert all(line.count("\t") == 1 for line in out.read_text().splitlines())
+        assert (tmp_path / "clean.txt.users.map").read_text().startswith("u0,0\n")
+        assert (tmp_path / "clean.txt.items.map").read_text().startswith("i0,0\n")
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        assert main(["train", "--data", str(out), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "run")]) == 0
 
 
 class TestTrainCommand:
@@ -434,6 +447,71 @@ class TestUsageErrors:
         rc = main(["eval", "--checkpoint", str(trained), "--data", str(data_file), "--ks", ks])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """Inputs the readers cannot take exit with their documented code and
+    name the file, instead of ending in a traceback."""
+
+    @staticmethod
+    def args(command, tmp_path, trained, data):
+        """`command`'s arguments, reading interactions from `data`; eval runs
+        on a copy of `trained` without the manifest, which would reject any
+        other dataset before reading it."""
+        if command == "preprocess":
+            return ["--input", str(data), "--output", str(tmp_path / "clean.txt")]
+        if command == "train":
+            return ["--data", str(data), "--config", str(write_config(tmp_path)),
+                    "--out-dir", str(tmp_path / "run")]
+        if command == "eval":
+            bare = tmp_path / "no-manifest"
+            bare.mkdir()
+            for name in ("embeddings.txt", "metadata.txt"):
+                (bare / name).write_bytes((trained / name).read_bytes())
+            return ["--checkpoint", str(bare), "--data", str(data)]
+        return ["--embeddings", str(trained / "embeddings.txt"), "--interactions", str(data)]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "probe"])
+    def test_id_past_int64_is_data_error(self, command, tmp_path, trained, capsys):
+        data = tmp_path / "huge.txt"
+        data.write_text(f"0\t0\n1\t1\n{2**63}\t0\n")
+        assert main([command, *self.args(command, tmp_path, trained, data)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(data) in err
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "eval", "probe"])
+    def test_interactions_not_utf8_is_data_error(self, command, tmp_path, trained, capsys):
+        data = tmp_path / "latin1.txt"
+        data.write_bytes(b"0\t0\n1\t1\n\xff\t0\n")
+        assert main([command, *self.args(command, tmp_path, trained, data)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(data) in err
+
+    def test_embedding_header_not_utf8_is_data_error(self, tmp_path, data_file, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes(b"2 2 1\xff\n1\n2\n3\n4\n")
+        assert main(["probe", "--embeddings", str(emb), "--interactions", str(data_file)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(emb) in err
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, data_file, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
+        assert main(["train", "--data", str(data_file), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cfg) in err
+
+    def test_metadata_not_utf8_is_config_error(self, tmp_path, trained, data_file, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("embeddings.txt", "metadata.txt", "manifest.json"):
+            (run / name).write_bytes((trained / name).read_bytes())
+        with (run / "metadata.txt").open("ab") as fh:
+            fh.write(b"# \xff\n")
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(run / "metadata.txt") in err
 
 
 class TestManifestGeometry:

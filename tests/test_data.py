@@ -1,6 +1,8 @@
 """Dataset ingestion, k-core filtering, splitting, and batching."""
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from directau.errors import (
     EmptyInput,
     MalformedLine,
 )
-from helpers import naive_preprocess
+from helpers import (
+    naive_load_interactions,
+    naive_preprocess,
+    naive_read_id_pairs,
+)
 
 
 def keys(*pairs):
@@ -433,4 +439,93 @@ class TestSerialization:
         p = tmp_path / "bad.txt"
         p.write_text("a\tb\n")
         with pytest.raises(DataError):
+            read_id_pairs(p)
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and line number it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle's exception is the expectation
+        return type(exc), getattr(exc, "lineno", None)
+
+
+def same_interactions(a, b):
+    return (a.n_users, a.n_items) == (b.n_users, b.n_items) and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("users", "items", "user_pop", "item_pop")
+    )
+
+
+@pytest.fixture(scope="module")
+def generated_log(tmp_path_factory):
+    """A seeded log from the benchmark's generator (tab-separated, a
+    timestamp column, repeated lines)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", Path(__file__).parents[1] / "perfbench" / "generate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    path = tmp_path_factory.mktemp("log") / "raw.txt"
+    module.generate(300, 200, seed=3, path=path)
+    return path
+
+
+class TestReadersMatchNaiveOracles:
+    """The one-loop readers parse every file as the two-pass ones did."""
+
+    def test_generated_log(self, generated_log, tmp_path):
+        keys = load_interactions(generated_log)
+        assert keys == naive_load_interactions(generated_log)
+        clean = tmp_path / "clean.txt"
+        write_interactions(preprocess(*keys), clean)
+        assert same_interactions(read_id_pairs(clean), naive_read_id_pairs(clean))
+
+    @pytest.mark.parametrize("text", [
+        "# header\n\nu1\ti1\n   \nu2\ti2\n#u3\ti3\n",
+        "u1\ti1\r\nu2\ti2\r\n\r\nu1\ti2",
+        "u1\ti1\t5.0\t1234\nu2\t i2 \textra\n\tu3\ti3\t\n",
+        "u1,i1\tu2\ti2\n",
+        "x\ty\rz\tw\n",
+        "u1\ti1\nonlyonefield\n",
+        "u1\ti1\n\n  u2 \t \t i2\n",
+        "u1\ti1\n#\n \tx\n",
+        "",
+        "# nothing\n\n  \n",
+    ])
+    def test_line_forms(self, tmp_path, text):
+        p = tmp_path / "a.txt"
+        p.write_bytes(text.encode())
+        assert outcome(load_interactions, p) == outcome(naive_load_interactions, p)
+        assert outcome(load_interactions, p, ",") == outcome(naive_load_interactions, p, ",")
+
+    @pytest.mark.parametrize("text", [
+        "+4\t 5\n1_0\t7\n٣\t+0\n",
+        "00012\t3\n12\t4\n",
+        "4\t5.0\n",
+        "0x10\t1\n",
+        "1__0\t1\n",
+        "-1\t0\n",
+        "0\t0\n0\t0\n",
+        "0\t0\n1\n",
+        "0\t\t1\n",
+        "",
+    ])
+    def test_integer_ids(self, tmp_path, text):
+        p = tmp_path / "ids.txt"
+        p.write_bytes(text.encode())
+        got, want = outcome(read_id_pairs, p), outcome(naive_read_id_pairs, p)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_interactions(got, want)
+
+    @pytest.mark.parametrize("bad", [str(2**63), str(-(2**63) - 1), str(10**30)])
+    def test_ids_past_int64_are_data_errors(self, tmp_path, bad):
+        p = tmp_path / "ids.txt"
+        p.write_text(f"0\t0\n{bad}\t1\n")
+        with pytest.raises(DataError, match="expected integer IDs"):
+            read_id_pairs(p)
+        p.write_text(f"0\t{bad}\n")
+        with pytest.raises(DataError, match="expected integer IDs"):
             read_id_pairs(p)

@@ -20,6 +20,7 @@ from directau import (
 from directau.errors import InsufficientBatch, NoNegativeAvailable
 from helpers import (
     finite_difference_gradients,
+    naive_cosine_bpr,
     naive_direct_au_loss,
     naive_uniform_loss,
     per_user_negatives,
@@ -210,6 +211,36 @@ class TestMatchesNaiveOracle:
         want = raised(naive_uniform_loss, x)
         assert want is not None
         assert raised(uniform_loss, x) is want
+
+    @staticmethod
+    def assert_cosine_bpr_matches(u, p, q):
+        got, want = bpr_loss(u, p, q, "cosine"), naive_cosine_bpr(u, p, q)
+        assert got.value == want.value
+        for name in ("grad_user", "grad_item", "grad_neg"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cosine_bpr(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 70))
+        self.assert_cosine_bpr_matches(*(rng.standard_normal((n, d)) for _ in range(3)))
+
+    def test_cosine_bpr_one_row_and_signed_zeros(self):
+        u = np.array([[-0.0, 2.0, -0.0, 0.5]])
+        p = np.array([[1.0, -0.0, 0.0, -3.0]])
+        q = np.array([[-0.0, -0.0, 4.0, 0.0]])
+        self.assert_cosine_bpr_matches(u, p, q)
+        self.assert_cosine_bpr_matches(u[0], p[0], q[0])
+        self.assert_cosine_bpr_matches(u, u, u)
+        rows = np.vstack([u, -p, q, np.ones((1, 4))])
+        self.assert_cosine_bpr_matches(rows, rows[::-1], np.roll(rows, 1, axis=0))
+
+    @pytest.mark.parametrize("case", ["shape_mismatch", "zero_row"])
+    def test_cosine_bpr_raises_like_oracle(self, case):
+        u, i = BAD_BATCHES[case]
+        want = raised(naive_cosine_bpr, u, i, i)
+        assert want is not None
+        assert raised(bpr_loss, u, i, i, "cosine") is want
 
     def test_direct_au_allocates_one_square_buffer(self):
         # the oracle holds about six (n, n) float64 arrays per uniformity;

@@ -23,6 +23,8 @@ from directau import (
 )
 from directau.errors import ConfigError
 from directau.losses import LossOutput
+from directau.training import read_key_values
+from helpers import naive_read_config_file, naive_read_metadata
 
 
 class TestTrainConfig:
@@ -407,3 +409,42 @@ class TestCheckpoint:
         text = (tmp_path / "metadata.txt").read_text()
         assert "objective=bpr" in text and "best_epoch=3" in text
         assert "gamma" not in text
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and message it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle's exception is the expectation
+        return type(exc), str(exc)
+
+
+class TestKeyValueReader:
+    """One reader takes both config files and metadata.txt, as the two
+    loops it replaces did."""
+
+    @pytest.mark.parametrize("text", [
+        "# run\nobjective = bpr\n\n  seed=3  \n# d = 9\n",
+        "objective=direct_au\r\ngamma = 0.5\r\n\r\nseed = 1\r\n",
+        "seed = 1\nseed = 2\nlr = 1e-3 # not a comment\n",
+        "a = b = c\n = empty key\nempty value =\n",
+        "objective = bpr\nno separator here\n",
+        "#only = comments\n\n",
+        "",
+    ])
+    def test_matches_config_oracle(self, tmp_path, text):
+        p = tmp_path / "run.conf"
+        p.write_bytes(text.encode())
+        assert outcome(read_key_values, p) == outcome(naive_read_config_file, p)
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(objective="direct_au", gamma=1.0, seed=4, d=3),
+        TrainConfig(objective="direct_au", gamma=0.1, seed=0, lr=1e-3, weight_decay=1e-7,
+                    encoder="lgcn", layers=3),
+        TrainConfig(objective="bpr", seed=11, lr=0.3, batch_size=1, max_epochs=0),
+        TrainConfig(objective="bpr_ds", seed=2**40, ds_candidates=5, patience=1),
+    ])
+    def test_matches_metadata_oracle(self, tmp_path, cfg):
+        save_checkpoint(tmp_path, init_xavier(2, 3, cfg.d, seed=0), cfg, best_epoch=7)
+        meta = tmp_path / "metadata.txt"
+        assert read_key_values(meta) == naive_read_metadata(meta)
