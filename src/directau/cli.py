@@ -32,6 +32,7 @@ from .training import (
     load_checkpoint,
     read_key_values,
     save_checkpoint,
+    split_key_value,
     train,
     TrainingDiverged,
 )
@@ -70,11 +71,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     raw_cfg = read_key_values(args.config)
-    for override in args.set or []:
-        key, sep, val = override.partition("=")
-        if not sep:
-            raise ConfigError(f"--set expects key=value, got {override!r}")
-        raw_cfg[key.strip()] = val.strip()
+    raw_cfg.update(split_key_value(override, "--set") for override in args.set or [])
     cfg = TrainConfig.from_mapping(raw_cfg)
 
     data_path = Path(args.data)

@@ -6,7 +6,7 @@ it lives in the loss/metric path (normalize_rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,6 +64,26 @@ def init_xavier(n_users: int, n_items: int, d: int, seed: int) -> EmbeddingTable
     return EmbeddingTable.from_parts(user, item)
 
 
+def _spmm_into(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`matrix @ x` for a CSR or CSC matrix and a C-contiguous float64 `x`,
+    written into the C-contiguous float64 `out` and returned.
+
+    scipy has no `out=` for sparse @ dense. This calls the kernel that
+    `matrix @ x` reaches through `_matmul_multivector`, from scipy's private
+    `scipy.sparse._sparsetools` module, on a zeroed `out`, so every sum runs
+    in scipy's order and the result equals `matrix @ x` bit for bit.
+    """
+    from scipy.sparse import _sparsetools
+
+    (n_out, n_in), d = matrix.shape, x.shape[1]
+    if x.shape[0] != n_in or out.shape != (n_out, d) or not out.flags.c_contiguous:
+        raise ValueError(f"spmm shapes: {matrix.shape} @ {x.shape} into {out.shape}")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, matrix.format + "_matvecs")
+    kernel(n_out, n_in, d, matrix.indptr, matrix.indices, matrix.data, x.ravel(), out.ravel())
+    return out
+
+
 @dataclass
 class GraphPropagator:
     """Linear propagation over the symmetrically normalized bipartite graph.
@@ -73,11 +93,16 @@ class GraphPropagator:
     degree. No self-loops and no feature transforms; layer outputs are
     combined by their mean. scipy is imported by `build`, so commands that
     never build a graph do not load it.
+
+    The propagator owns three (|U|+|I|) x d work buffers for its full-graph
+    layers and the backward sum, allocated on first use and again only
+    when d changes, so a training step takes no fresh table-sized array.
     """
 
     base: EmbeddingTable
     n_layers: int
     adjacency: sp.csr_matrix
+    _work: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -102,9 +127,19 @@ class GraphPropagator:
         adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return cls(base=base, n_layers=n_layers, adjacency=adj)
 
+    def _buffers(self, d: int) -> tuple[np.ndarray, ...]:
+        """(sum, layer, layer): the backward sum and two layer outputs
+        that the layers alternate between."""
+        if not self._work or self._work[0].shape[1] != d:
+            n = self.adjacency.shape[0]
+            self._work = tuple(np.empty((n, d)) for _ in range(3))
+        return self._work
+
     def propagate(self, rows=slice(None)) -> np.ndarray:
         """Layer mean of the propagated representations at `rows` (every
-        user and item by default), in the stacked row order.
+        user and item by default), in the stacked row order, as a fresh
+        array. `rows` selects at most |U|+|I| rows, since the last layer
+        is computed in a work buffer.
 
         Layers before the last run on the whole graph; the last one is
         computed only at `rows`. Slicing CSR rows keeps each row's
@@ -112,14 +147,18 @@ class GraphPropagator:
         bit.
         """
         x = self.base.emb
+        _, *layers = self._buffers(x.shape[1])
         acc = x[rows].copy()
         cur = x
-        for _ in range(self.n_layers - 1):
-            cur = self.adjacency @ cur
+        for layer in range(self.n_layers - 1):
+            cur = _spmm_into(self.adjacency, cur, layers[layer % 2])
             acc += cur[rows]
         if self.n_layers > 0:
-            acc += self.adjacency[rows] @ cur
-        return acc / (self.n_layers + 1)
+            last = self.adjacency[rows]
+            out = layers[(self.n_layers - 1) % 2][: last.shape[0]]
+            acc += _spmm_into(last, cur, out)
+        acc /= self.n_layers + 1
+        return acc
 
     def backward(self, rows: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
         """Pull a gradient w.r.t. the outputs at `rows` (sorted, unique; zero
@@ -130,16 +169,21 @@ class GraphPropagator:
         layer mean; its first layer reads only the given rows, as
         `adjacency[rows].T @ grad_rows`, which adds the same nonzero terms
         in the same order as the full product with the zero-padded gradient.
+
+        The result is the propagator's own sum buffer: it is valid until
+        the next `backward` call, which overwrites it.
         """
-        acc = np.zeros((self.adjacency.shape[0], grad_rows.shape[1]))
+        acc, *layers = self._buffers(grad_rows.shape[1])
+        acc.fill(0.0)
         acc[rows] = grad_rows
         if self.n_layers > 0:
-            cur = self.adjacency[rows].T @ grad_rows
+            cur = _spmm_into(self.adjacency[rows].T, grad_rows, layers[0])
             acc += cur
-            for _ in range(self.n_layers - 1):
-                cur = self.adjacency @ cur
+            for layer in range(1, self.n_layers):
+                cur = _spmm_into(self.adjacency, cur, layers[layer % 2])
                 acc += cur
-        return acc / (self.n_layers + 1)
+        acc /= self.n_layers + 1
+        return acc
 
 
 def _unit_rows(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

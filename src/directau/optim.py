@@ -8,7 +8,7 @@ L2-into-gradient, applied before the moment updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,13 +21,23 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Optimizer state of one parameter array; exclusively owned by one trainer."""
+    """Optimizer state of one parameter array; exclusively owned by one trainer.
+
+    An every-row step computes its temporaries in two scratch arrays of the
+    parameters' shape, allocated on the first such step.
+    """
 
     m: np.ndarray
     v: np.ndarray
     step: np.ndarray
     lr: float
     weight_decay: float = 0.0
+    _scratch: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
+
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        if not self._scratch:
+            self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        return self._scratch
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float, weight_decay: float = 0.0) -> "AdamState":
@@ -54,7 +64,8 @@ def adam_step(
     Strictly ascending rows (as `np.unique` returns them) are known unique
     from one pass; other orders are checked by sorting.
     When `rows` is every row in order, the update runs on views of the
-    arrays instead of gathering and scattering the rows.
+    arrays instead of gathering and scattering the rows, and its
+    temporaries go to the state's scratch arrays.
     """
     rows = np.asarray(rows, dtype=np.int64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -77,18 +88,20 @@ def adam_step(
 
     # in place, in the operation order of BETA1 * m + (1 - BETA1) * g,
     # BETA2 * v + (1 - BETA2) * g * g and lr * m_hat / (sqrt(v_hat) + EPS),
-    # so the results equal those out-of-place formulas bit for bit
+    # so the results equal those out-of-place formulas bit for bit; with
+    # out=None (gathered rows) each temporary is a fresh array
+    tmp, v_hat = state.scratch() if every_row else (None, None)
     step += 1
     t = step[:, None].astype(np.float64)
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += np.multiply(1.0 - BETA1, g, out=tmp)
     v *= BETA2
-    g2 = (1.0 - BETA2) * g
+    g2 = np.multiply(1.0 - BETA2, g, out=tmp)
     g2 *= g
     v += g2
-    update = m / (1.0 - BETA1**t)
+    update = np.divide(m, 1.0 - BETA1**t, out=tmp)
     update *= state.lr
-    v_hat = v / (1.0 - BETA2**t)
+    v_hat = np.divide(v, 1.0 - BETA2**t, out=v_hat)
     np.sqrt(v_hat, out=v_hat)
     v_hat += EPS
     update /= v_hat

@@ -371,30 +371,38 @@ def save_checkpoint(
     return emb_path, meta_path
 
 
+def split_key_value(text: str, where: str) -> tuple[str, str]:
+    """`text` split at its first '=', both sides stripped."""
+    key, sep, val = text.partition("=")
+    if not sep:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    return key.strip(), val.strip()
+
+
 def read_key_values(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines, key and value stripped; blank lines and '#'
+    """Flat key=value lines (split_key_value); blank lines and '#'
     comments allowed, a later key overrides an earlier one. Raises
     ConfigError on a line without '=' or a file that is not UTF-8."""
-    raw: dict[str, str] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                raw[key.strip()] = val.strip()
+            return dict(
+                split_key_value(line, f"{path}:{lineno}")
+                for lineno, line in enumerate(map(str.strip, fh), start=1)
+                if line and not line.startswith("#")
+            )
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
-    return raw
 
 
 def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, int]:
     """Inverse of save_checkpoint."""
     out_dir = Path(out_dir)
     table = read_embeddings(out_dir / "embeddings.txt")
-    raw = read_key_values(out_dir / "metadata.txt")
-    best_epoch = int(raw.pop("best_epoch", "0"))
+    meta = out_dir / "metadata.txt"
+    raw = read_key_values(meta)
+    text = raw.pop("best_epoch", "0")
+    try:
+        best_epoch = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{meta}: bad value for 'best_epoch': {text!r}") from exc
     return table, TrainConfig.from_mapping(raw), best_epoch

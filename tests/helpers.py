@@ -46,6 +46,34 @@ def layer_mean(adjacency, x, n_layers):
     return acc / (n_layers + 1)
 
 
+def naive_propagate(prop, rows=slice(None)):
+    """Reference GraphPropagator.propagate: every layer a fresh array, the
+    layers before the last full, the last at `rows` only."""
+    x = prop.base.emb
+    acc = x[rows].copy()
+    cur = x
+    for _ in range(prop.n_layers - 1):
+        cur = prop.adjacency @ cur
+        acc += cur[rows]
+    if prop.n_layers > 0:
+        acc += prop.adjacency[rows] @ cur
+    return acc / (prop.n_layers + 1)
+
+
+def naive_backward(prop, rows, grad_rows):
+    """Reference GraphPropagator.backward: a fresh zeroed sum, the first
+    layer from the row slice's transpose, every layer a fresh array."""
+    acc = np.zeros((prop.adjacency.shape[0], grad_rows.shape[1]))
+    acc[rows] = grad_rows
+    if prop.n_layers > 0:
+        cur = prop.adjacency[rows].T @ grad_rows
+        acc += cur
+        for _ in range(prop.n_layers - 1):
+            cur = prop.adjacency @ cur
+            acc += cur
+    return acc / (prop.n_layers + 1)
+
+
 def naive_align_loss(u_reps, i_reps):
     """Reference alignment: normalizes both sides itself."""
     u_reps = np.atleast_2d(u_reps)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -185,6 +186,15 @@ class TestTrainCommand:
         assert rc == 0
         meta = (out / "metadata.txt").read_text()
         assert "max_epochs=1" in meta and "seed=9" in meta
+
+    @pytest.mark.parametrize("override", ["max_epochs", "max_epochs 1", ""])
+    def test_set_without_equals_is_config_error(self, tmp_path, data_file, capsys, override):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(cfg),
+                     "--out-dir", str(out), "--set", " seed = 9 ", "--set", override]) == 2
+        assert f"--set: expected key=value, got {override!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_geometry_keeps_trace_and_checkpoint(
         self, tmp_path, data_file, monkeypatch, capsys
@@ -513,6 +523,19 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert "config error" in err and str(run / "metadata.txt") in err
 
+
+    def test_non_integer_best_epoch_is_config_error(self, tmp_path, trained, data_file, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("embeddings.txt", "metadata.txt"):  # no manifest
+            (run / name).write_bytes((trained / name).read_bytes())
+        meta = run / "metadata.txt"
+        text = meta.read_text(encoding="utf-8")
+        assert "\nbest_epoch=" in text
+        meta.write_text(re.sub(r"(?m)^best_epoch=.*$", "best_epoch=one", text), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(meta) in err and "'one'" in err
 
 class TestManifestGeometry:
     """The manifest's geometry is that of the saved checkpoint."""

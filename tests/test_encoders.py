@@ -14,7 +14,8 @@ from directau import (
     write_embeddings,
 )
 from directau.errors import DataError, DegenerateEmbedding
-from helpers import layer_mean, write_embeddings_per_float
+from directau.encoders import _spmm_into
+from helpers import layer_mean, naive_backward, naive_propagate, write_embeddings_per_float
 
 
 class TestXavierInit:
@@ -169,6 +170,94 @@ class TestGraphPropagator:
             want = layer_mean(g.adjacency, padded, n_layers)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBufferedGraphStepMatchesNaiveOracle:
+    """propagate/backward run in the propagator's reused buffers; the
+    fresh-array versions in tests/helpers.py are the oracle."""
+
+    random_graph = staticmethod(TestGraphPropagator.random_graph)
+
+    @staticmethod
+    def row_sets(rng, n):
+        return (np.unique(rng.integers(0, n, size=15)), np.arange(n), np.array([n - 1]),
+                np.unique(rng.integers(0, n, size=40)), np.array([0]))
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_consecutive_calls_on_one_propagator(self, n_layers):
+        # each call sees the buffers the previous call left behind
+        rng, g = self.random_graph(n_layers, seed=2)
+        n = g.adjacency.shape[0]
+        assert_same_bits(g.propagate(), naive_propagate(g))
+        for rows in self.row_sets(rng, n):
+            assert_same_bits(g.propagate(rows), naive_propagate(g, rows))
+            grad_rows = rng.standard_normal((rows.size, g.base.d))
+            grad_rows[rng.random(grad_rows.shape) < 0.2] = -0.0
+            got = g.backward(rows, grad_rows)
+            assert_same_bits(got, naive_backward(g, rows, grad_rows))
+            g.base.emb[:] = rng.standard_normal(g.base.emb.shape)
+        assert_same_bits(g.propagate(), naive_propagate(g))
+
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_negative_zero_gradient_entry(self, n_layers):
+        rng, g = self.random_graph(n_layers, seed=3)
+        rows = np.array([0, 7, 45])
+        grad_rows = rng.standard_normal((3, g.base.d))
+        grad_rows[0, 0] = grad_rows[2, :] = -0.0
+        g.backward(rows, -grad_rows)  # leaves the buffers holding other values
+        got = g.backward(rows, grad_rows)
+        assert_same_bits(got, naive_backward(g, rows, grad_rows))
+        if n_layers == 0:
+            assert np.all(np.signbit(got[45])) and np.all(got[45] == 0.0)
+
+    def test_backward_result_is_reused_and_propagate_result_is_fresh(self):
+        rng, g = self.random_graph(2, seed=4)
+        rows = np.array([1, 2, 3])
+        first = g.backward(rows, rng.standard_normal((3, g.base.d)))
+        second = g.backward(rows, rng.standard_normal((3, g.base.d)))
+        assert first is second
+        table = g.propagate()
+        assert not any(np.shares_memory(table, buf) for buf in g._work)
+        assert not np.shares_memory(g.propagate(rows), table)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_another_dimension_reallocates_the_buffers(self, n_layers):
+        rng, g = self.random_graph(n_layers, seed=5, d=5)
+        rows = np.unique(rng.integers(0, g.adjacency.shape[0], size=12))
+        for d in (5, 3, 8, 5):
+            g.base = EmbeddingTable(rng.standard_normal((g.adjacency.shape[0], d)), g.base.n_users)
+            assert_same_bits(g.propagate(), naive_propagate(g))
+            assert_same_bits(g.propagate(rows), naive_propagate(g, rows))
+            grad_rows = rng.standard_normal((rows.size, d))
+            assert_same_bits(g.backward(rows, grad_rows), naive_backward(g, rows, grad_rows))
+            assert all(buf.shape == (g.adjacency.shape[0], d) for buf in g._work)
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_spmm_into_matches_the_sparse_product(self, d):
+        rng, g = self.random_graph(2, seed=6)
+        n = g.adjacency.shape[0]
+        rows = np.unique(rng.integers(0, n, size=20))
+        csc = g.adjacency[rows].T
+        assert csc.format == "csc"
+        for matrix in (g.adjacency, g.adjacency[rows], csc):
+            x = rng.standard_normal((matrix.shape[1], d))
+            x[rng.random(x.shape) < 0.2] = -0.0
+            out = np.full((matrix.shape[0], d), np.nan)  # stale values must not leak
+            got = _spmm_into(matrix, x, out)
+            assert got is out
+            assert_same_bits(got, matrix @ x)
+
+    def test_spmm_into_rejects_a_wrong_output_shape(self):
+        _, g = self.random_graph(1, seed=7)
+        x = np.ones((g.adjacency.shape[1], 3))
+        with pytest.raises(ValueError):
+            _spmm_into(g.adjacency, x, np.empty((g.adjacency.shape[0], 4)))
 
 
 class TestNormalizeRows:

@@ -174,3 +174,15 @@ class TestAdamStepMatchesGatherOracle:
         assert np.array_equal(params, before)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
+    def test_every_row_steps_reuse_two_scratch_arrays(self):
+        rng, state, params = warmed(0.05)
+        rows = np.arange(len(params))
+        grads = rng.standard_normal(params.shape)
+        kept = grads.copy()
+        adam_step(state, params, rows, grads)
+        scratch = state.scratch()
+        assert len(scratch) == 2 and all(s.shape == params.shape for s in scratch)
+        adam_step(state, params, rows, grads)
+        assert all(a is b for a, b in zip(state.scratch(), scratch))
+        assert np.array_equal(grads, kept)

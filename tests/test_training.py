@@ -1,6 +1,7 @@
 """Training loop, early stopping, trace emission, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,35 @@ class TestTrain:
             assert np.array_equal(getattr(state, name)[:nu], getattr(user_state, name))
             assert np.array_equal(getattr(state, name)[nu:], getattr(item_state, name))
         assert state.step.max() == 3
+
+    @pytest.mark.parametrize("objective, bound", [("direct_au", 2.0), ("bpr", 3.0)])
+    def test_lgcn_step_allocates_no_table_sized_temporaries(self, objective, bound):
+        # after warm-up, the propagator's and Adam's buffers hold every
+        # full-table temporary; a step's peak stays under `bound` tables
+        from directau import AdamState, GraphPropagator, InteractionSet
+        from directau.training import _train_batch, _training_batches
+
+        rng = np.random.default_rng(0)
+        n_users, n_items = 600, 400
+        pairs = rng.choice(n_users * n_items, size=6000, replace=False)
+        ds = split(InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items),
+                   seed=0)
+        cfg = small_cfg(objective=objective, gamma=1.0 if objective == "direct_au" else None,
+                        encoder="lgcn", layers=2, d=32, batch_size=64)
+        table = init_xavier(ds.train.n_users, ds.train.n_items, cfg.d, cfg.seed)
+        prop = GraphPropagator.build(table, ds.train, cfg.layers)
+        state = AdamState.for_params(table.emb, cfg.lr)
+        neg_rng = np.random.default_rng(1)
+        batches = _training_batches(ds, cfg, epoch=1)
+        for batch in batches[:3]:
+            _train_batch(batch, table, prop, state, ds, cfg, neg_rng)
+        tracemalloc.start()
+        try:
+            _train_batch(batches[3], table, prop, state, ds, cfg, neg_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * table.emb.nbytes
 
     def test_lgcn_smoke_and_determinism(self, two_cluster):
         ds = split(two_cluster, seed=6)
