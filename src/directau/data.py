@@ -25,6 +25,10 @@ import numpy as np
 from .errors import DataError, EmptyAfterFiltering, EmptyInput, MalformedLine
 from .rng import substream
 
+# bytes of one work block: user x item scores or a gram row block in
+# evaluation, the membership marks of UserIndex.contains
+BLOCK_BUDGET = 8 << 20
+
 
 @dataclass
 class InteractionSet:
@@ -124,14 +128,31 @@ class UserIndex(NamedTuple):
 
     def contains(self, users: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
         """Whether each value is in its user's row, broadcasting `users`
-        against `values`; every row value and query value lies in [0, width)."""
-        n_rows = self.indptr.size - 1
-        rows = np.repeat(np.arange(n_rows), np.diff(self.indptr))
-        # ascending, since rows ascend and values ascend within a row; the
-        # sentinel exceeds every query, so each search lands on a key
-        keys = np.append(rows * width + self.indices, n_rows * width)
-        queries = np.asarray(users, dtype=np.int64) * width + np.asarray(values, dtype=np.int64)
-        return keys[np.searchsorted(keys, queries)] == queries
+        against `values`; every row value and query value lies in [0, width).
+
+        Each entry of `users` gets a row of `width` boolean marks, set from
+        `gather`, and each query reads its mark. The marks are built in
+        blocks of rows of at most BLOCK_BUDGET bytes.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        flat_users = users.reshape(-1)
+        # flat position of each query's mark: its user's position in `users`
+        # selects the row of marks, its value the column
+        at = np.arange(users.size).reshape(users.shape) * width + np.asarray(values, np.int64)
+        n_rows = max(1, BLOCK_BUDGET // width)
+        block = np.empty(min(n_rows, users.size) * width, dtype=bool)
+        out = np.empty(at.shape, dtype=bool)
+        for start in range(0, users.size, n_rows):
+            part = flat_users[start : start + n_rows]
+            marks = block[: part.size * width]
+            marks.fill(False)
+            rows, row_values = self.gather(part)
+            marks[rows * width + row_values] = True
+            if part.size == users.size:
+                return marks[at]
+            here = (at >= start * width) & (at < start * width + marks.size)
+            out[here] = marks[at[here] - start * width]
+        return out
 
 
 @dataclass

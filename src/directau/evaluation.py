@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import BLOCK_BUDGET as _SCORE_BUDGET
 from .data import DatasetSplit, InteractionSet
 from .encoders import EmbeddingTable, normalize_rows
 from .errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from .losses import UNIFORMITY_SCALE, softplus
-
-_SCORE_BUDGET = 8 << 20  # bytes of one block of user x item scores or of one gram block
 
 
 @dataclass

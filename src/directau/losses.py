@@ -23,6 +23,9 @@ from .errors import InsufficientBatch, NoNegativeAvailable
 # scale t of the pairwise Gaussian potential exp(-t * dist^2)
 UNIFORMITY_SCALE = 2.0
 
+# bytes of gathered candidate rows that the dynamic sampler scores at once
+_POOL_BLOCK = 512 << 10
+
 
 @dataclass
 class LossOutput:
@@ -224,17 +227,27 @@ def sample_negatives(
     if full.any():
         raise NoNegativeAvailable(f"user {users[full][0]} interacted with every item")
 
-    owners = np.repeat(users, 1 if strategy == "uniform" else candidates)
-    drawn = np.empty(owners.size, dtype=np.int64)
-    todo = np.arange(owners.size)
+    per_user = 1 if strategy == "uniform" else candidates
+    drawn = rng.integers(0, n_items, size=users.size * per_user)
+    pool = drawn.reshape(users.size, per_user)
+    # redraw rounds run in ascending slot order and test only the redrawn slots
+    todo = np.flatnonzero(index.contains(users[:, None], pool, n_items))
     while todo.size:
         drawn[todo] = rng.integers(0, n_items, size=todo.size)
-        todo = todo[index.contains(owners[todo], drawn[todo], n_items)]
+        todo = todo[index.contains(users[todo // per_user], drawn[todo], n_items)]
     if strategy == "uniform":
         return drawn
 
-    pool = drawn.reshape(users.size, candidates)
-    scores = np.einsum("bd,bcd->bc", table.user_emb[users], table.item_emb[pool])
+    scores = np.empty(pool.shape)
+    n_rows = max(1, _POOL_BLOCK // (candidates * table.d * 8))
+    for start in range(0, users.size, n_rows):
+        block = slice(start, start + n_rows)
+        np.einsum(
+            "bd,bcd->bc",
+            table.user_emb[users[block]],
+            table.item_emb[pool[block]],
+            out=scores[block],
+        )
     # Gumbel-max: argmax of the scores plus i.i.d. Gumbel noise is an exact softmax draw
     pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
     return pool[np.arange(users.size), pick]

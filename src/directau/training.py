@@ -250,19 +250,24 @@ def train(
     return best_table, traces, best_epoch
 
 
-def _sum_rows(inv: np.ndarray, grads: np.ndarray, n_rows: int) -> np.ndarray:
-    """Row k is the sum of the rows grads[inv == k], each entry added in
-    batch order onto 0.0, through one scatter on the flat array."""
+def _sum_rows(inv: np.ndarray, grads: np.ndarray, out: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Row k of `out` becomes the sum of the rows grads[inv == k], each
+    entry added in batch order onto 0.0, through one scatter on the flat
+    arrays; the flat index is written into the int64 `at`, shaped like
+    `grads`. `out` must be C-contiguous, so that the scatter writes through
+    its flat view."""
     d = grads.shape[1]
-    acc = np.zeros(n_rows * d)
-    np.add.at(acc, (inv[:, None] * d + np.arange(d)).ravel(), grads.ravel())
-    return acc.reshape(n_rows, d)
+    out.fill(0.0)
+    np.add(inv[:, None] * d, np.arange(d), out=at)
+    np.add.at(out.reshape(-1), at.reshape(-1), grads.reshape(-1))
+    return out
 
 
 def _batch_loss_and_grads(
     batch: PositiveBatch,
     table: EmbeddingTable,
     propagator: GraphPropagator | None,
+    state: AdamState,
     split: DatasetSplit,
     cfg: TrainConfig,
     neg_rng: np.random.Generator,
@@ -270,7 +275,8 @@ def _batch_loss_and_grads(
     """Batch loss and its gradients w.r.t. the stacked base parameter rows.
 
     Returns (value, rows, grads) with rows indexing `table.emb` (items
-    offset by n_users); duplicate batch rows are pre-accumulated, and for
+    offset by n_users); duplicate batch rows are pre-accumulated in the
+    sum scratch of `state`, which the next batch overwrites, and for
     the graph encoder the gradients are pulled back through the
     propagation (every row). DirectAU reads the propagated outputs only at
     the batch rows. BPR propagates every row with either sampler, though
@@ -297,7 +303,7 @@ def _batch_loss_and_grads(
         rows, inv = np.unique(ids, return_inverse=True)
         grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
 
-    acc = _sum_rows(inv, grads, rows.size)
+    acc = _sum_rows(inv, grads, *state.sum_scratch(rows.size, inv.size))
     if propagator is None:
         return lo.value, rows, acc
     return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)
@@ -313,7 +319,9 @@ def _train_batch(
     neg_rng: np.random.Generator,
 ) -> float:
     """One gradient step; returns the batch loss value."""
-    value, rows, grads = _batch_loss_and_grads(batch, table, propagator, split, cfg, neg_rng)
+    value, rows, grads = _batch_loss_and_grads(
+        batch, table, propagator, state, split, cfg, neg_rng
+    )
     adam_step(state, table.emb, rows, grads)
     return value
 

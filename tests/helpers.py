@@ -21,6 +21,7 @@ from directau.errors import (
     EmptyInput,
     InsufficientBatch,
     MalformedLine,
+    NoNegativeAvailable,
     NothingToEvaluate,
 )
 from directau.evaluation import RankingMetrics
@@ -330,6 +331,42 @@ def per_user_negatives(split, users, strategy, table=None, candidates=32, rng=No
         probs /= probs.sum()
         out[k] = int(rng.choice(cands, p=probs))
     return out
+
+
+def naive_contains(index, users, values, width):
+    """Reference membership test: a binary search over the keys
+    row * width + value of the whole index, rebuilt on every call."""
+    n_rows = index.indptr.size - 1
+    rows = np.repeat(np.arange(n_rows), np.diff(index.indptr))
+    keys = np.append(rows * width + index.indices, n_rows * width)
+    queries = np.asarray(users, dtype=np.int64) * width + np.asarray(values, dtype=np.int64)
+    return keys[np.searchsorted(keys, queries)] == queries
+
+
+def naive_sample_negatives(split, users, strategy, table=None, candidates=32, rng=None):
+    """Reference bulk sampler: every slot drawn at once, each round testing
+    the slots still to redraw with naive_contains, and the 'dynamic' pool
+    scored by one einsum over all of its gathered rows before the
+    Gumbel-max pick. The error checks are sample_negatives' own."""
+    if rng is None:
+        raise ValueError("an explicit rng is required for reproducibility")
+    n_items = split.train.n_items
+    index = split.train_index
+    users = np.asarray(users, dtype=np.int64)
+    if (np.diff(index.indptr)[users] >= n_items).any():
+        raise NoNegativeAvailable("a user interacted with every item")
+    owners = np.repeat(users, 1 if strategy == "uniform" else candidates)
+    drawn = np.empty(owners.size, dtype=np.int64)
+    todo = np.arange(owners.size)
+    while todo.size:
+        drawn[todo] = rng.integers(0, n_items, size=todo.size)
+        todo = todo[naive_contains(index, owners[todo], drawn[todo], n_items)]
+    if strategy == "uniform":
+        return drawn
+    pool = drawn.reshape(users.size, candidates)
+    scores = np.einsum("bd,bcd->bc", table.user_emb[users], table.item_emb[pool])
+    pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
+    return pool[np.arange(users.size), pick]
 
 
 def finite_difference_gradients(fn, arrays, h=1e-5):

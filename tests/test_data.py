@@ -1,6 +1,7 @@
 """Dataset ingestion, k-core filtering, splitting, and batching."""
 
 import importlib.util
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from directau import (
     preprocess,
     split,
 )
+from directau import data as data_mod
 from directau.data import UserIndex, read_id_pairs, write_id_map, write_interactions
 from directau.errors import (
     DataError,
@@ -22,6 +24,7 @@ from directau.errors import (
     MalformedLine,
 )
 from helpers import (
+    naive_contains,
     naive_load_interactions,
     naive_preprocess,
     naive_read_id_pairs,
@@ -349,6 +352,35 @@ class TestUserIndex:
             assert index.contains(n_users - 1, q_values[0], width).tolist() == [
                 (n_users - 1, v) in members for v in range(width)
             ]
+
+    @pytest.mark.parametrize("budget", [25, 1])
+    def test_contains_in_row_blocks_matches_brute_force(self, monkeypatch, budget):
+        # the default budget marks every queried row above in one block; 25
+        # bytes hold two to 25 rows of marks per block, 1 byte one row
+        monkeypatch.setattr(data_mod, "BLOCK_BUDGET", budget)
+        self.test_contains_matches_brute_force()
+
+    def test_contains_peak_follows_the_budget(self, monkeypatch):
+        budget = 1 << 16
+        monkeypatch.setattr(data_mod, "BLOCK_BUDGET", budget)
+        rng = np.random.default_rng(10)
+        n_users, width = 64, 4096  # one block of every queried row: 4x the budget
+        users = np.repeat(np.arange(n_users), 50)
+        index = UserIndex.build(users, rng.integers(0, width, size=users.size), n_users)
+        q_users = rng.permutation(n_users)[:, None]
+        q_values = rng.integers(0, width, size=(n_users, 16))
+        q_values[:, 0] = index.indices[index.indptr[q_users[:, 0]]]  # some hits
+        want = naive_contains(index, q_users, q_values, width)
+        tracemalloc.start()
+        try:
+            got = index.contains(q_users, q_values, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want) and want[:, 0].all()
+        # one block of marks, and less than that again for gather's arrays
+        # over the 800 entries of a block's rows and the 1024 queries' positions
+        assert peak < 2 * budget
 
     def test_contains_on_empty_index(self):
         index = UserIndex.build(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3)

@@ -17,11 +17,13 @@ from directau import (
     split,
     uniform_loss,
 )
+from directau import losses
 from directau.errors import InsufficientBatch, NoNegativeAvailable
 from helpers import (
     finite_difference_gradients,
     naive_cosine_bpr,
     naive_direct_au_loss,
+    naive_sample_negatives,
     naive_uniform_loss,
     per_user_negatives,
     relative_gradient_error,
@@ -448,3 +450,90 @@ class TestSampleNegatives:
         ds = self.make_split([0, 0], [0, 1], 1, 3)
         with pytest.raises(ValueError):
             sample_negatives(ds, np.array([0]), "hard", rng=np.random.default_rng(0))
+
+
+def sampler_split(rng, n_users, n_items, free):
+    """Users holding all but `free` random items each (at least one), and
+    the training-only split of them."""
+    dense = np.ones((n_users, n_items), dtype=bool)
+    for u in range(n_users):
+        dense[u, rng.choice(n_items, size=free, replace=False)] = False
+    users, items = np.nonzero(dense)
+    data = InteractionSet.from_pairs(users, items, n_users, n_items)
+    return split(data, ratios=(1.0, 0.0, 0.0), seed=0)
+
+
+def random_table(rng, n_users, n_items, d=5):
+    return EmbeddingTable.from_parts(
+        rng.standard_normal((n_users, d)), rng.standard_normal((n_items, d))
+    )
+
+
+class TestSamplerMatchesNaiveOracle:
+    """Same draws and the same generator state afterwards as the sampler
+    that tests every slot with a rebuilt binary search and scores the whole
+    pool in one einsum."""
+
+    @staticmethod
+    def assert_same(ds, users, strategy, table, candidates, seed):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_negatives(ds, users, strategy, table, candidates, rng_got)
+        want = naive_sample_negatives(ds, users, strategy, table, candidates, rng_want)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.fixture(params=[None, 1, 3 * 7 * 5 * 8], ids=["one-block", "per-user", "3-users"])
+    def pool_block(self, request, monkeypatch):
+        # bytes of gathered candidate rows per einsum: the default holds
+        # every test batch; 1 scores one user at a time; the last, three
+        # users at candidates=7, d=5, with a short last block
+        if request.param is not None:
+            monkeypatch.setattr(losses, "_POOL_BLOCK", request.param)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "dynamic"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_batches(self, pool_block, strategy, seed):
+        rng = np.random.default_rng(100 + seed)
+        n_users, n_items = 12, 30
+        ds = sampler_split(rng, n_users, n_items, free=int(rng.integers(1, n_items)))
+        users = rng.integers(0, n_users, size=int(rng.integers(1, 40)))
+        self.assert_same(ds, users, strategy, random_table(rng, n_users, n_items), 7, seed)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "dynamic"])
+    def test_near_full_rows(self, pool_block, strategy):
+        # one or two free items out of 40: dozens of redraw rounds
+        rng = np.random.default_rng(3)
+        ds = sampler_split(rng, 6, 40, free=1)
+        users = rng.integers(0, 6, size=25)
+        self.assert_same(ds, users, strategy, random_table(rng, 6, 40), 7, 3)
+        ds = sampler_split(rng, 6, 40, free=2)
+        self.assert_same(ds, users, strategy, random_table(rng, 6, 40), 7, 4)
+
+    def test_one_candidate(self, pool_block):
+        rng = np.random.default_rng(5)
+        ds = sampler_split(rng, 8, 20, free=6)
+        users = rng.integers(0, 8, size=30)
+        self.assert_same(ds, users, "dynamic", random_table(rng, 8, 20), 1, 5)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "dynamic"])
+    def test_one_user(self, pool_block, strategy):
+        rng = np.random.default_rng(6)
+        ds = sampler_split(rng, 4, 20, free=3)
+        self.assert_same(ds, np.array([2]), strategy, random_table(rng, 4, 20), 7, 6)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "dynamic"])
+    def test_repeated_users(self, pool_block, strategy):
+        rng = np.random.default_rng(7)
+        ds = sampler_split(rng, 5, 25, free=4)
+        users = np.array([3, 3, 3, 0, 3, 0, 0, 4, 3, 3])
+        self.assert_same(ds, users, strategy, random_table(rng, 5, 25), 7, 7)
+
+    def test_tied_scores(self, pool_block):
+        # every item row is equal, so every candidate of a pool ties
+        rng = np.random.default_rng(8)
+        ds = sampler_split(rng, 6, 20, free=5)
+        table = EmbeddingTable.from_parts(
+            rng.standard_normal((6, 5)), np.tile(rng.standard_normal(5), (20, 1))
+        )
+        users = rng.integers(0, 6, size=30)
+        self.assert_same(ds, users, "dynamic", table, 7, 8)

@@ -186,3 +186,34 @@ class TestAdamStepMatchesGatherOracle:
         adam_step(state, params, rows, grads)
         assert all(a is b for a, b in zip(state.scratch(), scratch))
         assert np.array_equal(grads, kept)
+
+    @pytest.mark.parametrize("rows", [[-1, 8], [-9, 0], [0, 9], [3, 12, 1]])
+    def test_rows_outside_the_array_write_nothing(self, rows):
+        # [-1, 8] is strictly ascending, but -1 names row 8 again
+        rng, state, params = warmed(0.05)
+        before_state, before = clone(state, params)
+        grads = rng.standard_normal((len(rows), params.shape[1]))
+        with pytest.raises(ValueError, match="rows must lie in"):
+            adam_step(state, params, np.array(rows), grads)
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    def test_gathered_steps_in_growing_row_scratch(self, wd):
+        # row counts that grow, shrink and grow past the held scratch
+        rng, state, params = warmed(wd, n=40)
+        want_state, want = clone(state, params)
+        held = []
+        for size in (3, 2, 4, 7, 5, 16, 31, 9, 39, 12):
+            rows = rng.choice(len(params), size=size, replace=False)
+            grads = rng.standard_normal((size, params.shape[1]))
+            adam_step(state, params, rows, grads)
+            gather_adam_step(want_state, want, rows, grads)
+            held.append(state.row_scratch(1).base)
+        assert np.array_equal(params, want)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(want_state, name))
+        # grown to 3, 6, 12, 24 and 48 rows at sizes 3, 4, 7, 16 and 31
+        assert held[-1].shape[:2] == (5, 48) and held[-1] is held[-4]
+        assert len({id(b) for b in held}) == 5

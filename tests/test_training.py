@@ -204,7 +204,7 @@ class TestTrain:
     def test_lgcn_gradient_chain_matches_finite_differences(self):
         # end-to-end oracle for the trickiest composite: loss gradients,
         # scatter over batch rows, then the propagation transpose
-        from directau import GraphPropagator, InteractionSet, PositiveBatch
+        from directau import AdamState, GraphPropagator, InteractionSet, PositiveBatch
         from directau.data import DatasetSplit
         from directau.training import _batch_loss_and_grads
         from helpers import finite_difference_gradients, relative_gradient_error
@@ -234,8 +234,9 @@ class TestTrain:
             ).value
 
         prop = GraphPropagator.build(table, inter, n_layers=2)
+        state = AdamState.for_params(table.emb, cfg.lr)
         _, rows, grads = _batch_loss_and_grads(
-            batch, table, prop, ds, cfg, np.random.default_rng(0)
+            batch, table, prop, state, ds, cfg, np.random.default_rng(0)
         )
         (fd,) = finite_difference_gradients(loss_of, [table.emb])
         assert np.array_equal(rows, np.arange(6))
@@ -255,7 +256,10 @@ class TestTrain:
         grads[ids == 39] = -0.0  # a row summing -0.0 only
         want = np.zeros((rows.size, 16))
         np.add.at(want, inv, grads)
-        got = _sum_rows(inv, grads, rows.size)
+        # NaN-filled sums and index: every entry must be written
+        out = np.full((rows.size, 16), np.nan)
+        got = _sum_rows(inv, grads, out, np.full(grads.shape, -1, dtype=np.int64))
+        assert got is out
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -330,6 +334,36 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < bound * table.emb.nbytes
+
+    def test_mf_bpr_ds_step_gathers_no_whole_pool(self):
+        # after a warm-up epoch the optimizer state's scratch holds the rows
+        # of Adam and of the row sum, and the sampler scores its pool in
+        # blocks: a step's peak stays under two pool blocks, where the rows
+        # of the whole pool would take four
+        from directau import AdamState, InteractionSet
+        from directau.losses import _POOL_BLOCK
+        from directau.training import _train_batch, _training_batches
+
+        rng = np.random.default_rng(0)
+        n_users, n_items = 600, 400
+        pairs = rng.choice(n_users * n_items, size=6000, replace=False)
+        ds = split(InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items),
+                   seed=0)
+        cfg = small_cfg(objective="bpr_ds", gamma=None, d=32, batch_size=64, ds_candidates=128)
+        assert cfg.batch_size * cfg.ds_candidates * cfg.d * 8 == 4 * _POOL_BLOCK
+        table = init_xavier(ds.train.n_users, ds.train.n_items, cfg.d, cfg.seed)
+        state = AdamState.for_params(table.emb, cfg.lr)
+        neg_rng = np.random.default_rng(1)
+        for batch in _training_batches(ds, cfg, epoch=1):
+            _train_batch(batch, table, None, state, ds, cfg, neg_rng)
+        batch = _training_batches(ds, cfg, epoch=2)[0]
+        tracemalloc.start()
+        try:
+            _train_batch(batch, table, None, state, ds, cfg, neg_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _POOL_BLOCK
 
     def test_lgcn_smoke_and_determinism(self, two_cluster):
         ds = split(two_cluster, seed=6)
