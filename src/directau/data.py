@@ -117,14 +117,26 @@ class UserIndex(NamedTuple):
         np.cumsum(np.bincount(users, minlength=n_users), out=indptr[1:])
         return cls(indptr, values[np.lexsort((values, users))])
 
-    def gather(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(position in `users`, value) for every entry of the given users' rows."""
+    @property
+    def nnz(self) -> int:
+        """Number of entries over all rows."""
+        return self.indices.size
+
+    def entries(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The given users' rows stacked in order: their indptr, and each
+        entry's row (position in `users`) and position in `indices`."""
         starts = self.indptr[users]
         counts = self.indptr[users + 1] - starts
+        indptr = np.zeros(users.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
         rows = np.repeat(np.arange(users.size), counts)
-        # entry j of row r is indices[starts[r] + j] and lands at offsets[r] + j
-        offsets = np.cumsum(counts) - counts
-        return rows, self.indices[np.arange(rows.size) + (starts - offsets)[rows]]
+        # entry j of row r is indices[starts[r] + j] and lands at indptr[r] + j
+        return indptr, rows, np.arange(rows.size) + (starts - indptr[:-1])[rows]
+
+    def gather(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in `users`, value) for every entry of the given users' rows."""
+        _, rows, at = self.entries(users)
+        return rows, self.indices[at]
 
     def contains(self, users: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
         """Whether each value is in its user's row, broadcasting `users`

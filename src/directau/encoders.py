@@ -1,23 +1,24 @@
 """ID-to-representation encoders: embedding table and linear graph propagation.
 
 Ranking scores use raw dot products, so normalization is NOT applied here;
-it lives in the loss/metric path (normalize_rows).
+it lives in the loss/metric path (normalize_rows). The graph is a UserIndex
+over users and items plus entry weights derived from its row lengths; of
+scipy, only the compiled kernel extension of its sparse products is loaded.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass, field
+from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import InteractionSet, open_atomic
+from .data import InteractionSet, UserIndex, open_atomic
 from .errors import DataError, DegenerateEmbedding
 from .rng import substream
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 @dataclass
@@ -64,23 +65,41 @@ def init_xavier(n_users: int, n_items: int, d: int, seed: int) -> EmbeddingTable
     return EmbeddingTable.from_parts(user, item)
 
 
-def _spmm_into(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`matrix @ x` for a CSR or CSC matrix and a C-contiguous float64 `x`,
-    written into the C-contiguous float64 `out` and returned.
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, loaded from the file of
+    `scipy.sparse._sparsetools` without importing `scipy.sparse`, which takes
+    longer than a short graph training run. The module is named after the
+    extension's init function, so its name must end in `_sparsetools`."""
+    scipy = importlib.util.find_spec("scipy")
+    folders = (scipy and scipy.submodule_search_locations) or []
+    paths = [Path(f, "sparse", "_sparsetools" + ext) for f in folders for ext in EXTENSION_SUFFIXES]
+    for path in filter(Path.is_file, paths):
+        spec = importlib.util.spec_from_file_location("directau._sparsetools", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    raise ImportError("the graph encoder needs scipy: scipy/sparse/_sparsetools not found")
 
-    scipy has no `out=` for sparse @ dense. This calls the kernel that
-    `matrix @ x` reaches through `_matmul_multivector`, from scipy's private
-    `scipy.sparse._sparsetools` module, on a zeroed `out`, so every sum runs
-    in scipy's order and the result equals `matrix @ x` bit for bit.
+
+def _spmm_into(fmt: str, shape: tuple, arrays: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`A @ x` for the sparse matrix A of the given shape, stored as the
+    (indptr, indices, data) `arrays` of its `fmt` ("csr" or "csc") form,
+    and a C-contiguous float64 `x`, written into the C-contiguous float64
+    `out` and returned.
+
+    This calls the kernel that scipy's `A @ x` reaches through
+    `_matmul_multivector` on a zeroed `out`, so every sum runs in scipy's
+    order and the result equals `A @ x` bit for bit.
     """
-    from scipy.sparse import _sparsetools
-
-    (n_out, n_in), d = matrix.shape, x.shape[1]
-    if x.shape[0] != n_in or out.shape != (n_out, d) or not out.flags.c_contiguous:
-        raise ValueError(f"spmm shapes: {matrix.shape} @ {x.shape} into {out.shape}")
+    (n_out, n_in), d = shape, x.shape[1]
+    n_major = n_out if fmt == "csr" else n_in
+    if (arrays[0].size != n_major + 1 or x.shape[0] != n_in or out.shape != (n_out, d)
+            or not out.flags.c_contiguous):
+        raise ValueError(f"spmm shapes: {shape} @ {x.shape} into {out.shape}")
     out.fill(0.0)
-    kernel = getattr(_sparsetools, matrix.format + "_matvecs")
-    kernel(n_out, n_in, d, matrix.indptr, matrix.indices, matrix.data, x.ravel(), out.ravel())
+    kernel = getattr(_sparsetools(), fmt + "_matvecs")
+    kernel(n_out, n_in, d, *arrays, x.ravel(), out.ravel())
     return out
 
 
@@ -88,11 +107,12 @@ def _spmm_into(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 class GraphPropagator:
     """Linear propagation over the symmetrically normalized bipartite graph.
 
-    adjacency is (|U|+|I|) square, rows/cols users first; the entry for a
-    training edge (u, i) is 1/sqrt(p(u) * p(i)) with p(.) the training
-    degree. No self-loops and no feature transforms; layer outputs are
-    combined by their mean. scipy is imported by `build`, so commands that
-    never build a graph do not load it.
+    The adjacency is (|U|+|I|) square, rows/cols users first, in CSR form:
+    the index `adjacency` (row r lists r's neighbours, ascending) and the
+    entry `weights` in its order. The entry for a training edge (u, i) is
+    1/sqrt(p(u) * p(i)) with p(.) the training degree, the node's row
+    length. No self-loops and no feature transforms; layer outputs are
+    combined by their mean. Products run in scipy's compiled kernel alone.
 
     The propagator owns three (|U|+|I|) x d work buffers for its full-graph
     layers and the backward sum, allocated on first use and again only
@@ -101,15 +121,14 @@ class GraphPropagator:
 
     base: EmbeddingTable
     n_layers: int
-    adjacency: sp.csr_matrix
+    adjacency: UserIndex
+    weights: np.ndarray
     _work: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def build(
         cls, base: EmbeddingTable, interactions: InteractionSet, n_layers: int
     ) -> "GraphPropagator":
-        import scipy.sparse as sp
-
         if n_layers < 0:
             raise ValueError(f"n_layers must be >= 0, got {n_layers}")
         if interactions.n_users != base.n_users or interactions.n_items != base.n_items:
@@ -117,29 +136,33 @@ class GraphPropagator:
         n = interactions.n_users + interactions.n_items
         u = interactions.users
         i = interactions.items + interactions.n_users
-        w = 1.0 / np.sqrt(
-            interactions.user_pop[interactions.users]
-            * interactions.item_pop[interactions.items]
-        )
-        rows = np.concatenate([u, i])
-        cols = np.concatenate([i, u])
-        vals = np.concatenate([w, w])
-        adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls(base=base, n_layers=n_layers, adjacency=adj)
+        adjacency = UserIndex.build(np.concatenate([u, i]), np.concatenate([i, u]), n)
+        degree = np.diff(adjacency.indptr)
+        row = np.repeat(np.arange(n), degree)
+        weights = 1.0 / np.sqrt(degree[row] * degree[adjacency.indices])
+        return cls(base=base, n_layers=n_layers, adjacency=adjacency, weights=weights)
+
+    def _csr(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
+        """CSR arrays of the adjacency's `rows`, an index array, in order;
+        of the whole adjacency by default."""
+        if isinstance(rows, slice):
+            return (*self.adjacency, self.weights)
+        indptr, _, at = self.adjacency.entries(rows)
+        return indptr, self.adjacency.indices[at], self.weights[at]
 
     def _buffers(self, d: int) -> tuple[np.ndarray, ...]:
         """(sum, layer, layer): the backward sum and two layer outputs
         that the layers alternate between."""
         if not self._work or self._work[0].shape[1] != d:
-            n = self.adjacency.shape[0]
+            n = self.adjacency.indptr.size - 1
             self._work = tuple(np.empty((n, d)) for _ in range(3))
         return self._work
 
     def propagate(self, rows=slice(None)) -> np.ndarray:
-        """Layer mean of the propagated representations at `rows` (every
-        user and item by default), in the stacked row order, as a fresh
-        array. `rows` selects at most |U|+|I| rows, since the last layer
-        is computed in a work buffer.
+        """Layer mean of the propagated representations at `rows`, an index
+        array (every user and item by default), in the stacked row order,
+        as a fresh array. `rows` selects at most |U|+|I| rows, since the
+        last layer is computed in a work buffer.
 
         Layers before the last run on the whole graph; the last one is
         computed only at `rows`. Slicing CSR rows keeps each row's
@@ -147,16 +170,17 @@ class GraphPropagator:
         bit.
         """
         x = self.base.emb
+        n = x.shape[0]
         _, *layers = self._buffers(x.shape[1])
         acc = x[rows].copy()
         cur = x
         for layer in range(self.n_layers - 1):
-            cur = _spmm_into(self.adjacency, cur, layers[layer % 2])
+            cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
             acc += cur[rows]
         if self.n_layers > 0:
-            last = self.adjacency[rows]
-            out = layers[(self.n_layers - 1) % 2][: last.shape[0]]
-            acc += _spmm_into(last, cur, out)
+            k = acc.shape[0]
+            out = layers[(self.n_layers - 1) % 2][:k]
+            acc += _spmm_into("csr", (k, n), self._csr(rows), cur, out)
         acc /= self.n_layers + 1
         return acc
 
@@ -167,20 +191,22 @@ class GraphPropagator:
 
         The adjacency is symmetric, so the transpose pass is the same
         layer mean; its first layer reads only the given rows, as
-        `adjacency[rows].T @ grad_rows`, which adds the same nonzero terms
-        in the same order as the full product with the zero-padded gradient.
+        `adjacency[rows].T @ grad_rows` (the slice's CSR arrays read as
+        CSC), which adds the same nonzero terms in the same order as the
+        full product with the zero-padded gradient.
 
         The result is the propagator's own sum buffer: it is valid until
         the next `backward` call, which overwrites it.
         """
         acc, *layers = self._buffers(grad_rows.shape[1])
+        n = acc.shape[0]
         acc.fill(0.0)
         acc[rows] = grad_rows
         if self.n_layers > 0:
-            cur = _spmm_into(self.adjacency[rows].T, grad_rows, layers[0])
+            cur = _spmm_into("csc", (n, rows.size), self._csr(rows), grad_rows, layers[0])
             acc += cur
             for layer in range(1, self.n_layers):
-                cur = _spmm_into(self.adjacency, cur, layers[layer % 2])
+                cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
                 acc += cur
         acc /= self.n_layers + 1
         return acc

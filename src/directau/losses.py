@@ -169,8 +169,8 @@ def bpr_loss(
     """Pairwise ranking loss: mean of -log sigmoid(s(u,i) - s(u,i-)).
 
     score 'dot' uses raw dot products (the training setting); 'cosine'
-    (used by the theoretical harness) is 'dot' on the three inputs'
-    unit rows, each gradient pulled back to the raw rows.
+    is 'dot' on the three inputs' unit rows, each gradient pulled back to
+    the raw rows.
     """
     u_reps = np.atleast_2d(u_reps)
     i_pos_reps = np.atleast_2d(i_pos_reps)

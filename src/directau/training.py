@@ -298,7 +298,7 @@ def _batch_loss_and_grads(
         negs = sample_negatives(
             split, bu, strategy, table=out, candidates=cfg.ds_candidates, rng=neg_rng
         )
-        lo = bpr_loss(out.user_emb[bu], out.item_emb[bi], out.item_emb[negs], score="dot")
+        lo = bpr_loss(out.user_emb[bu], out.item_emb[bi], out.item_emb[negs])
         ids = np.concatenate([bu, n_users + bi, n_users + negs])
         rows, inv = np.unique(ids, return_inverse=True)
         grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])

@@ -4,6 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from directau import (
     EmbeddingTable,
@@ -37,6 +38,29 @@ def write_embeddings_per_float(table, path):
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def scipy_adjacency(interactions):
+    """Reference normalized adjacency: scipy's CSR matrix built from COO
+    triples, (|U|+|I|) square, users first, with entries (u, i) and (i, u)
+    1/sqrt(p(u) * p(i)) for every training pair."""
+    n = interactions.n_users + interactions.n_items
+    u = interactions.users
+    i = interactions.items + interactions.n_users
+    w = 1.0 / np.sqrt(
+        interactions.user_pop[interactions.users] * interactions.item_pop[interactions.items]
+    )
+    rows = np.concatenate([u, i])
+    cols = np.concatenate([i, u])
+    return sp.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+
+
+def as_scipy(prop):
+    """A GraphPropagator's adjacency as a scipy CSR matrix over its arrays."""
+    n = prop.adjacency.indptr.size - 1
+    return sp.csr_matrix(
+        (prop.weights, prop.adjacency.indices, prop.adjacency.indptr), shape=(n, n)
+    )
+
+
 def layer_mean(adjacency, x, n_layers):
     """Reference graph propagation: the mean of x, A x, ..., A^L x, every
     layer a full-graph product."""
@@ -48,29 +72,32 @@ def layer_mean(adjacency, x, n_layers):
 
 
 def naive_propagate(prop, rows=slice(None)):
-    """Reference GraphPropagator.propagate: every layer a fresh array, the
-    layers before the last full, the last at `rows` only."""
+    """Reference GraphPropagator.propagate: scipy products, every layer a
+    fresh array, the layers before the last full, the last at `rows` only."""
+    adjacency = as_scipy(prop)
     x = prop.base.emb
     acc = x[rows].copy()
     cur = x
     for _ in range(prop.n_layers - 1):
-        cur = prop.adjacency @ cur
+        cur = adjacency @ cur
         acc += cur[rows]
     if prop.n_layers > 0:
-        acc += prop.adjacency[rows] @ cur
+        acc += adjacency[rows] @ cur
     return acc / (prop.n_layers + 1)
 
 
 def naive_backward(prop, rows, grad_rows):
-    """Reference GraphPropagator.backward: a fresh zeroed sum, the first
-    layer from the row slice's transpose, every layer a fresh array."""
-    acc = np.zeros((prop.adjacency.shape[0], grad_rows.shape[1]))
+    """Reference GraphPropagator.backward: scipy products, a fresh zeroed
+    sum, the first layer from the row slice's transpose, every layer a
+    fresh array."""
+    adjacency = as_scipy(prop)
+    acc = np.zeros((adjacency.shape[0], grad_rows.shape[1]))
     acc[rows] = grad_rows
     if prop.n_layers > 0:
-        cur = prop.adjacency[rows].T @ grad_rows
+        cur = adjacency[rows].T @ grad_rows
         acc += cur
         for _ in range(prop.n_layers - 1):
-            cur = prop.adjacency @ cur
+            cur = adjacency @ cur
             acc += cur
     return acc / (prop.n_layers + 1)
 
@@ -282,7 +309,7 @@ def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_r
         negs = sample_negatives(
             split, bu, strategy, table=scoring, candidates=cfg.ds_candidates, rng=neg_rng
         )
-        lo = bpr_loss(u_reps, i_reps, out_item[negs], score="dot")
+        lo = bpr_loss(u_reps, i_reps, out_item[negs])
 
     item_ids = bi if negs is None else np.concatenate([bi, negs])
     item_grads = lo.grad_item if negs is None else np.vstack([lo.grad_item, lo.grad_neg])

@@ -1,5 +1,8 @@
 """Embedding table, graph propagation, row normalization, dump format."""
 
+import importlib.machinery
+import importlib.util
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,9 +16,17 @@ from directau import (
     read_embeddings,
     write_embeddings,
 )
+from directau.data import UserIndex
 from directau.errors import DataError, DegenerateEmbedding
-from directau.encoders import _spmm_into
-from helpers import layer_mean, naive_backward, naive_propagate, write_embeddings_per_float
+from directau.encoders import _sparsetools, _spmm_into
+from helpers import (
+    as_scipy,
+    layer_mean,
+    naive_backward,
+    naive_propagate,
+    scipy_adjacency,
+    write_embeddings_per_float,
+)
 
 
 class TestXavierInit:
@@ -73,8 +84,11 @@ class TestEmbeddingTable:
 class TestGraphPropagator:
     def test_empty_graph_layer_mean(self):
         t = init_xavier(3, 2, 4, seed=2)
-        empty = sp.csr_matrix((5, 5))
-        g = GraphPropagator(base=t, n_layers=2, adjacency=empty)
+        none = np.empty(0, dtype=np.int64)
+        g = GraphPropagator(
+            base=t, n_layers=2, adjacency=UserIndex.build(none, none, 5), weights=np.empty(0)
+        )
+        assert np.array_equal(g.propagate(), layer_mean(sp.csr_matrix((5, 5)), t.emb, 2))
         out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.allclose(out.user_emb, t.user_emb / 3.0)
         assert np.allclose(out.item_emb, t.item_emb / 3.0)
@@ -92,7 +106,8 @@ class TestGraphPropagator:
         inter = InteractionSet.from_pairs([0, 0, 1], [0, 1, 0], 2, 2)
         t = init_xavier(2, 2, 3, seed=0)
         g = GraphPropagator.build(t, inter, n_layers=1)
-        a = g.adjacency.toarray()
+        assert_graph_equals(g, scipy_adjacency(inter))
+        a = as_scipy(g).toarray()
         assert a[0, 2] == pytest.approx(1 / np.sqrt(2 * 2))  # (u0, i0)
         assert a[0, 3] == pytest.approx(1 / np.sqrt(2 * 1))  # (u0, i1)
         assert a[1, 2] == pytest.approx(1 / np.sqrt(1 * 2))  # (u1, i0)
@@ -135,19 +150,43 @@ class TestGraphPropagator:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @staticmethod
+    def random_interactions(rng, n_users=40, n_items=30, n_pairs=200):
+        pairs = rng.choice(n_users * n_items, size=n_pairs, replace=False)
+        return InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items)
+
+    @staticmethod
     def random_graph(n_layers, seed=0, n_users=40, n_items=30, d=5):
         rng = np.random.default_rng(seed)
-        pairs = rng.choice(n_users * n_items, size=200, replace=False)
-        inter = InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items)
+        inter = TestGraphPropagator.random_interactions(rng, n_users, n_items)
         t = init_xavier(n_users, n_items, d, seed=seed)
         return rng, GraphPropagator.build(t, inter, n_layers)
+
+    @pytest.mark.parametrize(
+        "case", ["single_edge", "every_degree_one", "star_and_isolated_user", "complete", 0, 1, 2, 3]
+    )
+    def test_graph_equals_the_scipy_oracle(self, case):
+        rng = np.random.default_rng(9)
+        if case == "single_edge":
+            inter = InteractionSet.from_pairs([0], [0], 1, 1)
+        elif case == "every_degree_one":
+            inter = InteractionSet.from_pairs(rng.permutation(9), rng.permutation(9), 9, 9)
+        elif case == "star_and_isolated_user":
+            # user 0 meets every item (each of degree 1), user 1 none
+            inter = InteractionSet.from_pairs(np.zeros(6, dtype=np.int64), np.arange(6), 2, 6)
+        elif case == "complete":
+            inter = self.random_interactions(rng, 7, 5, n_pairs=35)
+        else:  # a random graph of random density, seeded by the case
+            rng = np.random.default_rng(case)
+            inter = self.random_interactions(rng, 60, 45, n_pairs=int(rng.integers(1, 900)))
+        g = GraphPropagator.build(init_xavier(inter.n_users, inter.n_items, 2, 0), inter, 1)
+        assert_graph_equals(g, scipy_adjacency(inter))
 
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     def test_propagate_at_rows_equals_the_full_pass_rows(self, n_layers):
         rng, g = self.random_graph(n_layers)
-        n = g.adjacency.shape[0]
+        n = g.base.emb.shape[0]
         full = g.propagate()
-        dense = g.adjacency.toarray()
+        dense = as_scipy(g).toarray()
         power, want = np.eye(n), np.zeros_like(full)
         for _ in range(n_layers + 1):
             want += power @ g.base.emb
@@ -160,17 +199,24 @@ class TestGraphPropagator:
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     def test_backward_from_rows_equals_the_padded_full_layer_mean(self, n_layers):
         rng, g = self.random_graph(n_layers, seed=1)
-        n = g.adjacency.shape[0]
+        n = g.base.emb.shape[0]
         for rows in (np.unique(rng.integers(0, n, size=15)), np.arange(n), np.array([0])):
             grad_rows = rng.standard_normal((rows.size, g.base.d))
             grad_rows[0, 0] = -0.0
             padded = np.zeros((n, g.base.d))
             padded[rows] = grad_rows
             got = g.backward(rows, grad_rows)
-            want = layer_mean(g.adjacency, padded, n_layers)
+            want = layer_mean(as_scipy(g), padded, n_layers)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+
+def assert_graph_equals(g, want):
+    """The propagator's CSR arrays equal scipy's canonical ones."""
+    assert np.array_equal(g.adjacency.indptr, want.indptr)
+    assert np.array_equal(g.adjacency.indices, want.indices)
+    assert np.array_equal(g.weights, want.data)
+    assert g.adjacency.nnz == want.nnz
 
 
 def assert_same_bits(got, want):
@@ -193,7 +239,7 @@ class TestBufferedGraphStepMatchesNaiveOracle:
     def test_consecutive_calls_on_one_propagator(self, n_layers):
         # each call sees the buffers the previous call left behind
         rng, g = self.random_graph(n_layers, seed=2)
-        n = g.adjacency.shape[0]
+        n = g.base.emb.shape[0]
         assert_same_bits(g.propagate(), naive_propagate(g))
         for rows in self.row_sets(rng, n):
             assert_same_bits(g.propagate(rows), naive_propagate(g, rows))
@@ -229,35 +275,77 @@ class TestBufferedGraphStepMatchesNaiveOracle:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_another_dimension_reallocates_the_buffers(self, n_layers):
         rng, g = self.random_graph(n_layers, seed=5, d=5)
-        rows = np.unique(rng.integers(0, g.adjacency.shape[0], size=12))
+        n = g.base.emb.shape[0]
+        rows = np.unique(rng.integers(0, n, size=12))
         for d in (5, 3, 8, 5):
-            g.base = EmbeddingTable(rng.standard_normal((g.adjacency.shape[0], d)), g.base.n_users)
+            g.base = EmbeddingTable(rng.standard_normal((n, d)), g.base.n_users)
             assert_same_bits(g.propagate(), naive_propagate(g))
             assert_same_bits(g.propagate(rows), naive_propagate(g, rows))
             grad_rows = rng.standard_normal((rows.size, d))
             assert_same_bits(g.backward(rows, grad_rows), naive_backward(g, rows, grad_rows))
-            assert all(buf.shape == (g.adjacency.shape[0], d) for buf in g._work)
+            assert all(buf.shape == (n, d) for buf in g._work)
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_spmm_into_matches_the_sparse_product(self, d):
-        rng, g = self.random_graph(2, seed=6)
-        n = g.adjacency.shape[0]
-        rows = np.unique(rng.integers(0, n, size=20))
-        csc = g.adjacency[rows].T
-        assert csc.format == "csc"
-        for matrix in (g.adjacency, g.adjacency[rows], csc):
-            x = rng.standard_normal((matrix.shape[1], d))
-            x[rng.random(x.shape) < 0.2] = -0.0
-            out = np.full((matrix.shape[0], d), np.nan)  # stale values must not leak
-            got = _spmm_into(matrix, x, out)
-            assert got is out
-            assert_same_bits(got, matrix @ x)
+        # the whole adjacency, a row slice, and the slice's transpose (its
+        # CSR arrays read as CSC) against scipy's products on the oracle
+        rng = np.random.default_rng(6)
+        inter = TestGraphPropagator.random_interactions(rng)
+        g = GraphPropagator.build(init_xavier(inter.n_users, inter.n_items, d, 6), inter, 2)
+        a = scipy_adjacency(inter)
+        n = a.shape[0]
+        for rows in (np.unique(rng.integers(0, n, size=20)), rng.permutation(n)[:9], np.array([4])):
+            k = rows.size
+            cases = (("csr", (n, n), g._csr(), a), ("csr", (k, n), g._csr(rows), a[rows]),
+                     ("csc", (n, k), g._csr(rows), a[rows].T))
+            for fmt, shape, arrays, matrix in cases:
+                x = rng.standard_normal((shape[1], d))
+                x[rng.random(x.shape) < 0.2] = -0.0
+                out = np.full((shape[0], d), np.nan)  # stale values must not leak
+                got = _spmm_into(fmt, shape, arrays, x, out)
+                assert got is out
+                assert_same_bits(got, matrix @ x)
 
     def test_spmm_into_rejects_a_wrong_output_shape(self):
         _, g = self.random_graph(1, seed=7)
-        x = np.ones((g.adjacency.shape[1], 3))
+        n = g.base.emb.shape[0]
         with pytest.raises(ValueError):
-            _spmm_into(g.adjacency, x, np.empty((g.adjacency.shape[0], 4)))
+            _spmm_into("csr", (n, n), g._csr(), np.ones((n, 3)), np.empty((n, 4)))
+
+    def test_spmm_into_rejects_a_shape_that_disagrees_with_indptr(self):
+        # the kernel would read past the pointer array
+        _, g = self.random_graph(1, seed=7)
+        n = g.base.emb.shape[0]
+        rows = np.array([0, 3, 5])
+        for fmt, shape, arrays in (("csr", (n + 1, n), g._csr()), ("csc", (n, 4), g._csr(rows))):
+            x, out = np.ones((shape[1], 2)), np.empty((shape[0], 2))
+            with pytest.raises(ValueError):
+                _spmm_into(fmt, shape, arrays, x, out)
+
+
+class TestSparseKernel:
+    """The graph products run in scipy's compiled kernel, loaded alone."""
+
+    def test_kernel_is_scipys_sparsetools_extension(self):
+        import scipy.sparse._sparsetools as scipy_kernel
+
+        assert _sparsetools().__file__ == scipy_kernel.__file__
+
+    @pytest.mark.parametrize("missing", ["scipy", "kernel_file"])
+    def test_missing_kernel_is_an_import_error_naming_scipy(self, monkeypatch, tmp_path, missing):
+        spec = None
+        if missing == "kernel_file":
+            spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]
+            (tmp_path / "sparse").mkdir()
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
+        _sparsetools.cache_clear()
+        try:
+            _, g = TestGraphPropagator.random_graph(1)
+            with pytest.raises(ImportError, match="scipy"):
+                g.propagate()
+        finally:
+            _sparsetools.cache_clear()
 
 
 class TestNormalizeRows:

@@ -280,7 +280,7 @@ class TestTrain:
         # bit for bit, separate user/item matrices with their own Adam states
         from directau import AdamState, GraphPropagator
         from directau.training import _train_batch, _training_batches
-        from helpers import two_matrix_step
+        from helpers import scipy_adjacency, two_matrix_step
 
         ds = split(two_cluster, seed=5)
         cfg = small_cfg(objective=objective, encoder=encoder, layers=layers, weight_decay=1e-3)
@@ -291,7 +291,7 @@ class TestTrain:
         user_state = AdamState.for_params(user, cfg.lr, cfg.weight_decay)
         item_state = AdamState.for_params(item, cfg.lr, cfg.weight_decay)
         rng_stacked, rng_oracle = np.random.default_rng(7), np.random.default_rng(7)
-        adjacency = None if prop is None else prop.adjacency
+        adjacency = None if prop is None else scipy_adjacency(ds.train)
         for batch in _training_batches(ds, cfg, epoch=1)[:3]:
             got = _train_batch(batch, table, prop, state, ds, cfg, rng_stacked)
             want = two_matrix_step(
