@@ -160,40 +160,24 @@ def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> Loss
     )
 
 
-def bpr_loss(
-    u_reps: np.ndarray,
-    i_pos_reps: np.ndarray,
-    i_neg_reps: np.ndarray,
-    score: str = "dot",
-) -> LossOutput:
-    """Pairwise ranking loss: mean of -log sigmoid(s(u,i) - s(u,i-)).
-
-    score 'dot' uses raw dot products (the training setting); 'cosine'
-    is 'dot' on the three inputs' unit rows, each gradient pulled back to
-    the raw rows.
-    """
+def bpr_loss(u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray) -> LossOutput:
+    """Pairwise ranking loss: mean of -log sigmoid(s(u,i) - s(u,i-)) with
+    raw dot-product scores s."""
     u_reps = np.atleast_2d(u_reps)
     i_pos_reps = np.atleast_2d(i_pos_reps)
     i_neg_reps = np.atleast_2d(i_neg_reps)
     if not (u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
         raise ValueError("user, positive, and negative batches must align")
-    if score == "cosine":
-        units = [_unit_rows(r) for r in (u_reps, i_pos_reps, i_neg_reps)]
-        out = bpr_loss(*(xn for xn, _ in units), score="dot")
-        grads = (out.grad_user, out.grad_item, out.grad_neg)
-        return LossOutput(out.value, *(_chain(g, *unit) for g, unit in zip(grads, units)))
-    if score == "dot":
-        n = u_reps.shape[0]
-        delta = np.sum(u_reps * (i_pos_reps - i_neg_reps), axis=1)
-        value = float(np.mean(softplus(-delta)))
-        c = (-_sigmoid(-delta) / n)[:, None]
-        return LossOutput(
-            value=value,
-            grad_user=c * (i_pos_reps - i_neg_reps),
-            grad_item=c * u_reps,
-            grad_neg=-c * u_reps,
-        )
-    raise ValueError(f"unknown score function {score!r}")
+    n = u_reps.shape[0]
+    delta = np.sum(u_reps * (i_pos_reps - i_neg_reps), axis=1)
+    value = float(np.mean(softplus(-delta)))
+    c = (-_sigmoid(-delta) / n)[:, None]
+    return LossOutput(
+        value=value,
+        grad_user=c * (i_pos_reps - i_neg_reps),
+        grad_item=c * u_reps,
+        grad_neg=-c * u_reps,
+    )
 
 
 def sample_negatives(

@@ -26,7 +26,7 @@ from directau.errors import (
     NothingToEvaluate,
 )
 from directau.evaluation import RankingMetrics
-from directau.losses import UNIFORMITY_SCALE, LossOutput, _chain, _sigmoid, softplus
+from directau.losses import UNIFORMITY_SCALE, LossOutput, _chain, softplus
 
 
 def write_embeddings_per_float(table, path):
@@ -156,29 +156,6 @@ def naive_direct_au_loss(u_reps, i_reps, gamma):
         value=a.value + gamma * (uu.value + ui.value) / 2.0,
         grad_user=a.grad_user + (gamma / 2.0) * uu.grad_user,
         grad_item=a.grad_item + (gamma / 2.0) * ui.grad_user,
-    )
-
-
-def naive_cosine_bpr(u_reps, i_pos_reps, i_neg_reps):
-    """Reference cosine BPR: its own copy of the pairwise formula on the
-    normalized inputs, each gradient pulled back to the raw rows."""
-    u_reps = np.atleast_2d(u_reps)
-    i_pos_reps = np.atleast_2d(i_pos_reps)
-    i_neg_reps = np.atleast_2d(i_neg_reps)
-    if not (u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
-        raise ValueError("user, positive, and negative batches must align")
-    n = u_reps.shape[0]
-    xn, xnorm = _unit_rows(u_reps)
-    pn, pnorm = _unit_rows(i_pos_reps)
-    qn, qnorm = _unit_rows(i_neg_reps)
-    delta = np.sum(xn * (pn - qn), axis=1)
-    value = float(np.mean(softplus(-delta)))
-    c = (-_sigmoid(-delta) / n)[:, None]
-    return LossOutput(
-        value=value,
-        grad_user=_chain(c * (pn - qn), xn, xnorm),
-        grad_item=_chain(c * xn, pn, pnorm),
-        grad_neg=_chain(-c * xn, qn, qnorm),
     )
 
 

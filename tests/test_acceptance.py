@@ -81,9 +81,9 @@ def test_criterion_1_gradient_oracle():
                 worst = max(worst, relative_gradient_error(out.grad_user, fu))
                 worst = max(worst, relative_gradient_error(out.grad_item, fi))
 
-                out = bpr_loss(u, i, neg, "dot")
+                out = bpr_loss(u, i, neg)
                 fu, fi, fn = finite_difference_gradients(
-                    lambda a, b, c: bpr_loss(a, b, c, "dot").value, [u, i, neg]
+                    lambda a, b, c: bpr_loss(a, b, c).value, [u, i, neg]
                 )
                 worst = max(worst, relative_gradient_error(out.grad_user, fu))
                 worst = max(worst, relative_gradient_error(out.grad_item, fi))
@@ -126,7 +126,7 @@ def test_criterion_3_analytic_fixed_points():
     uniform0 = uniform_loss(np.array([[1.0, 0.0], [3.0, 0.0]])).value
     antipodal = uniform_loss(np.array([[1.0, 0.0], [-1.0, 0.0]])).value
     u = np.array([[1.0, 0.0]])
-    ln2 = bpr_loss(u, u, u, "dot").value
+    ln2 = bpr_loss(u, u, u).value
     errors = {
         "align(identical)": abs(align0),
         "uniform(identical)": abs(uniform0),

@@ -21,7 +21,6 @@ from directau import losses
 from directau.errors import InsufficientBatch, NoNegativeAvailable
 from helpers import (
     finite_difference_gradients,
-    naive_cosine_bpr,
     naive_direct_au_loss,
     naive_sample_negatives,
     naive_uniform_loss,
@@ -67,14 +66,14 @@ class TestGradients:
         assert relative_gradient_error(out.grad_user, fu) < 1e-4
         assert relative_gradient_error(out.grad_item, fi) < 1e-4
 
-    @pytest.mark.parametrize("score", ["dot", "cosine"])
-    @pytest.mark.parametrize("n,d", SHAPES)
-    def test_bpr(self, n, d, score):
+    # each id names the score: bpr_loss scores by dot product
+    @pytest.mark.parametrize("n,d", SHAPES, ids=[f"{n}-{d}-dot" for n, d in SHAPES])
+    def test_bpr(self, n, d):
         rng = np.random.default_rng(n * 400 + d)
         u, i, j = batch(rng, n, d), batch(rng, n, d), batch(rng, n, d)
-        out = bpr_loss(u, i, j, score)
+        out = bpr_loss(u, i, j)
         fu, fi, fj = finite_difference_gradients(
-            lambda a, b, c: bpr_loss(a, b, c, score).value, [u, i, j]
+            lambda a, b, c: bpr_loss(a, b, c).value, [u, i, j]
         )
         assert relative_gradient_error(out.grad_user, fu) < 1e-4
         assert relative_gradient_error(out.grad_item, fi) < 1e-4
@@ -214,36 +213,6 @@ class TestMatchesNaiveOracle:
         assert want is not None
         assert raised(uniform_loss, x) is want
 
-    @staticmethod
-    def assert_cosine_bpr_matches(u, p, q):
-        got, want = bpr_loss(u, p, q, "cosine"), naive_cosine_bpr(u, p, q)
-        assert got.value == want.value
-        for name in ("grad_user", "grad_item", "grad_neg"):
-            assert same_bits(getattr(got, name), getattr(want, name))
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_cosine_bpr(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 70))
-        self.assert_cosine_bpr_matches(*(rng.standard_normal((n, d)) for _ in range(3)))
-
-    def test_cosine_bpr_one_row_and_signed_zeros(self):
-        u = np.array([[-0.0, 2.0, -0.0, 0.5]])
-        p = np.array([[1.0, -0.0, 0.0, -3.0]])
-        q = np.array([[-0.0, -0.0, 4.0, 0.0]])
-        self.assert_cosine_bpr_matches(u, p, q)
-        self.assert_cosine_bpr_matches(u[0], p[0], q[0])
-        self.assert_cosine_bpr_matches(u, u, u)
-        rows = np.vstack([u, -p, q, np.ones((1, 4))])
-        self.assert_cosine_bpr_matches(rows, rows[::-1], np.roll(rows, 1, axis=0))
-
-    @pytest.mark.parametrize("case", ["shape_mismatch", "zero_row"])
-    def test_cosine_bpr_raises_like_oracle(self, case):
-        u, i = BAD_BATCHES[case]
-        want = raised(naive_cosine_bpr, u, i, i)
-        assert want is not None
-        assert raised(bpr_loss, u, i, i, "cosine") is want
-
     def test_direct_au_allocates_one_square_buffer(self):
         # the oracle holds about six (n, n) float64 arrays per uniformity;
         # the kernel needs one, shared by both sides, plus (n, d) arrays
@@ -263,32 +232,27 @@ class TestMatchesNaiveOracle:
 class TestBPRValues:
     def test_equal_scores_ln2(self):
         u = np.array([[1.0, 0.0]])
-        assert bpr_loss(u, u, u, "dot").value == pytest.approx(np.log(2.0), abs=1e-12)
+        assert bpr_loss(u, u, u).value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation(self):
         u = np.array([[1.0, 0.0]])
         pos = np.array([[20.5, 0.0]])
         neg = np.array([[0.5, 0.0]])
-        assert bpr_loss(u, pos, neg, "dot").value < 1e-8
+        assert bpr_loss(u, pos, neg).value < 1e-8
 
     def test_scalar_margin_half(self):
         u = np.array([[1.0, 0.0]])
         pos = np.array([[1.0, 0.0]])
         neg = np.array([[0.5, 0.0]])
         expected = np.log1p(np.exp(-0.5))  # -ln sigmoid(0.5) = 0.474077...
-        assert bpr_loss(u, pos, neg, "dot").value == pytest.approx(expected, abs=1e-12)
+        assert bpr_loss(u, pos, neg).value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.474077, abs=1e-6)
 
     def test_always_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             u, i, j = (rng.standard_normal((4, 3)) for _ in range(3))
-            assert bpr_loss(u, i, j, "dot").value > 0.0
-
-    def test_unknown_score(self):
-        x = np.ones((1, 2))
-        with pytest.raises(ValueError):
-            bpr_loss(x, x, x, "euclidean")
+            assert bpr_loss(u, i, j).value > 0.0
 
 
 class TestInvariances:
