@@ -1,8 +1,9 @@
 """Command-line pipeline: preprocess, train, eval, probe.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric
-divergence. One command = one process; all randomness flows from the
-config's single seed through named substreams.
+Exit codes: 0 success, 2 usage/config error (a graph encoder without
+scipy among them), 3 data error, 4 numeric divergence. One command = one
+process; all randomness flows from the config's single seed through named
+substreams.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ImportError) as exc:
+        # ImportError: encoder = lgcn where scipy's sparse kernel is missing
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

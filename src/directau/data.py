@@ -16,7 +16,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor
+from math import floor, prod
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
@@ -28,6 +28,27 @@ from .rng import substream
 # bytes of one work block: user x item scores or a gram row block in
 # evaluation, the membership marks of UserIndex.contains
 BLOCK_BUDGET = 8 << 20
+
+
+class Workspace:
+    """Named work arrays that a run reuses from call to call. Distinct
+    names never share memory; a name's contents are what its last user
+    left there."""
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous `shape` view of the array held as `name`. That
+        array is replaced only when the request needs more elements or
+        another dtype, and then by one of at least twice the old size, so a
+        run touches fresh pages a few times, not at each new largest step."""
+        size = prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            held = 0 if flat is None else flat.size
+            flat = self._flat[name] = np.empty(max(size, 2 * held), dtype)
+        return flat[:size].reshape(shape)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import InteractionSet, UserIndex, open_atomic
+from .data import InteractionSet, UserIndex, Workspace, open_atomic
 from .errors import DataError, DegenerateEmbedding
 from .rng import substream
 
@@ -114,20 +114,24 @@ class GraphPropagator:
     length. No self-loops and no feature transforms; layer outputs are
     combined by their mean. Products run in scipy's compiled kernel alone.
 
-    The propagator owns three (|U|+|I|) x d work buffers for its full-graph
-    layers and the backward sum, allocated on first use and again only
-    when d changes, so a training step takes no fresh table-sized array.
+    Its full-graph layers and the backward sum run in three (|U|+|I|) x d
+    arrays of the workspace `work`, so a training step takes no fresh
+    table-sized array.
     """
 
     base: EmbeddingTable
     n_layers: int
     adjacency: UserIndex
     weights: np.ndarray
-    _work: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
+    work: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @classmethod
     def build(
-        cls, base: EmbeddingTable, interactions: InteractionSet, n_layers: int
+        cls,
+        base: EmbeddingTable,
+        interactions: InteractionSet,
+        n_layers: int,
+        work: Workspace | None = None,
     ) -> "GraphPropagator":
         if n_layers < 0:
             raise ValueError(f"n_layers must be >= 0, got {n_layers}")
@@ -140,7 +144,7 @@ class GraphPropagator:
         degree = np.diff(adjacency.indptr)
         row = np.repeat(np.arange(n), degree)
         weights = 1.0 / np.sqrt(degree[row] * degree[adjacency.indices])
-        return cls(base=base, n_layers=n_layers, adjacency=adjacency, weights=weights)
+        return cls(base, n_layers, adjacency, weights, work or Workspace())
 
     def _csr(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
         """CSR arrays of the adjacency's `rows`, an index array, in order;
@@ -149,14 +153,6 @@ class GraphPropagator:
             return (*self.adjacency, self.weights)
         indptr, _, at = self.adjacency.entries(rows)
         return indptr, self.adjacency.indices[at], self.weights[at]
-
-    def _buffers(self, d: int) -> tuple[np.ndarray, ...]:
-        """(sum, layer, layer): the backward sum and two layer outputs
-        that the layers alternate between."""
-        if not self._work or self._work[0].shape[1] != d:
-            n = self.adjacency.indptr.size - 1
-            self._work = tuple(np.empty((n, d)) for _ in range(3))
-        return self._work
 
     def propagate(self, rows=slice(None)) -> np.ndarray:
         """Layer mean of the propagated representations at `rows`, an index
@@ -171,7 +167,8 @@ class GraphPropagator:
         """
         x = self.base.emb
         n = x.shape[0]
-        _, *layers = self._buffers(x.shape[1])
+        # the backward sum, then two layer outputs that the layers alternate between
+        _, *layers = self.work.take("graph", (3, *x.shape))
         acc = x[rows].copy()
         cur = x
         for layer in range(self.n_layers - 1):
@@ -195,11 +192,11 @@ class GraphPropagator:
         CSC), which adds the same nonzero terms in the same order as the
         full product with the zero-padded gradient.
 
-        The result is the propagator's own sum buffer: it is valid until
-        the next `backward` call, which overwrites it.
+        The result is the sum array of the propagator's workspace: it is
+        valid until the next `backward` call, which overwrites it.
         """
-        acc, *layers = self._buffers(grad_rows.shape[1])
-        n = acc.shape[0]
+        n = self.base.emb.shape[0]
+        acc, *layers = self.work.take("graph", (3, n, grad_rows.shape[1]))
         acc.fill(0.0)
         acc[rows] = grad_rows
         if self.n_layers > 0:

@@ -103,7 +103,7 @@ def rank_eval(
 
 def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Item IDs and scores of each row's k best items, best first and equal
-    scores by ascending item ID; `work` is scratch space shaped like `scores`."""
+    scores by ascending item ID; `work` is a work array shaped like `scores`."""
     n_items = scores.shape[1]
     np.copyto(work, scores)
     work.partition(n_items - k, axis=1)
@@ -118,11 +118,24 @@ def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> tuple[np.ndarray, np
 
 
 def measure_alignment(table: EmbeddingTable, interactions: InteractionSet) -> float:
-    """Mean squared distance between normalized rows over all pairs in R."""
+    """Mean squared distance between normalized rows over all pairs in R.
+
+    The pairs' differences are taken in row blocks of at most
+    _SCORE_BUDGET bytes; each pair's squared distance is one row sum, so
+    the blocks do not change it, and the mean runs once over all of them.
+    """
     un = normalize_rows(table.user_emb)
     im = normalize_rows(table.item_emb)
-    diff = un[interactions.users] - im[interactions.items]
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    users, items = interactions.users, interactions.items
+    per_pair = np.empty(users.size)
+    n_rows = max(1, _SCORE_BUDGET // (8 * table.d))
+    for start in range(0, users.size, n_rows):
+        block = slice(start, start + n_rows)
+        diff = un[users[block]]
+        diff -= im[items[block]]
+        diff *= diff
+        np.sum(diff, axis=1, out=per_pair[block])
+    return float(np.mean(per_pair))
 
 
 def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> float:

@@ -88,7 +88,7 @@ def _align(xn: np.ndarray, xnorm: np.ndarray, yn: np.ndarray, ynorm: np.ndarray)
 
 def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[float, np.ndarray]:
     """Uniformity value of the unit rows `xn` and its gradient w.r.t. the
-    raw rows, computed in the (n, n) scratch `buf`, which is overwritten.
+    raw rows, computed in the (n, n) buffer `buf`, which is overwritten.
 
     Each in-place step keeps the operation order of
     logits = -t * clip(2 - 2 * (xn @ xn.T), 0, None) and exp(logits - max),
@@ -141,7 +141,7 @@ def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> Loss
     """Alignment plus gamma-weighted mean of the two in-batch uniformities.
 
     Each side is normalized once, and both uniformities run in turn in one
-    (B, B) scratch buffer.
+    (B, B) buffer.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

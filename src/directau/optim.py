@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import Workspace
 from .errors import DivergedGradient
 
 BETA1 = 0.9
@@ -19,26 +20,14 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-def _grown(
-    buf: np.ndarray | None, n_rows: int, lead: tuple[int, ...], d: int, dtype=np.float64
-) -> np.ndarray:
-    """`buf` when its rows (axis -2) number at least n_rows, else a new
-    (*lead, rows, d) buffer with rows = max(n_rows, twice the old rows), so
-    a run touches fresh pages a few times, not at each new largest step."""
-    held = 0 if buf is None else buf.shape[-2]
-    if held >= n_rows:
-        return buf
-    return np.empty((*lead, max(n_rows, 2 * held), d), dtype=dtype)
-
-
 @dataclass
 class AdamState:
     """Optimizer state of one parameter array; exclusively owned by one trainer.
 
-    An every-row step computes its temporaries in two scratch arrays of the
-    parameters' shape, allocated on the first such step. A gathered-rows
-    step works in row scratch, and the trainer sums a step's gradient rows
-    in sum scratch; both grow only when a step has more rows than they hold.
+    A step computes its temporaries in the workspace `work`, which the
+    trainer shares with the rest of its step: an every-row step in two
+    arrays of the parameters' shape, a gathered-rows step in five arrays of
+    its rows.
     """
 
     m: np.ndarray
@@ -46,33 +35,12 @@ class AdamState:
     step: np.ndarray
     lr: float
     weight_decay: float = 0.0
-    _scratch: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _sums: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _at: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._scratch:
-            self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
-        return self._scratch
-
-    def row_scratch(self, n_rows: int) -> np.ndarray:
-        """(5, n_rows, d) work rows of a gathered-rows step."""
-        self._rows = _grown(self._rows, n_rows, (5,), self.m.shape[1])
-        return self._rows[:, :n_rows]
-
-    def sum_scratch(self, n_rows: int, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
-        """An (n_rows, d) float64 array for a step's summed gradient rows and
-        an (n_ids, d) int64 array for the flat index that sums its n_ids
-        batch rows (training._sum_rows). adam_step never writes them, so the
-        sums may be the gradient it is given."""
-        d = self.m.shape[1]
-        self._sums = _grown(self._sums, n_rows, (), d)
-        self._at = _grown(self._at, n_ids, (), d, np.int64)
-        return self._sums[:n_rows], self._at[:n_ids]
+    work: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params: np.ndarray, lr: float, weight_decay: float = 0.0) -> "AdamState":
+    def for_params(
+        cls, params: np.ndarray, lr: float, weight_decay: float = 0.0, work: Workspace | None = None
+    ) -> "AdamState":
         if lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         if weight_decay < 0:
@@ -83,6 +51,7 @@ class AdamState:
             step=np.zeros(params.shape[0], dtype=np.int64),
             lr=lr,
             weight_decay=weight_decay,
+            work=work or Workspace(),
         )
 
 
@@ -96,9 +65,9 @@ def adam_step(
     their moments. Strictly ascending rows (as `np.unique` returns them) are
     known unique from one pass; other orders are checked by sorting.
     When `rows` is every row in order, the update runs on views of the
-    arrays, with its temporaries in the state's scratch arrays; otherwise
-    the rows are gathered into the state's row scratch, updated there and
-    written back once.
+    arrays, with its temporaries in the state's workspace; otherwise the
+    rows are gathered into the workspace, updated there and written back
+    once.
     """
     rows = np.asarray(rows, dtype=np.int64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -117,9 +86,9 @@ def adam_step(
 
     if every_row:
         p, m, v, step = params, state.m, state.v, state.step
-        tmp, v_hat = state.scratch()
+        tmp, v_hat = state.work.take("adam", (2, *params.shape))
     else:
-        p, m, v, tmp, v_hat = state.row_scratch(rows.size)
+        p, m, v, tmp, v_hat = state.work.take("adam", (5, rows.size, params.shape[1]))
         # the rows are in bounds, so mode="clip" never clips; unlike the
         # default mode="raise", it writes into `out` without a buffered copy
         for src, dst in ((params, p), (state.m, m), (state.v, v)):

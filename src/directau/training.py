@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, PositiveBatch, iter_batches, open_atomic
+from .data import DatasetSplit, PositiveBatch, Workspace, iter_batches, open_atomic
 from .encoders import (
     EmbeddingTable,
     GraphPropagator,
@@ -186,12 +186,14 @@ def train(
     """
     n_users, n_items = split.train.n_users, split.train.n_items
     table = init_xavier(n_users, n_items, cfg.d, cfg.seed)
+    # the step's reused arrays: graph layers, row sums and Adam temporaries
+    work = Workspace()
     propagator = (
-        GraphPropagator.build(table, split.train, cfg.layers)
+        GraphPropagator.build(table, split.train, cfg.layers, work)
         if cfg.encoder == "lgcn"
         else None
     )
-    state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay)
+    state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay, work)
     neg_rng = substream(cfg.seed, "negatives")
 
     def scoring_table() -> EmbeddingTable:
@@ -267,7 +269,7 @@ def _batch_loss_and_grads(
     batch: PositiveBatch,
     table: EmbeddingTable,
     propagator: GraphPropagator | None,
-    state: AdamState,
+    work: Workspace,
     split: DatasetSplit,
     cfg: TrainConfig,
     neg_rng: np.random.Generator,
@@ -275,8 +277,8 @@ def _batch_loss_and_grads(
     """Batch loss and its gradients w.r.t. the stacked base parameter rows.
 
     Returns (value, rows, grads) with rows indexing `table.emb` (items
-    offset by n_users); duplicate batch rows are pre-accumulated in the
-    sum scratch of `state`, which the next batch overwrites, and for
+    offset by n_users); duplicate batch rows are pre-accumulated in
+    arrays of `work`, which the next batch overwrites, and for
     the graph encoder the gradients are pulled back through the
     propagation (every row). DirectAU reads the propagated outputs only at
     the batch rows. BPR propagates every row with either sampler, though
@@ -303,7 +305,9 @@ def _batch_loss_and_grads(
         rows, inv = np.unique(ids, return_inverse=True)
         grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
 
-    acc = _sum_rows(inv, grads, *state.sum_scratch(rows.size, inv.size))
+    # adam_step works in other arrays of `work`, so the sums may be its gradient
+    sums = work.take("sums", (rows.size, grads.shape[1]))
+    acc = _sum_rows(inv, grads, sums, work.take("sum_index", grads.shape, np.int64))
     if propagator is None:
         return lo.value, rows, acc
     return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)
@@ -320,7 +324,7 @@ def _train_batch(
 ) -> float:
     """One gradient step; returns the batch loss value."""
     value, rows, grads = _batch_loss_and_grads(
-        batch, table, propagator, state, split, cfg, neg_rng
+        batch, table, propagator, state.work, split, cfg, neg_rng
     )
     adam_step(state, table.emb, rows, grads)
     return value

@@ -148,6 +148,25 @@ class TestTrainCommand:
         assert rc == 2
         assert "learningrate" in capsys.readouterr().err
 
+    def test_lgcn_without_scipy_is_config_error(self, tmp_path, data_file, monkeypatch, capsys):
+        # as in test_encoders' missing-kernel case: no scipy to be found
+        import importlib.util
+
+        from directau.encoders import _sparsetools
+
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        _sparsetools.cache_clear()
+        try:
+            rc = main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                       "--out-dir", str(tmp_path / "run"),
+                       "--set", "encoder=lgcn", "--set", "layers=1"])
+        finally:
+            _sparsetools.cache_clear()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "scipy" in err and err.count("\n") == 1
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     def test_artifacts_and_manifest(self, tmp_path, data_file):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"

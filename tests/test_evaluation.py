@@ -17,6 +17,7 @@ from directau import (
     rank_eval,
     split,
 )
+from directau.encoders import normalize_rows
 from directau.errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from helpers import (
     naive_alignment,
@@ -268,6 +269,45 @@ class TestMeasureAlignment:
         assert measure_alignment(scaled, data) == pytest.approx(
             measure_alignment(t, data), abs=1e-12
         )
+
+    @staticmethod
+    def unblocked(table, inter):
+        """The expression measure_alignment had before it took row blocks."""
+        un, im = normalize_rows(table.user_emb), normalize_rows(table.item_emb)
+        diff = un[inter.users] - im[inter.items]
+        return float(np.mean(np.sum(diff * diff, axis=1)))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 61, 10**6])
+    def test_row_blocks_equal_the_unblocked_expression(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(block_rows)
+        for d in (1, 5, 33):
+            monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * d * block_rows)
+            data = random_interaction_set(rng, max_users=30, max_items=40, max_pairs=400)
+            t = EmbeddingTable.from_parts(
+                rng.standard_normal((data.n_users, d)), rng.standard_normal((data.n_items, d))
+            )
+            assert measure_alignment(t, data) == self.unblocked(t, data)
+
+    def test_peak_allocation_follows_the_budget(self, monkeypatch):
+        budget = 64 << 10
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", budget)
+        rng = np.random.default_rng(7)
+        n_users, n_items, d = 400, 300, 32
+        pairs = rng.choice(n_users * n_items, size=30000, replace=False)
+        data = InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items)
+        t = EmbeddingTable.from_parts(
+            rng.standard_normal((n_users, d)), rng.standard_normal((n_items, d))
+        )
+        tracemalloc.start()
+        try:
+            measure_alignment(t, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pairs' (|R|, d) differences are 117x the budget; the blocks,
+        # the per-pair sums and the normalized tables stay under 10 budgets
+        assert data.n_pairs * d * 8 > 100 * budget
+        assert peak < 3 * budget + 8 * data.n_pairs + 3 * t.emb.nbytes
 
 
 class TestMeasureUniformity:

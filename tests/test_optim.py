@@ -5,6 +5,7 @@ import pytest
 
 from directau import AdamState, adam_step
 from directau.errors import DivergedGradient
+from directau.optim import BETA2, EPS
 from helpers import gather_adam_step
 
 
@@ -176,15 +177,19 @@ class TestAdamStepMatchesGatherOracle:
             assert np.array_equal(getattr(state, name), getattr(before_state, name))
 
     def test_every_row_steps_reuse_two_scratch_arrays(self):
+        # the step's temporaries are two parameter-shaped arrays of the
+        # workspace; the second holds sqrt(v_hat) + EPS when the step ends
         rng, state, params = warmed(0.05)
         rows = np.arange(len(params))
         grads = rng.standard_normal(params.shape)
         kept = grads.copy()
         adam_step(state, params, rows, grads)
-        scratch = state.scratch()
-        assert len(scratch) == 2 and all(s.shape == params.shape for s in scratch)
-        adam_step(state, params, rows, grads)
-        assert all(a is b for a, b in zip(state.scratch(), scratch))
+        held = state.work.take("adam", (2, *params.shape))
+        for _ in range(2):
+            t = state.step[:, None].astype(np.float64)
+            assert np.array_equal(held[1], np.sqrt(state.v / (1.0 - BETA2**t)) + EPS)
+            adam_step(state, params, rows, grads)
+        assert state.work.take("adam", (2, *params.shape)).base is held.base
         assert np.array_equal(grads, kept)
 
     @pytest.mark.parametrize("rows", [[-1, 8], [-9, 0], [0, 9], [3, 12, 1]])
@@ -210,10 +215,10 @@ class TestAdamStepMatchesGatherOracle:
             grads = rng.standard_normal((size, params.shape[1]))
             adam_step(state, params, rows, grads)
             gather_adam_step(want_state, want, rows, grads)
-            held.append(state.row_scratch(1).base)
+            held.append(state.work.take("adam", (1,)).base)
         assert np.array_equal(params, want)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(want_state, name))
         # grown to 3, 6, 12, 24 and 48 rows at sizes 3, 4, 7, 16 and 31
-        assert held[-1].shape[:2] == (5, 48) and held[-1] is held[-4]
+        assert held[-1].size == 5 * 48 * params.shape[1] and held[-1] is held[-4]
         assert len({id(b) for b in held}) == 5

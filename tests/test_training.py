@@ -204,7 +204,7 @@ class TestTrain:
     def test_lgcn_gradient_chain_matches_finite_differences(self):
         # end-to-end oracle for the trickiest composite: loss gradients,
         # scatter over batch rows, then the propagation transpose
-        from directau import AdamState, GraphPropagator, InteractionSet, PositiveBatch
+        from directau import GraphPropagator, InteractionSet, PositiveBatch
         from directau.data import DatasetSplit
         from directau.training import _batch_loss_and_grads
         from helpers import finite_difference_gradients, relative_gradient_error
@@ -234,9 +234,9 @@ class TestTrain:
             ).value
 
         prop = GraphPropagator.build(table, inter, n_layers=2)
-        state = AdamState.for_params(table.emb, cfg.lr)
+        # the row sums share the propagator's workspace, as in train()
         _, rows, grads = _batch_loss_and_grads(
-            batch, table, prop, state, ds, cfg, np.random.default_rng(0)
+            batch, table, prop, prop.work, ds, cfg, np.random.default_rng(0)
         )
         (fd,) = finite_difference_gradients(loss_of, [table.emb])
         assert np.array_equal(rows, np.arange(6))
@@ -364,6 +364,35 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 2 * _POOL_BLOCK
+
+    @pytest.mark.parametrize("objective, encoder, layers",
+                             [("direct_au", "mf", 0), ("bpr", "lgcn", 2)])
+    def test_one_workspace_per_run(self, two_cluster, monkeypatch, objective, encoder, layers):
+        # the propagator, the Adam state and the row sums all take their
+        # arrays from the one workspace that train() makes
+        from directau import training
+        from directau.data import Workspace
+
+        made = []
+
+        class Recording(Workspace):
+            def __init__(self):
+                super().__init__()
+                self.names = set()
+                made.append(self)
+
+            def take(self, name, shape, dtype=np.float64):
+                self.names.add(name)
+                return super().take(name, shape, dtype)
+
+        monkeypatch.setattr(training, "Workspace", Recording)
+        gamma = 1.0 if objective == "direct_au" else None
+        cfg = small_cfg(objective=objective, gamma=gamma, encoder=encoder, layers=layers,
+                        max_epochs=1)
+        train(split(two_cluster, seed=5), cfg)
+        (work,) = made
+        graph = {"graph"} if encoder == "lgcn" else set()
+        assert work.names == {"adam", "sums", "sum_index"} | graph
 
     def test_lgcn_smoke_and_determinism(self, two_cluster):
         ds = split(two_cluster, seed=6)
