@@ -52,8 +52,9 @@ def rank_eval(
 
     Users without target items are skipped. NDCG uses binary gains,
     discount 1/log2(rank + 1), and IDCG truncated at min(K, |targets|).
-    The top K is selected exactly, without sorting the whole catalog, from
-    score blocks of at most _SCORE_BUDGET bytes.
+    Each target's 0-based rank is counted in score blocks of at most
+    _SCORE_BUDGET bytes: the items scoring higher, plus those scoring equal
+    with a lower item ID. A masked (training) target is never a hit.
     """
     if target not in ("validation", "test"):
         raise ValueError(f"target must be 'validation' or 'test', got {target!r}")
@@ -76,18 +77,27 @@ def rank_eval(
     idcg_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
 
     n_rows = min(max(1, _SCORE_BUDGET // (8 * n_items)), eval_users.size)
+    chunk = max(1, n_rows // 8)  # target score rows gathered at a time
     score_buf = np.empty((n_rows, n_items))
-    kth_buf = np.empty_like(score_buf)
-    is_hit = np.empty((eval_users.size, kmax), dtype=bool)
+    item_ids = np.arange(n_items)
+    is_hit = np.zeros((eval_users.size, kmax), dtype=bool)
     for start in range(0, eval_users.size, n_rows):
         users = eval_users[start : start + n_rows]
         scores = np.matmul(table.user_emb[users], table.item_emb.T, out=score_buf[: users.size])
         scores[split.train_index.gather(users)] = -np.inf
-        items, top_scores = _top_k(scores, kmax, kth_buf[: users.size])
-        is_target = targets.contains(users[:, None], items, n_items)
-        # masked (-inf) items are not recommendations, even when K
+        rows, items = targets.gather(users)
+        own = scores[rows, items]
+        ranks = np.empty(rows.size, dtype=np.int64)
+        for at in range(0, rows.size, chunk):
+            part = slice(at, at + chunk)
+            row_scores = scores[rows[part]]
+            ahead = (row_scores == own[part, None]) & (item_ids < items[part, None])
+            ahead |= row_scores > own[part, None]
+            ranks[part] = np.count_nonzero(ahead, axis=1)
+        # a masked (-inf) target is not a recommendation, even when K
         # exceeds the number of unmasked candidates
-        is_hit[start : start + users.size] = is_target & (top_scores != -np.inf)
+        hit = (ranks < kmax) & (own != -np.inf)
+        is_hit[start + rows[hit], ranks[hit]] = True
 
     # cumsum adds per-user values left to right in user order; np.sum would pair them
     hit_disc = np.where(is_hit, discounts, 0.0)
@@ -99,22 +109,6 @@ def rank_eval(
         idcg = idcg_prefix[np.minimum(k, n_targets)]
         ndcg_at[k] = float(np.cumsum(hit_disc[:, :kk].sum(axis=1) / idcg)[-1]) / n_eval
     return RankingMetrics(recall_at, ndcg_at, n_eval)
-
-
-def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Item IDs and scores of each row's k best items, best first and equal
-    scores by ascending item ID; `work` is a work array shaped like `scores`."""
-    n_items = scores.shape[1]
-    np.copyto(work, scores)
-    work.partition(n_items - k, axis=1)
-    # every item scoring at least the k-th best score, ties included
-    rows, items = np.nonzero(scores >= work[:, n_items - k, None])
-    vals = scores[rows, items]
-    order = np.lexsort((items, -vals, rows))
-    per_row = np.bincount(rows, minlength=scores.shape[0])
-    first = np.cumsum(per_row) - per_row
-    best = order[first[:, None] + np.arange(k)]
-    return items[best], vals[best]
 
 
 def measure_alignment(table: EmbeddingTable, interactions: InteractionSet) -> float:

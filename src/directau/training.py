@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, fields
-from math import nan
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -61,23 +61,25 @@ class TrainConfig:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
+        if self.layers < 0:
+            raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.encoder == "lgcn" and self.layers < 1:
             raise ConfigError("encoder=lgcn requires layers >= 1")
         if self.objective == "direct_au":
             if self.gamma is None:
                 raise ConfigError("objective=direct_au requires gamma")
-            if self.gamma < 0:
-                raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+            if not 0 <= self.gamma < inf:
+                raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         elif self.gamma is not None:
             raise ConfigError("gamma is only valid with objective=direct_au")
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.max_epochs < 0:
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.patience < 1:

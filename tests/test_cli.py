@@ -215,6 +215,21 @@ class TestTrainCommand:
         assert f"--set: expected key=value, got {override!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        ["lr=nan", "lr=inf", "gamma=nan", "gamma=inf", "weight_decay=inf", "weight_decay=nan",
+         "layers=-3"],
+    )
+    def test_non_finite_or_negative_value_is_config_error(
+        self, tmp_path, data_file, capsys, override
+    ):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and override.split("=")[0] in err
+        assert not out.exists()
+
     def test_degenerate_geometry_keeps_trace_and_checkpoint(
         self, tmp_path, data_file, monkeypatch, capsys
     ):

@@ -142,7 +142,7 @@ class TestRankEval:
 
 
 class TestRankEvalMatchesOracle:
-    """The partial top-K selection against the full stable sort of every row."""
+    """Ranks counted per target against the full stable sort of every row."""
 
     @staticmethod
     def random_split(rng, n_users, n_items, density):
@@ -193,12 +193,14 @@ class TestRankEvalMatchesOracle:
         ds = manual_split([(0, 1), (0, 2)], [(0, 1), (0, 0)], [(0, 2)], 1, 3)
         self.assert_matches(t, ds, (1, 3, 5))
 
-    def test_more_users_than_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("block_rows", [7, 24])
+    def test_more_users_than_one_block(self, monkeypatch, block_rows):
         rng = np.random.default_rng(11)
         ds = self.random_split(rng, 300, 25, 0.3)
-        # seven user rows per score block
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 7 * 25 * 8)
-        assert rank_eval(self.integer_table(rng, 300, 25), ds).n_users_evaluated > 7
+        # targets are ranked in chunks of block_rows // 8 (1 or 3), so one
+        # user's targets straddle a chunk boundary
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", block_rows * 25 * 8)
+        assert rank_eval(self.integer_table(rng, 300, 25), ds).n_users_evaluated > block_rows
         for t in (
             EmbeddingTable.from_parts(rng.standard_normal((300, 6)), rng.standard_normal((25, 6))),
             self.integer_table(rng, 300, 25),
@@ -222,7 +224,7 @@ class TestRankEvalMatchesOracle:
         finally:
             tracemalloc.stop()
         assert got.n_users_evaluated * n_items * 8 > 10 * budget
-        assert peak < 3 * budget
+        assert peak < 1.5 * budget
 
     def test_non_finite_table_is_rejected(self):
         rng = np.random.default_rng(3)

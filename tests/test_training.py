@@ -267,6 +267,7 @@ class TestTrain:
         "objective, encoder, layers",
         [
             ("direct_au", "mf", 0),
+            ("bpr", "mf", 0),
             ("bpr_ds", "mf", 0),
             ("direct_au", "lgcn", 1),
             ("direct_au", "lgcn", 2),
