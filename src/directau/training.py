@@ -78,6 +78,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.objective == "direct_au" and self.batch_size < 2:
+            raise ConfigError("objective=direct_au requires batch_size >= 2")
         if not 0 <= self.weight_decay < inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.max_epochs < 0:
@@ -147,6 +149,9 @@ class EpochTrace:
     l_uniform_item: float
     val_ndcg20: float
     wall_seconds: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(EpochTrace))
 
 
 class TrainingDiverged(DivergedGradient):
@@ -282,29 +287,31 @@ def _batch_loss_and_grads(
     offset by n_users); duplicate batch rows are pre-accumulated in
     arrays of `work`, which the next batch overwrites, and for
     the graph encoder the gradients are pulled back through the
-    propagation (every row). DirectAU reads the propagated outputs only at
-    the batch rows. BPR propagates every row with either sampler, though
-    only `bpr_ds` needs it: its sampler scores candidates drawn from the
-    whole catalog. Uniform `bpr` never reads the table while sampling, and
-    its loss reads only the batch rows.
+    propagation (every row). The negatives are drawn first; every
+    objective then reads its outputs only at the batch rows (users,
+    positives and negatives). Only `bpr_ds` on the graph encoder
+    propagates every row, because its sampler scores candidates drawn from
+    the whole catalog; uniform `bpr` never reads the table while sampling.
     """
     bu, bi = batch.users, batch.items
-    n_users = table.n_users
-    if cfg.objective == "direct_au":
-        ids = np.concatenate([bu, n_users + bi])
-        rows, inv = np.unique(ids, return_inverse=True)
-        reps = table.emb[ids] if propagator is None else propagator.propagate(rows)[inv]
-        lo = direct_au_loss(reps[: bu.size], reps[bu.size :], cfg.gamma)
-        grads = np.concatenate([lo.grad_user, lo.grad_item])
-    else:
-        out = table if propagator is None else EmbeddingTable(propagator.propagate(), n_users)
+    n_users, b = table.n_users, bu.size
+    out = table
+    if propagator is not None:
+        out = EmbeddingTable(propagator.propagate(), n_users) if cfg.objective == "bpr_ds" else None
+    negs = np.empty(0, dtype=np.int64)
+    if cfg.objective != "direct_au":
         strategy = "dynamic" if cfg.objective == "bpr_ds" else "uniform"
         negs = sample_negatives(
             split, bu, strategy, table=out, candidates=cfg.ds_candidates, rng=neg_rng
         )
-        lo = bpr_loss(out.user_emb[bu], out.item_emb[bi], out.item_emb[negs])
-        ids = np.concatenate([bu, n_users + bi, n_users + negs])
-        rows, inv = np.unique(ids, return_inverse=True)
+    ids = np.concatenate([bu, n_users + bi, n_users + negs])
+    rows, inv = np.unique(ids, return_inverse=True)
+    reps = propagator.propagate(rows)[inv] if out is None else out.emb[ids]
+    if cfg.objective == "direct_au":
+        lo = direct_au_loss(reps[:b], reps[b:], cfg.gamma)
+        grads = np.concatenate([lo.grad_user, lo.grad_item])
+    else:
+        lo = bpr_loss(reps[:b], reps[b : 2 * b], reps[2 * b :])
         grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
 
     # adam_step works in other arrays of `work`, so the sums may be its gradient
@@ -330,17 +337,6 @@ def _train_batch(
     )
     adam_step(state, table.emb, rows, grads)
     return value
-
-
-TRACE_COLUMNS = (
-    "epoch",
-    "train_loss",
-    "l_align",
-    "l_uniform_user",
-    "l_uniform_item",
-    "val_ndcg20",
-    "wall_seconds",
-)
 
 
 def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:

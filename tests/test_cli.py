@@ -230,6 +230,15 @@ class TestTrainCommand:
         assert err.startswith("config error:") and override.split("=")[0] in err
         assert not out.exists()
 
+    def test_direct_au_batch_of_one_is_config_error(self, tmp_path, data_file, capsys):
+        # every batch would be a singleton, with no pair for the uniformity
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out), "--set", "batch_size=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: objective=direct_au requires batch_size >= 2")
+        assert not out.exists()
+
     def test_degenerate_geometry_keeps_trace_and_checkpoint(
         self, tmp_path, data_file, monkeypatch, capsys
     ):

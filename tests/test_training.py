@@ -307,7 +307,9 @@ class TestTrain:
             assert np.array_equal(getattr(state, name)[nu:], getattr(item_state, name))
         assert state.step.max() == 3
 
-    @pytest.mark.parametrize("objective, bound", [("direct_au", 2.0), ("bpr", 3.0)])
+    @pytest.mark.parametrize(
+        "objective, bound", [("direct_au", 2.0), ("bpr", 1.5), ("bpr_ds", 3.5)]
+    )
     def test_lgcn_step_allocates_no_table_sized_temporaries(self, objective, bound):
         # after warm-up, the propagator's and Adam's buffers hold every
         # full-table temporary; a step's peak stays under `bound` tables
@@ -335,6 +337,48 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < bound * table.emb.nbytes
+
+    @pytest.mark.parametrize("objective", ["direct_au", "bpr", "bpr_ds"])
+    def test_lgcn_step_propagates_only_the_rows_it_reads(self, two_cluster, monkeypatch, objective):
+        # every objective reads the outputs at the batch's unique rows (users,
+        # positives, negatives); only the dynamic sampler, which scores
+        # candidates from the whole catalog, propagates every row instead
+        from directau import AdamState, GraphPropagator
+        from directau.training import _train_batch, _training_batches
+
+        calls, drawn = [], []
+        real_propagate = GraphPropagator.propagate
+        real_sample = training_mod.sample_negatives
+
+        def propagate(self, rows=slice(None)):
+            calls.append(rows)
+            return real_propagate(self, rows)
+
+        def sample_negatives(*args, **kwargs):
+            drawn.append(real_sample(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(GraphPropagator, "propagate", propagate)
+        monkeypatch.setattr(training_mod, "sample_negatives", sample_negatives)
+        ds = split(two_cluster, seed=5)
+        cfg = small_cfg(objective=objective, gamma=1.0 if objective == "direct_au" else None,
+                        encoder="lgcn", layers=2)
+        table = init_xavier(ds.train.n_users, ds.train.n_items, cfg.d, cfg.seed)
+        prop = GraphPropagator.build(table, ds.train, cfg.layers)
+        state = AdamState.for_params(table.emb, cfg.lr)
+        neg_rng = np.random.default_rng(7)
+        nu = table.n_users
+        for batch in _training_batches(ds, cfg, epoch=1)[:3]:
+            calls.clear()
+            drawn.clear()
+            _train_batch(batch, table, prop, state, ds, cfg, neg_rng)
+            (rows,) = calls
+            if objective == "bpr_ds":
+                assert rows == slice(None)
+                continue
+            negs = drawn[0] if drawn else np.empty(0, dtype=np.int64)
+            ids = np.concatenate([batch.users, nu + batch.items, nu + negs])
+            assert np.array_equal(rows, np.unique(ids))
 
     def test_mf_bpr_ds_step_gathers_no_whole_pool(self):
         # after a warm-up epoch the optimizer state's scratch holds the rows
