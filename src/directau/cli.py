@@ -26,7 +26,7 @@ from .data import (
 )
 from .encoders import read_embeddings
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import GeometryReport, geometry_report, rank_eval
+from .evaluation import GeometryReport, RankingMetrics, geometry_report, rank_eval
 from .training import (
     TrainConfig,
     emit_trace,
@@ -47,6 +47,15 @@ def _file_sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _ranking_json(ranked: RankingMetrics) -> dict[str, dict[str, float]]:
+    """The one JSON shape of ranking metrics: the manifest's validation
+    metrics and eval's report."""
+    return {
+        "recall": {str(k): v for k, v in ranked.recall_at.items()},
+        "ndcg": {str(k): v for k, v in ranked.ndcg_at.items()},
+    }
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
@@ -96,11 +105,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     metrics = None
     if ds.validation.size > 0:
-        ranked = rank_eval(table, ds, "validation", ks=(10, 20, 50))
-        metrics = {
-            "recall": {str(k): v for k, v in ranked.recall_at.items()},
-            "ndcg": {str(k): v for k, v in ranked.ndcg_at.items()},
-        }
+        metrics = _ranking_json(rank_eval(table, ds, "validation", ks=(10, 20, 50)))
     if best_epoch:
         # training measured this very table at its best epoch, with the same
         # expression as measure_uniformity; an untrained run measured nothing
@@ -163,13 +168,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if data.n_users != table.n_users or data.n_items != table.n_items:
         raise DataError("checkpoint and dataset disagree on entity counts")
     ds = split(data, seed=cfg.seed)
-    ranked = rank_eval(table, ds, args.split, ks=ks)
-    geo = geometry_report(table, ds.train)
-    report = {
-        "recall": {str(k): v for k, v in ranked.recall_at.items()},
-        "ndcg": {str(k): v for k, v in ranked.ndcg_at.items()},
-        **asdict(geo),
-    }
+    report = _ranking_json(rank_eval(table, ds, args.split, ks=ks))
+    report.update(asdict(geometry_report(table, ds.train)))
     print(json.dumps(report, indent=2))
     return 0
 

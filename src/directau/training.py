@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from math import inf, nan
 from pathlib import Path
 
@@ -37,6 +37,8 @@ from .rng import substream
 
 OBJECTIVES = ("direct_au", "bpr", "bpr_ds")
 ENCODERS = ("mf", "lgcn")
+# a config value's parser, by its TrainConfig field's annotation
+_PARSE = {"str": str, "int": int, "float": float, "float | None": float}
 
 
 @dataclass
@@ -91,39 +93,26 @@ class TrainConfig:
         if self.ds_candidates < 1:
             raise ConfigError(f"ds_candidates must be >= 1, got {self.ds_candidates}")
 
-    _PARSERS = {
-        "objective": str,
-        "encoder": str,
-        "layers": int,
-        "gamma": float,
-        "d": int,
-        "lr": float,
-        "batch_size": int,
-        "weight_decay": float,
-        "max_epochs": int,
-        "patience": int,
-        "seed": int,
-        "ds_candidates": int,
-    }
-
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "TrainConfig":
-        """Build from string key/values (config file or metadata echo).
+        """Build from string key/values (config file or metadata echo); each
+        value parses as its field's type, and the fields without a default
+        are required.
 
         Unknown keys are errors: a typo must never fall back to a default.
         """
+        schema = {f.name: f for f in fields(cls)}
         kwargs = {}
         for key, text in raw.items():
-            parser = cls._PARSERS.get(key)
-            if parser is None:
+            if key not in schema:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                kwargs[key] = parser(text)
+                kwargs[key] = _PARSE[schema[key].type](text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {text!r} ({exc})") from exc
-        for required in ("objective", "seed"):
-            if required not in kwargs:
-                raise ConfigError(f"config key {required!r} is required")
+        for f in schema.values():
+            if f.default is MISSING and f.name not in kwargs:
+                raise ConfigError(f"config key {f.name!r} is required")
         return cls(**kwargs)
 
     def to_mapping(self) -> dict[str, str]:
@@ -244,17 +233,14 @@ def train(
             )
         )
 
-        if has_val:
-            if val > best_val:
-                best_val, best_epoch, stale = val, epoch, 0
-                best_table = scoring.copy()
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-        else:
-            best_epoch = epoch
+        # without validation every epoch is the best so far
+        if not has_val or val > best_val:
+            best_val, best_epoch, stale = val, epoch, 0
             best_table = scoring.copy()
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
 
     return best_table, traces, best_epoch
 

@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from directau import (
     TrainingDiverged,
     direct_au_loss,
     emit_trace,
+    geometry_report,
     init_xavier,
     iter_batches,
     load_checkpoint,
@@ -24,8 +27,15 @@ from directau import (
 )
 from directau.errors import ConfigError
 from directau.losses import LossOutput
-from directau.training import read_key_values
+from directau.training import read_key_values, split_key_value
 from helpers import naive_read_config_file, naive_read_metadata
+
+
+# every field away from its default
+EVERY_FIELD_SET = TrainConfig(
+    objective="direct_au", seed=7, encoder="lgcn", layers=3, gamma=0.25, d=8, lr=0.02,
+    batch_size=17, weight_decay=1e-5, max_epochs=4, patience=2, ds_candidates=5,
+)
 
 
 class TestTrainConfig:
@@ -66,15 +76,43 @@ class TestTrainConfig:
             TrainConfig.from_mapping({"objective": "bpr", "seed": "1", "gama": "1"})
 
     def test_from_mapping_requires_objective_and_seed(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'seed' is required"):
             TrainConfig.from_mapping({"objective": "bpr"})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'objective' is required"):
             TrainConfig.from_mapping({"seed": "3"})
+        # both missing: named in field order
+        with pytest.raises(ConfigError, match="'objective' is required"):
+            TrainConfig.from_mapping({})
 
     def test_mapping_roundtrip(self):
-        cfg = TrainConfig(objective="direct_au", gamma=0.5, seed=9, lr=2e-3)
-        back = TrainConfig.from_mapping(cfg.to_mapping())
-        assert back == cfg
+        defaults = TrainConfig(objective="bpr", seed=0)
+        assert all(
+            getattr(EVERY_FIELD_SET, f.name) != getattr(defaults, f.name)
+            for f in fields(TrainConfig)
+        )
+        assert TrainConfig.from_mapping(EVERY_FIELD_SET.to_mapping()) == EVERY_FIELD_SET
+
+    @pytest.mark.parametrize(
+        "key",
+        [f.name for f in fields(TrainConfig) if not isinstance(getattr(EVERY_FIELD_SET, f.name), str)],
+    )
+    def test_value_of_another_type_is_config_error(self, key):
+        raw = EVERY_FIELD_SET.to_mapping()
+        raw[key] = "1.5" if isinstance(getattr(EVERY_FIELD_SET, key), int) else "x"
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            TrainConfig.from_mapping(raw)
+
+    def test_readme_config_block_is_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split("A config file lists exactly these keys", 1)[1]
+        block = after.split("```\n", 2)[1]
+        raw = dict(
+            split_key_value(line, "README")
+            for line in map(str.strip, block.splitlines())
+            if line and not line.startswith("#")
+        )
+        assert sorted(raw) == sorted(f.name for f in fields(TrainConfig))
+        TrainConfig.from_mapping(raw)
 
 
 def small_cfg(**kw):
@@ -177,6 +215,12 @@ class TestTrain:
         table, traces, best = train(ds, small_cfg(max_epochs=4, patience=1))
         assert len(traces) == 4 and best == 4
         assert all(math.isnan(t.val_ndcg20) for t in traces)
+        # the returned table is the last epoch's, which its trace row measured
+        geo = geometry_report(table, ds.train)
+        last = traces[-1]
+        assert (geo.l_align, geo.l_uniform_user, geo.l_uniform_item) == (
+            last.l_align, last.l_uniform_user, last.l_uniform_item
+        )
 
     def test_diverged_gradient_carries_snapshot(self, two_cluster, monkeypatch):
         ds = split(two_cluster, seed=5)
