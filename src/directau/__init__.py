@@ -25,9 +25,7 @@ from .encoders import (
 )
 from .evaluation import (
     GeometryReport,
-    HarnessResult,
     RankingMetrics,
-    bpr_bound_harness,
     geometry_report,
     measure_alignment,
     measure_uniformity,
@@ -35,20 +33,18 @@ from .evaluation import (
 )
 from .losses import (
     LossOutput,
-    align_loss,
     bpr_loss,
     direct_au_loss,
     sample_negatives,
-    uniform_loss,
 )
 from .optim import AdamState, adam_step
 from .training import (
     EpochTrace,
+    Snapshot,
     TrainConfig,
     TrainingDiverged,
     emit_trace,
     load_checkpoint,
-    read_trace,
     save_checkpoint,
     train,
 )

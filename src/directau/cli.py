@@ -26,7 +26,7 @@ from .data import (
 )
 from .encoders import read_embeddings
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import GeometryReport, RankingMetrics, geometry_report, rank_eval
+from .evaluation import RankingMetrics, geometry_report, rank_eval
 from .training import (
     TrainConfig,
     emit_trace,
@@ -93,7 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # a manifest only ever sits beside the checkpoint of a completed run
     (out_dir / "manifest.json").unlink(missing_ok=True)
     try:
-        table, traces, best_epoch = train(ds, cfg)
+        best, traces = train(ds, cfg)
     except TrainingDiverged as exc:
         emit_trace(exc.traces, out_dir / "trace.csv")
         save_checkpoint(out_dir, exc.table, cfg, exc.best_epoch)
@@ -101,19 +101,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 4
 
     emit_trace(traces, out_dir / "trace.csv")
-    save_checkpoint(out_dir, table, cfg, best_epoch)
+    save_checkpoint(out_dir, best.table, cfg, best.epoch)
 
-    metrics = None
-    if ds.validation.size > 0:
-        metrics = _ranking_json(rank_eval(table, ds, "validation", ks=(10, 20, 50)))
-    if best_epoch:
-        # training measured this very table at its best epoch, with the same
-        # expression as measure_uniformity; an untrained run measured nothing
-        best = traces[best_epoch - 1]
-        lu, li = best.l_uniform_user, best.l_uniform_item
-        geo = GeometryReport(best.l_align, (lu + li) / 2.0, lu, li)
-    else:
-        geo = geometry_report(table, ds.train)
     manifest = {
         "config": cfg.to_mapping(),
         "seed": cfg.seed,
@@ -124,11 +113,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             "n_interactions": data.n_pairs,
             "sha256": _file_sha256(data_path),
         },
-        "best_epoch": best_epoch,
+        "best_epoch": best.epoch,
         "epochs_run": len(traces),
         "metrics": {
-            "validation": metrics,
-            "geometry": asdict(geo),
+            "validation": _ranking_json(best.validation) if best.validation else None,
+            "geometry": asdict(best.geometry),
         },
         "artifacts": {
             "checkpoint": str(out_dir / "embeddings.txt"),
@@ -139,7 +128,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     with open_atomic(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    print(f"best_epoch={best_epoch} epochs_run={len(traces)} out_dir={out_dir}")
+    print(f"best_epoch={best.epoch} epochs_run={len(traces)} out_dir={out_dir}")
     return 0
 
 

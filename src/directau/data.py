@@ -200,7 +200,6 @@ class DatasetSplit:
     train: InteractionSet
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
     @cached_property
     def train_index(self) -> UserIndex:
@@ -357,7 +356,6 @@ def split(
         train=train_set,
         validation=np.column_stack([data.users[va], data.items[va]]),
         test=np.column_stack([data.users[te], data.items[te]]),
-        seed=seed,
     )
 
 

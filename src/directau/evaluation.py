@@ -22,7 +22,7 @@ from .data import BLOCK_BUDGET as _SCORE_BUDGET
 from .data import DatasetSplit, InteractionSet
 from .encoders import EmbeddingTable, normalize_rows
 from .errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
-from .losses import UNIFORMITY_SCALE, softplus
+from .losses import UNIFORMITY_SCALE
 
 
 @dataclass
@@ -184,67 +184,3 @@ def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> Geom
         l_uniform_user=lu,
         l_uniform_item=li,
     )
-
-
-@dataclass
-class HarnessResult:
-    """Monte Carlo estimates from the ranking-loss lower-bound harness."""
-
-    measured_bpr: float
-    bound: float
-    measured_se: float
-    bound_se: float
-
-
-def sphere_sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n points approximately uniform on the unit sphere in d dimensions."""
-    return normalize_rows(rng.standard_normal((n, d)))
-
-
-def bpr_bound_harness(
-    d: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    perturbation: str | None = None,
-) -> HarnessResult:
-    """Compare cosine-score pairwise ranking loss against its lower bound.
-
-    Constructs a configuration of positive pairs (by default perfectly
-    aligned: item point = user point, users near-uniform on the sphere),
-    estimates the ranking loss with negatives drawn from the item cloud,
-    and estimates the bound -1 + E log(e + e^{x.y}) over independent
-    uniform sphere pairs. For the aligned near-uniform configuration both
-    estimates agree up to Monte Carlo error; breaking alignment
-    ('antipodal': item = -user) or uniformity ('collapse': one point)
-    pushes the measured loss strictly above the bound.
-    """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if n_samples < 1000:
-        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-
-    if perturbation in (None, "none"):
-        users = sphere_sample(rng, n_samples, d)
-        items = users
-    elif perturbation == "antipodal":
-        users = sphere_sample(rng, n_samples, d)
-        items = -users
-    elif perturbation == "collapse":
-        point = sphere_sample(rng, 1, d)
-        users = np.tile(point, (n_samples, 1))
-        items = users
-    else:
-        raise ValueError(f"unknown perturbation {perturbation!r}")
-
-    negatives = items[rng.integers(0, n_samples, size=n_samples)]
-    delta = np.sum(users * items, axis=1) - np.sum(users * negatives, axis=1)
-    per_sample = softplus(-delta)
-    measured = float(per_sample.mean())
-    measured_se = float(per_sample.std(ddof=1) / np.sqrt(n_samples))
-
-    x = sphere_sample(rng, n_samples, d)
-    y = sphere_sample(rng, n_samples, d)
-    logs = np.logaddexp(1.0, np.sum(x * y, axis=1))
-    bound = -1.0 + float(logs.mean())
-    bound_se = float(logs.std(ddof=1) / np.sqrt(n_samples))
-    return HarnessResult(measured, bound, measured_se, bound_se)

@@ -29,11 +29,8 @@ _POOL_BLOCK = 512 << 10
 
 @dataclass
 class LossOutput:
-    """Loss value and gradients, shaped like the corresponding inputs.
-
-    Losses over a single matrix (uniform_loss) carry their gradient in
-    grad_user; grad_neg is populated only by bpr_loss.
-    """
+    """Loss value and gradients, shaped like the corresponding inputs;
+    grad_neg is populated only by bpr_loss."""
 
     value: float
     grad_user: np.ndarray | None = None
@@ -115,26 +112,6 @@ def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[flo
     row_sum = weights.sum(axis=1, keepdims=True)
     g = (-2.0 * UNIFORMITY_SCALE / total) * (xn * row_sum - weights @ xn)
     return value, _chain(g, xn, norms)
-
-
-def align_loss(u_reps: np.ndarray, i_reps: np.ndarray) -> LossOutput:
-    """Mean squared distance between normalized positive pairs; range [0, 4]."""
-    return _align(*_unit_pairs(u_reps, i_reps))
-
-
-def uniform_loss(reps: np.ndarray) -> LossOutput:
-    """log mean over distinct unordered row pairs of exp(-2 ||x_j - x_k||^2).
-
-    Range [-8, 0]; 0 iff all normalized rows coincide. The gradient for the
-    single input matrix is returned in grad_user.
-    """
-    reps = np.atleast_2d(reps)
-    n = reps.shape[0]
-    if n < 2:
-        raise InsufficientBatch("uniformity needs at least two rows")
-    xn, norms = _unit_rows(reps)
-    value, grad = _uniformity(xn, norms, np.empty((n, n)))
-    return LossOutput(value=value, grad_user=grad)
 
 
 def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> LossOutput:

@@ -3,8 +3,9 @@
 Each epoch consumes deterministically shuffled positive-pair batches,
 updates embeddings with lazy Adam, then records: the epoch-mean training
 loss, alignment/uniformity of the full learned representations over the
-training interactions, and validation NDCG@20. Early stopping keeps the
-snapshot from the best validation epoch.
+training interactions, and the validation ranking at K = 10, 20, 50.
+Early stopping reads NDCG@20 and keeps the snapshot from the best
+validation epoch, together with what that epoch measured on it.
 
 Ranking and validation use raw dot-product scores even though the losses
 normalize; for the graph encoder, the traced/scored representations are
@@ -13,7 +14,6 @@ the propagated outputs.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import MISSING, dataclass, fields
 from math import inf, nan
@@ -30,7 +30,7 @@ from .encoders import (
     write_embeddings,
 )
 from .errors import ConfigError, DivergedGradient, InsufficientBatch, NumericError
-from .evaluation import geometry_report, rank_eval
+from .evaluation import GeometryReport, RankingMetrics, geometry_report, rank_eval
 from .losses import bpr_loss, direct_au_loss, sample_negatives
 from .optim import AdamState, adam_step
 from .rng import substream
@@ -143,6 +143,18 @@ class EpochTrace:
 TRACE_COLUMNS = tuple(f.name for f in fields(EpochTrace))
 
 
+@dataclass
+class Snapshot:
+    """The representations a run keeps, from `epoch` (0: the initial
+    table), with the geometry and validation ranking measured on them;
+    `validation` is None without validation pairs."""
+
+    table: EmbeddingTable
+    epoch: int
+    geometry: GeometryReport
+    validation: RankingMetrics | None
+
+
 class TrainingDiverged(DivergedGradient):
     """Raised when an epoch hits a NumericError; carries the last good
     snapshot so callers can still inspect/save it."""
@@ -170,15 +182,15 @@ def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list
     return batches
 
 
-def train(
-    split: DatasetSplit, cfg: TrainConfig
-) -> tuple[EmbeddingTable, list[EpochTrace], int]:
+def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTrace]]:
     """Run the configured objective/encoder; return the best snapshot.
 
-    Returns (table, traces, best_epoch) where `table` holds the scoring
+    Returns (best, traces) where `best.table` holds the scoring
     representations (propagated outputs for lgcn) from the epoch with the
-    highest validation NDCG@20. Without a validation split, early stopping
-    is disabled, val_ndcg20 is NaN, and the final epoch is returned.
+    highest validation NDCG@20, and its geometry and ranking are the ones
+    that epoch measured. Without a validation split, early stopping is
+    disabled, val_ndcg20 is NaN, and the final epoch is returned. When no
+    epoch runs, the initial table is measured once.
     """
     n_users, n_items = split.train.n_users, split.train.n_items
     table = init_xavier(n_users, n_items, cfg.d, cfg.seed)
@@ -196,9 +208,15 @@ def train(
         return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table
 
     has_val = split.validation.size > 0
+
+    def measure(scoring: EmbeddingTable) -> tuple[GeometryReport, RankingMetrics | None]:
+        geo = geometry_report(scoring, split.train)
+        return geo, (rank_eval(scoring, split, "validation") if has_val else None)
+
     traces: list[EpochTrace] = []
     best_table = scoring_table().copy()
     best_epoch = 0
+    measured = None  # what best_table's epoch measured on it
     best_val = -np.inf
     stale = 0
 
@@ -211,16 +229,12 @@ def train(
                 loss_sum += _train_batch(batch, table, propagator, state, split, cfg, neg_rng)
                 n_batches += 1
             scoring = scoring_table()
-            geo = geometry_report(scoring, split.train)
-            val = (
-                rank_eval(scoring, split, "validation", ks=(20,)).ndcg_at[20]
-                if has_val
-                else nan
-            )
+            geo, ranked = measure(scoring)
         except NumericError as exc:
             raise TrainingDiverged(
                 f"epoch {epoch}: {exc}", best_table, traces, best_epoch
             ) from exc
+        val = ranked.ndcg_at[20] if has_val else nan
         traces.append(
             EpochTrace(
                 epoch=epoch,
@@ -236,13 +250,15 @@ def train(
         # without validation every epoch is the best so far
         if not has_val or val > best_val:
             best_val, best_epoch, stale = val, epoch, 0
-            best_table = scoring.copy()
+            best_table, measured = scoring.copy(), (geo, ranked)
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    return best_table, traces, best_epoch
+    if measured is None:  # no epoch ran
+        measured = measure(best_table)
+    return Snapshot(best_table, best_epoch, *measured), traces
 
 
 def _sum_rows(inv: np.ndarray, grads: np.ndarray, out: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -337,34 +353,19 @@ def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
             fh.write(",".join(vals) + "\n")
 
 
-def read_trace(path: str | Path) -> list[EpochTrace]:
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            EpochTrace(
-                epoch=int(row["epoch"]),
-                **{col: float(row[col]) for col in TRACE_COLUMNS[1:]},
-            )
-            for row in reader
-        ]
-
-
 def save_checkpoint(
     out_dir: str | Path, table: EmbeddingTable, cfg: TrainConfig, best_epoch: int
-) -> tuple[Path, Path]:
+) -> None:
     """Write embeddings.txt + metadata.txt (config echo, best epoch), each
     replaced whole."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emb_path = out_dir / "embeddings.txt"
-    meta_path = out_dir / "metadata.txt"
-    write_embeddings(table, emb_path)
+    write_embeddings(table, out_dir / "embeddings.txt")
     meta = cfg.to_mapping()
     meta["best_epoch"] = str(best_epoch)
-    with open_atomic(meta_path) as fh:
+    with open_atomic(out_dir / "metadata.txt") as fh:
         for key, val in meta.items():
             fh.write(f"{key}={val}\n")
-    return emb_path, meta_path
 
 
 def split_key_value(text: str, where: str) -> tuple[str, str]:

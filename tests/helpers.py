@@ -1,6 +1,8 @@
 """Shared test utilities: oracles and synthetic data builders."""
 
+import csv
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,16 @@ from directau.errors import (
     NothingToEvaluate,
 )
 from directau.evaluation import RankingMetrics
-from directau.losses import UNIFORMITY_SCALE, LossOutput, _chain, softplus
+from directau.losses import (
+    UNIFORMITY_SCALE,
+    LossOutput,
+    _align,
+    _chain,
+    _uniformity,
+    _unit_pairs,
+    softplus,
+)
+from directau.training import TRACE_COLUMNS, EpochTrace
 
 
 def write_embeddings_per_float(table, path):
@@ -100,6 +111,28 @@ def naive_backward(prop, rows, grad_rows):
             cur = adjacency @ cur
             acc += cur
     return acc / (prop.n_layers + 1)
+
+
+def align_loss(u_reps, i_reps):
+    """Mean squared distance between normalized positive pairs; range [0, 4].
+    Runs the alignment kernel of direct_au_loss."""
+    return _align(*_unit_pairs(u_reps, i_reps))
+
+
+def uniform_loss(reps):
+    """log mean over distinct unordered row pairs of exp(-2 ||x_j - x_k||^2).
+
+    Range [-8, 0]; 0 iff all normalized rows coincide. Runs the uniformity
+    kernel of direct_au_loss; the gradient of the single input matrix is
+    returned in grad_user.
+    """
+    reps = np.atleast_2d(reps)
+    n = reps.shape[0]
+    if n < 2:
+        raise InsufficientBatch("uniformity needs at least two rows")
+    xn, norms = _unit_rows(reps)
+    value, grad = _uniformity(xn, norms, np.empty((n, n)))
+    return LossOutput(value=value, grad_user=grad)
 
 
 def naive_align_loss(u_reps, i_reps):
@@ -553,3 +586,75 @@ def naive_rank_eval(table, split, target="validation", ks=(10, 20, 50)):
         ndcg_at={k: ndcg_sum[k] / n_eval for k in ks},
         n_users_evaluated=n_eval,
     )
+
+
+def read_trace(path):
+    """trace.csv rows as EpochTrace records (the inverse of emit_trace, up
+    to its 9 significant digits)."""
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        return [
+            EpochTrace(
+                epoch=int(row["epoch"]),
+                **{col: float(row[col]) for col in TRACE_COLUMNS[1:]},
+            )
+            for row in csv.DictReader(fh)
+        ]
+
+
+@dataclass
+class HarnessResult:
+    """Monte Carlo estimates from the ranking-loss lower-bound harness."""
+
+    measured_bpr: float
+    bound: float
+    measured_se: float
+    bound_se: float
+
+
+def sphere_sample(rng, n, d):
+    """n points approximately uniform on the unit sphere in d dimensions."""
+    return normalize_rows(rng.standard_normal((n, d)))
+
+
+def bpr_bound_harness(d, n_samples, rng, perturbation=None):
+    """Compare cosine-score pairwise ranking loss against its lower bound.
+
+    Constructs a configuration of positive pairs (by default perfectly
+    aligned: item point = user point, users near-uniform on the sphere),
+    estimates the ranking loss with negatives drawn from the item cloud,
+    and estimates the bound -1 + E log(e + e^{x.y}) over independent
+    uniform sphere pairs. For the aligned near-uniform configuration both
+    estimates agree up to Monte Carlo error; breaking alignment
+    ('antipodal': item = -user) or uniformity ('collapse': one point)
+    pushes the measured loss strictly above the bound.
+    """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if n_samples < 1000:
+        raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
+
+    if perturbation in (None, "none"):
+        users = sphere_sample(rng, n_samples, d)
+        items = users
+    elif perturbation == "antipodal":
+        users = sphere_sample(rng, n_samples, d)
+        items = -users
+    elif perturbation == "collapse":
+        point = sphere_sample(rng, 1, d)
+        users = np.tile(point, (n_samples, 1))
+        items = users
+    else:
+        raise ValueError(f"unknown perturbation {perturbation!r}")
+
+    negatives = items[rng.integers(0, n_samples, size=n_samples)]
+    delta = np.sum(users * items, axis=1) - np.sum(users * negatives, axis=1)
+    per_sample = softplus(-delta)
+    measured = float(per_sample.mean())
+    measured_se = float(per_sample.std(ddof=1) / np.sqrt(n_samples))
+
+    x = sphere_sample(rng, n_samples, d)
+    y = sphere_sample(rng, n_samples, d)
+    logs = np.logaddexp(1.0, np.sum(x * y, axis=1))
+    bound = -1.0 + float(logs.mean())
+    bound_se = float(logs.std(ddof=1) / np.sqrt(n_samples))
+    return HarnessResult(measured, bound, measured_se, bound_se)

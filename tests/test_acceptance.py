@@ -14,8 +14,6 @@ import pytest
 
 from directau import (
     TrainConfig,
-    align_loss,
-    bpr_bound_harness,
     bpr_loss,
     direct_au_loss,
     init_xavier,
@@ -25,15 +23,17 @@ from directau import (
     rank_eval,
     split,
     train,
-    uniform_loss,
 )
 from directau import EmbeddingTable
 from helpers import (
+    align_loss,
+    bpr_bound_harness,
     finite_difference_gradients,
     naive_uniformity,
     random_interaction_set,
     relative_gradient_error,
     two_cluster_dataset,
+    uniform_loss,
 )
 
 BEAUTY_RAW = os.environ.get("DIRECTAU_BEAUTY_RAW", "data/beauty_ratings.csv")
@@ -168,12 +168,12 @@ def synthetic_runs():
     ds = split(data, seed=SYNTH["seed"])
     runs = {}
     t0 = time.perf_counter()
-    _, traces_b, _ = train(ds, TrainConfig(objective="bpr", **SYNTH))
+    _, traces_b = train(ds, TrainConfig(objective="bpr", **SYNTH))
     runs["bpr"] = (traces_b, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    table_a, traces_a, _ = train(ds, TrainConfig(objective="direct_au", gamma=1.0, **SYNTH))
+    best_a, traces_a = train(ds, TrainConfig(objective="direct_au", gamma=1.0, **SYNTH))
     runs["direct_au"] = (traces_a, time.perf_counter() - t0)
-    runs["au_table"] = table_a
+    runs["au_table"] = best_a.table
     runs["split"] = ds
     runs["data"] = data
     return runs
@@ -257,14 +257,14 @@ def test_criterion_8_full_scale_beauty():
 
     best_ndcg, best_gamma, best_table = -1.0, None, None
     for gamma in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
-        table, traces, _ = train(ds, TrainConfig(objective="direct_au", gamma=gamma, **base))
+        best, traces = train(ds, TrainConfig(objective="direct_au", gamma=gamma, **base))
         val = max(t.val_ndcg20 for t in traces)
         if val > best_ndcg:
-            best_ndcg, best_gamma, best_table = val, gamma, table
+            best_ndcg, best_gamma, best_table = val, gamma, best.table
     au_test = rank_eval(best_table, ds, "test", ks=(20,)).ndcg_at[20]
 
-    bpr_table, _, _ = train(ds, TrainConfig(objective="bpr", **base))
-    bpr_test = rank_eval(bpr_table, ds, "test", ks=(20,)).ndcg_at[20]
+    bpr_best, _ = train(ds, TrainConfig(objective="bpr", **base))
+    bpr_test = rank_eval(bpr_best.table, ds, "test", ks=(20,)).ndcg_at[20]
 
     ok = 0.060 <= au_test <= 0.075 and au_test > bpr_test
     report(

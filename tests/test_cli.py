@@ -18,7 +18,7 @@ from directau.cli import main
 from directau.data import read_id_pairs, split, write_interactions
 from directau.evaluation import geometry_report
 from directau.training import load_checkpoint
-from helpers import naive_uniformity, two_cluster_dataset
+from helpers import naive_uniformity, read_trace, two_cluster_dataset
 
 BASE_CONFIG = """\
 # synthetic smoke config
@@ -239,11 +239,40 @@ class TestTrainCommand:
         assert err.startswith("config error: objective=direct_au requires batch_size >= 2")
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_epochs", [3, 0], ids=["trained", "untrained"])
+    def test_train_measures_nothing_itself(self, tmp_path, data_file, monkeypatch, max_epochs):
+        # train() measures the kept table; the command only records it
+        import directau.cli as cli_mod
+        import directau.training as training_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cmd_train measured the table itself")
+
+        calls = {"rank_eval": 0, "geometry_report": 0}
+
+        def counted(name):
+            real = getattr(training_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli_mod, name, forbidden)
+            monkeypatch.setattr(training_mod, name, counted(name))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out), "--set", f"max_epochs={max_epochs}"]) == 0
+        epochs_run = json.loads((out / "manifest.json").read_text())["epochs_run"]
+        assert epochs_run == max_epochs
+        assert calls == dict.fromkeys(calls, max(epochs_run, 1))
+
     def test_degenerate_geometry_keeps_trace_and_checkpoint(
         self, tmp_path, data_file, monkeypatch, capsys
     ):
         import directau.training as training_mod
-        from directau import read_trace
         from directau.errors import DegenerateEmbedding
 
         real = training_mod.geometry_report
@@ -318,7 +347,6 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(data_file), "--config", str(cfg),
                    "--out-dir", str(out)])
         assert rc == 0
-        from directau import read_trace
 
         traces = read_trace(out / "trace.csv")
         align = [t.l_align for t in traces]
@@ -346,7 +374,9 @@ class TestEvalCommand:
         manifest = json.loads((trained / "manifest.json").read_text())
         assert report["recall"] == manifest["metrics"]["validation"]["recall"]
         assert report["ndcg"] == manifest["metrics"]["validation"]["ndcg"]
-        assert report["l_align"] == manifest["metrics"]["geometry"]["l_align"]
+        geometry = manifest["metrics"]["geometry"]
+        assert {key: report[key] for key in geometry} == geometry
+        assert len(geometry) == 4
 
     def test_geometry_key_order(self, trained, data_file, capsys):
         geometry = ["l_align", "l_uniform", "l_uniform_user", "l_uniform_item"]
@@ -589,13 +619,19 @@ class TestManifestGeometry:
         ds = split(read_id_pairs(data_file), seed=cfg.seed)
         return asdict(geometry_report(table, ds.train))
 
-    def test_untrained_run(self, tmp_path, data_file):
+    def test_untrained_run(self, tmp_path, data_file, capsys):
         out = tmp_path / "run"
         assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
                      "--out-dir", str(out), "--set", "max_epochs=0"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["best_epoch"] == 0 and manifest["epochs_run"] == 0
         assert manifest["metrics"]["geometry"] == self.checkpoint_geometry(out, data_file)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data_file),
+                     "--split", "validation"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        validation = manifest["metrics"]["validation"]
+        assert {"recall": report["recall"], "ndcg": report["ndcg"]} == validation
 
     @pytest.mark.parametrize("encoder", ["encoder=mf", "encoder=lgcn"])
     def test_early_stopped_run(self, tmp_path, data_file, encoder):

@@ -9,7 +9,6 @@ from directau import evaluation
 from directau import (
     EmbeddingTable,
     InteractionSet,
-    bpr_bound_harness,
     bpr_loss,
     geometry_report,
     measure_alignment,
@@ -20,10 +19,12 @@ from directau import (
 from directau.encoders import normalize_rows
 from directau.errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from helpers import (
+    bpr_bound_harness,
     naive_alignment,
     naive_rank_eval,
     naive_uniformity,
     random_interaction_set,
+    sphere_sample,
 )
 
 
@@ -37,7 +38,6 @@ def manual_split(train_pairs, val_pairs, test_pairs, n_users, n_items):
         train=tr,
         validation=np.array(val_pairs, dtype=np.int64).reshape(-1, 2),
         test=np.array(test_pairs, dtype=np.int64).reshape(-1, 2),
-        seed=0,
     )
 
 
@@ -421,8 +421,6 @@ class TestBoundHarness:
     def test_measured_side_matches_loss_module(self):
         rng = np.random.default_rng(14)
         n, d = 2_000, 8
-        from directau.evaluation import sphere_sample
-
         pts = sphere_sample(rng, n, d)
         negs = pts[rng.integers(0, n, size=n)]
         direct = bpr_loss(pts, pts, negs).value

@@ -10,22 +10,22 @@ from scipy import stats
 from directau import (
     EmbeddingTable,
     InteractionSet,
-    align_loss,
     bpr_loss,
     direct_au_loss,
     sample_negatives,
     split,
-    uniform_loss,
 )
 from directau import losses
 from directau.errors import InsufficientBatch, NoNegativeAvailable
 from helpers import (
+    align_loss,
     finite_difference_gradients,
     naive_direct_au_loss,
     naive_sample_negatives,
     naive_uniform_loss,
     per_user_negatives,
     relative_gradient_error,
+    uniform_loss,
 )
 
 SHAPES = [(n, d) for n in (2, 3, 8) for d in (2, 4, 16)]

@@ -20,7 +20,6 @@ from directau import (
     iter_batches,
     load_checkpoint,
     rank_eval,
-    read_trace,
     save_checkpoint,
     split,
     train,
@@ -28,7 +27,7 @@ from directau import (
 from directau.errors import ConfigError
 from directau.losses import LossOutput
 from directau.training import read_key_values, split_key_value
-from helpers import naive_read_config_file, naive_read_metadata
+from helpers import naive_read_config_file, naive_read_metadata, read_trace
 
 
 # every field away from its default
@@ -131,11 +130,14 @@ class TestTrain:
     def test_zero_epochs_returns_initial_table(self, two_cluster):
         ds = split(two_cluster, seed=0)
         cfg = small_cfg(max_epochs=0)
-        table, traces, best = train(ds, cfg)
+        best, traces = train(ds, cfg)
         init = init_xavier(two_cluster.n_users, two_cluster.n_items, cfg.d, cfg.seed)
-        assert traces == [] and best == 0
-        assert np.array_equal(table.user_emb, init.user_emb)
-        assert np.array_equal(table.item_emb, init.item_emb)
+        assert traces == [] and best.epoch == 0
+        assert np.array_equal(best.table.user_emb, init.user_emb)
+        assert np.array_equal(best.table.item_emb, init.item_emb)
+        # the initial table is measured once, at the validation Ks
+        assert best.geometry == geometry_report(init, ds.train)
+        assert best.validation == rank_eval(init, ds, "validation")
 
     def test_early_stop_mechanics(self, two_cluster, monkeypatch):
         ds = split(two_cluster, seed=0)
@@ -149,23 +151,35 @@ class TestTrain:
 
         real_geometry = training_mod.geometry_report
 
-        def fake_rank_eval(table, split_, target, ks):
+        def fake_rank_eval(table, split_, target, ks=(10, 20, 50)):
             v = next(scripted)
             snapshots[v] = table.user_emb.copy()
             return FakeMetrics(v)
 
         monkeypatch.setattr(training_mod, "rank_eval", fake_rank_eval)
-        table, traces, best = train(ds, small_cfg(patience=1, max_epochs=10))
-        assert len(traces) == 2 and best == 1
+        best, traces = train(ds, small_cfg(patience=1, max_epochs=10))
+        assert len(traces) == 2 and best.epoch == 1
         assert [t.val_ndcg20 for t in traces] == [0.5, 0.4]
-        assert np.array_equal(table.user_emb, snapshots[0.5])
+        assert np.array_equal(best.table.user_emb, snapshots[0.5])
+        assert best.validation.ndcg_at[20] == 0.5
         assert real_geometry is training_mod.geometry_report
+
+    @pytest.mark.parametrize("encoder, layers", [("mf", 0), ("lgcn", 2)])
+    def test_best_snapshot_carries_its_own_measurements(self, two_cluster, encoder, layers):
+        # an early-stopped run: the kept table is not the last one trained
+        ds = split(two_cluster, seed=5)
+        cfg = small_cfg(encoder=encoder, layers=layers, lr=0.1, patience=1, max_epochs=20)
+        best, traces = train(ds, cfg)
+        assert 1 <= best.epoch < len(traces) < 20
+        assert best.geometry == geometry_report(best.table, ds.train)
+        assert best.validation == rank_eval(best.table, ds, "validation")
+        assert best.validation.ndcg_at[20] == traces[best.epoch - 1].val_ndcg20
 
     def test_determinism_identical_traces(self, two_cluster):
         ds = split(two_cluster, seed=1)
         cfg = small_cfg(max_epochs=3)
-        _, tr_a, _ = train(ds, cfg)
-        _, tr_b, _ = train(ds, cfg)
+        _, tr_a = train(ds, cfg)
+        _, tr_b = train(ds, cfg)
         for a, b in zip(tr_a, tr_b):
             # wall_seconds is a measurement, not a modeled quantity
             assert (a.epoch, a.train_loss, a.l_align, a.l_uniform_user,
@@ -176,18 +190,18 @@ class TestTrain:
     def test_best_epoch_contract(self, two_cluster):
         ds = split(two_cluster, seed=2)
         cfg = small_cfg(max_epochs=6, objective="bpr", gamma=None)
-        table, traces, best = train(ds, cfg)
+        best, traces = train(ds, cfg)
         best_trace = max(t.val_ndcg20 for t in traces)
-        got = rank_eval(table, ds, "validation", ks=(20,)).ndcg_at[20]
+        got = rank_eval(best.table, ds, "validation", ks=(20,)).ndcg_at[20]
         assert got == best_trace
-        assert traces[best - 1].val_ndcg20 == best_trace
+        assert traces[best.epoch - 1].val_ndcg20 == best_trace
 
     def test_train_loss_self_consistency_single_batch(self, two_cluster):
         # one batch per epoch and one epoch: the recorded loss must equal
         # the loss recomputed independently on the initial table
         ds = split(two_cluster, seed=3)
         cfg = small_cfg(batch_size=10**6, max_epochs=1, gamma=2.0)
-        _, traces, _ = train(ds, cfg)
+        _, traces = train(ds, cfg)
         init = init_xavier(two_cluster.n_users, two_cluster.n_items, cfg.d, cfg.seed)
         (batch,) = iter_batches(ds, cfg.batch_size, cfg.seed, epoch=1)
         expected = direct_au_loss(
@@ -197,7 +211,7 @@ class TestTrain:
 
     def test_trace_geometry_bounds(self, two_cluster):
         ds = split(two_cluster, seed=4)
-        _, traces, _ = train(ds, small_cfg(max_epochs=3))
+        _, traces = train(ds, small_cfg(max_epochs=3))
         for t in traces:
             assert 0.0 <= t.l_align <= 4.0
             assert -8.0 <= t.l_uniform_user <= 0.0
@@ -212,11 +226,13 @@ class TestTrain:
         )
         ds = split(data, seed=0)  # p(u)=3 < 10 -> empty val/test
         assert ds.validation.size == 0
-        table, traces, best = train(ds, small_cfg(max_epochs=4, patience=1))
-        assert len(traces) == 4 and best == 4
+        best, traces = train(ds, small_cfg(max_epochs=4, patience=1))
+        assert len(traces) == 4 and best.epoch == 4
         assert all(math.isnan(t.val_ndcg20) for t in traces)
+        assert best.validation is None
         # the returned table is the last epoch's, which its trace row measured
-        geo = geometry_report(table, ds.train)
+        geo = geometry_report(best.table, ds.train)
+        assert best.geometry == geo
         last = traces[-1]
         assert (geo.l_align, geo.l_uniform_user, geo.l_uniform_item) == (
             last.l_align, last.l_uniform_user, last.l_uniform_item
@@ -258,7 +274,6 @@ class TestTrain:
             train=inter,
             validation=np.empty((0, 2), dtype=np.int64),
             test=np.empty((0, 2), dtype=np.int64),
-            seed=0,
         )
         cfg = TrainConfig(objective="direct_au", gamma=1.5, seed=0, d=4,
                           encoder="lgcn", layers=2)
@@ -486,9 +501,9 @@ class TestTrain:
     def test_lgcn_smoke_and_determinism(self, two_cluster):
         ds = split(two_cluster, seed=6)
         cfg = small_cfg(encoder="lgcn", layers=2, max_epochs=2)
-        t1, tr1, _ = train(ds, cfg)
-        t2, tr2, _ = train(ds, cfg)
-        assert np.array_equal(t1.user_emb, t2.user_emb)
+        b1, tr1 = train(ds, cfg)
+        b2, tr2 = train(ds, cfg)
+        assert np.array_equal(b1.table.user_emb, b2.table.user_emb)
         assert tr1[-1].train_loss == tr2[-1].train_loss
         assert 0.0 <= tr1[-1].l_align <= 4.0
 
@@ -506,23 +521,23 @@ class TestTrain:
         cfg_bpr = small_cfg(objective="bpr", gamma=None, batch_size=4, max_epochs=1)
         assert [len(b) for b in _training_batches(ds, cfg_bpr, epoch=1)] == [4, 4, 1]
         # and the full run trains without tripping the uniformity precondition
-        _, traces, _ = train(ds, cfg)
+        _, traces = train(ds, cfg)
         assert len(traces) == 1
 
     def test_bpr_ds_smoke(self, two_cluster):
         ds = split(two_cluster, seed=7)
         cfg = small_cfg(objective="bpr_ds", gamma=None, max_epochs=2, ds_candidates=8)
-        _, traces, _ = train(ds, cfg)
+        _, traces = train(ds, cfg)
         assert len(traces) == 2
         assert all(t.train_loss > 0 for t in traces)
 
     def test_training_improves_over_initialization(self, two_cluster):
         ds = split(two_cluster, seed=8)
         cfg = small_cfg(max_epochs=30, d=16, lr=0.04)
-        table, traces, best = train(ds, cfg)
+        best, _ = train(ds, cfg)
         init = init_xavier(two_cluster.n_users, two_cluster.n_items, cfg.d, cfg.seed)
         before = rank_eval(init, ds, "validation", ks=(20,)).ndcg_at[20]
-        after = rank_eval(table, ds, "validation", ks=(20,)).ndcg_at[20]
+        after = rank_eval(best.table, ds, "validation", ks=(20,)).ndcg_at[20]
         assert after > before
 
 
@@ -553,7 +568,7 @@ class TestTraceSerialization:
 
     def test_roundtrip_within_tolerance(self, tmp_path, two_cluster):
         ds = split(two_cluster, seed=9)
-        _, traces, _ = train(ds, small_cfg(max_epochs=2))
+        _, traces = train(ds, small_cfg(max_epochs=2))
         p = tmp_path / "t.csv"
         emit_trace(traces, p)
         back = read_trace(p)
