@@ -9,13 +9,13 @@ substreams.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from .data import (
+    file_sha256,
     load_interactions,
     open_atomic,
     preprocess,
@@ -39,14 +39,6 @@ from .training import (
 )
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
-
-
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _ranking_json(ranked: RankingMetrics) -> dict[str, dict[str, float]]:
@@ -111,7 +103,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "n_users": data.n_users,
             "n_items": data.n_items,
             "n_interactions": data.n_pairs,
-            "sha256": _file_sha256(data_path),
+            "sha256": file_sha256(data_path),
         },
         "best_epoch": best.epoch,
         "epochs_run": len(traces),
@@ -120,7 +112,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "geometry": asdict(best.geometry),
         },
         "artifacts": {
-            "checkpoint": str(out_dir / "embeddings.txt"),
+            "checkpoint": str(out_dir / "embeddings.npz"),
             "metadata": str(out_dir / "metadata.txt"),
             "trace": str(out_dir / "trace.csv"),
         },
@@ -148,7 +140,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             trained_on = json.loads(manifest_path.read_text(encoding="utf-8"))["dataset"]["sha256"]
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
-        if trained_on != _file_sha256(data_path):
+        if trained_on != file_sha256(data_path):
             raise DataError(
                 f"{data_path} is not the dataset this checkpoint was trained on "
                 f"(SHA-256 differs from {manifest_path})"

@@ -12,13 +12,14 @@ key=value files.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor, prod
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -377,18 +378,28 @@ def iter_batches(
 
 
 @contextmanager
-def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Write text to a temporary file beside `path` that replaces `path`
-    (os.replace) when the block exits cleanly; if the block raises, the
-    temporary file is removed and `path` keeps its previous content."""
+def open_atomic(path: str | Path, newline: str | None = None, binary: bool = False) -> Iterator[IO]:
+    """Write UTF-8 text, or bytes when `binary`, to a temporary file beside
+    `path` that replaces `path` (os.replace) when the block exits cleanly;
+    if the block raises, the temporary file is removed and `path` keeps its
+    previous content."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of the bytes of the file at `path`."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_interactions(data: InteractionSet, path: str | Path) -> None:

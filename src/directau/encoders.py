@@ -4,11 +4,13 @@ Ranking scores use raw dot products, so normalization is NOT applied here;
 it lives in the loss/metric path (normalize_rows). The graph is a UserIndex
 over users and items plus entry weights derived from its row lengths; of
 scipy, only the compiled kernel extension of its sparse products is loaded.
+A table is dumped as an uncompressed .npz of its two float64 blocks.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import zipfile
 from dataclasses import dataclass, field
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -19,6 +21,8 @@ import numpy as np
 from .data import InteractionSet, UserIndex, Workspace, open_atomic
 from .errors import DataError, DegenerateEmbedding
 from .rng import substream
+
+DUMP_MEMBERS = ("user_emb", "item_emb")  # the dump's .npz members, in row order
 
 
 @dataclass
@@ -228,33 +232,40 @@ def normalize_rows(reps: np.ndarray) -> np.ndarray:
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Dump as text: header 'n_users n_items d', then one row per entity
-    (users first), space-separated at 17 significant digits (lossless).
-    The file at `path` is replaced whole when the dump is complete."""
-    with open_atomic(path) as fh:
-        fh.write(f"{table.n_users} {table.n_items} {table.d}\n")
-        np.savetxt(fh, table.emb, fmt="%.17g")
+    """Dump as an uncompressed .npz: the float64 members `user_emb` and
+    `item_emb` (`np.load` reads them), stored bit for bit. Each member is
+    written through an explicit `zipfile.ZipInfo`, whose timestamp is the
+    fixed default, so equal tables give byte-identical files. The file at
+    `path` is replaced whole when the dump is complete."""
+    with open_atomic(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, part in zip(DUMP_MEMBERS, (table.user_emb, table.item_emb)):
+            with archive.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, part, allow_pickle=False)
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Parse a write_embeddings() dump; raises DataError on malformed content."""
+    """Load a dump with exactly the members `user_emb` and `item_emb`, as
+    write_embeddings() or `np.savez(path, user_emb=U, item_emb=I)` writes
+    it: each 2-D float64 with at least one row, both of one width d >= 1.
+    Anything else (no zip archive, another member set, dtype or shape) is
+    a DataError naming the file."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:  # UnicodeDecodeError is a ValueError too
-            header = [int(x) for x in fh.readline().split()]
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed header ({exc})") from exc
-        if len(header) != 3:
-            raise DataError(f"{path}: malformed header, expected 'n_users n_items d'")
-        n_users, n_items, d = header
-        if n_users < 1 or n_items < 1 or d < 1:
-            raise DataError(f"{path}: non-positive counts in header")
-        try:
-            flat = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed embedding rows ({exc})") from exc
-    if flat.shape != (n_users + n_items, d):
+    parts = []
+    try:
+        with zipfile.ZipFile(path) as archive:
+            if sorted(archive.namelist()) != sorted(f"{name}.npy" for name in DUMP_MEMBERS):
+                raise DataError(f"{path}: members {archive.namelist()}, not {DUMP_MEMBERS}")
+            for name in DUMP_MEMBERS:
+                with archive.open(name + ".npy") as member:
+                    parts.append(np.lib.format.read_array(member, allow_pickle=False))
+    # OSError: a corrupt offset; RuntimeError: an unsupported member; MemoryError: a huge shape
+    except (zipfile.BadZipFile, EOFError, MemoryError, OSError, RuntimeError, ValueError) as exc:
+        raise DataError(f"{path}: not a readable embedding dump ({exc})") from exc
+    user, item = parts
+    if not (all(part.dtype == np.float64 and part.ndim == 2 and len(part) > 0 for part in parts)
+            and user.shape[1] == item.shape[1] > 0):
         raise DataError(
-            f"{path}: expected {n_users + n_items} rows of width {d}, got {flat.shape}"
+            f"{path}: user_emb and item_emb must be 2-D float64 with at least one row and one "
+            f"width d >= 1, got {user.dtype} {user.shape} and {item.dtype} {item.shape}"
         )
-    return EmbeddingTable(flat, n_users)
+    return EmbeddingTable.from_parts(user, item)

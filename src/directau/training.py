@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, PositiveBatch, Workspace, iter_batches, open_atomic
+from .data import DatasetSplit, PositiveBatch, Workspace, file_sha256, iter_batches, open_atomic
 from .encoders import (
     EmbeddingTable,
     GraphPropagator,
@@ -29,7 +29,7 @@ from .encoders import (
     read_embeddings,
     write_embeddings,
 )
-from .errors import ConfigError, DivergedGradient, InsufficientBatch, NumericError
+from .errors import ConfigError, DataError, DivergedGradient, InsufficientBatch, NumericError
 from .evaluation import GeometryReport, RankingMetrics, geometry_report, rank_eval
 from .losses import bpr_loss, direct_au_loss, sample_negatives
 from .optim import AdamState, adam_step
@@ -356,13 +356,16 @@ def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
 def save_checkpoint(
     out_dir: str | Path, table: EmbeddingTable, cfg: TrainConfig, best_epoch: int
 ) -> None:
-    """Write embeddings.txt + metadata.txt (config echo, best epoch), each
-    replaced whole."""
+    """Write embeddings.npz, then metadata.txt (config echo, best epoch and
+    the dump's `embeddings_sha256`), each replaced whole; load_checkpoint
+    rejects the torn pair that a crash between the two writes leaves."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_embeddings(table, out_dir / "embeddings.txt")
+    dump = out_dir / "embeddings.npz"
+    write_embeddings(table, dump)
     meta = cfg.to_mapping()
     meta["best_epoch"] = str(best_epoch)
+    meta["embeddings_sha256"] = file_sha256(dump)
     with open_atomic(out_dir / "metadata.txt") as fh:
         for key, val in meta.items():
             fh.write(f"{key}={val}\n")
@@ -392,14 +395,16 @@ def read_key_values(path: str | Path) -> dict[str, str]:
 
 
 def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, int]:
-    """Inverse of save_checkpoint."""
+    """Inverse of save_checkpoint; a torn pair is a DataError."""
     out_dir = Path(out_dir)
-    table = read_embeddings(out_dir / "embeddings.txt")
-    meta = out_dir / "metadata.txt"
+    dump, meta = out_dir / "embeddings.npz", out_dir / "metadata.txt"
+    table = read_embeddings(dump)
     raw = read_key_values(meta)
     text = raw.pop("best_epoch", "0")
     try:
         best_epoch = int(text)
     except ValueError as exc:
         raise ConfigError(f"{meta}: bad value for 'best_epoch': {text!r}") from exc
+    if raw.pop("embeddings_sha256", None) != file_sha256(dump):
+        raise DataError(f"{dump} is not the dump {meta} records (SHA-256 differs or is missing)")
     return table, TrainConfig.from_mapping(raw), best_epoch

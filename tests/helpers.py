@@ -40,15 +40,6 @@ from directau.losses import (
 from directau.training import TRACE_COLUMNS, EpochTrace
 
 
-def write_embeddings_per_float(table, path):
-    """Reference dump writer: formats each float on its own."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{table.n_users} {table.n_items} {table.d}\n")
-        for mat in (table.user_emb, table.item_emb):
-            for row in mat:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def scipy_adjacency(interactions):
     """Reference normalized adjacency: scipy's CSR matrix built from COO
     triples, (|U|+|I|) square, users first, with entries (u, i) and (i, u)

@@ -1,10 +1,12 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -173,7 +175,7 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(data_file), "--config", str(cfg),
                    "--out-dir", str(out)])
         assert rc == 0
-        for name in ("embeddings.txt", "metadata.txt", "trace.csv", "manifest.json"):
+        for name in ("embeddings.npz", "metadata.txt", "trace.csv", "manifest.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["objective"] == "direct_au"
@@ -196,6 +198,8 @@ class TestTrainCommand:
         # all columns except the wall-clock measurement must match exactly
         for ra, rb in zip(*outs):
             assert ra.rsplit(",", 1)[0] == rb.rsplit(",", 1)[0]
+        for name in ("embeddings.npz", "metadata.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_set_overrides_config(self, tmp_path, data_file):
         cfg = write_config(tmp_path)
@@ -291,7 +295,7 @@ class TestTrainCommand:
         assert rc == 4
         assert "zero-norm row" in capsys.readouterr().err
         assert [t.epoch for t in read_trace(out / "trace.csv")] == [1]
-        assert (out / "embeddings.txt").exists()
+        assert (out / "embeddings.npz").exists()
         assert "best_epoch=1" in (out / "metadata.txt").read_text()
         assert not (out / "manifest.json").exists()
 
@@ -322,17 +326,17 @@ class TestTrainCommand:
         assert main(args) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-        real = np.savetxt
+        real = np.lib.format.write_array
 
         def fails_partway(fh, rows, **kw):
             real(fh, rows[:5], **kw)
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savetxt", fails_partway)
+        monkeypatch.setattr(np.lib.format, "write_array", fails_partway)
         assert main(args + ["--set", "seed=6"]) == 3
         after = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert set(after) == {"trace.csv", "embeddings.txt", "metadata.txt"}
-        assert after["embeddings.txt"] == before["embeddings.txt"]
+        assert set(after) == {"trace.csv", "embeddings.npz", "metadata.txt"}
+        assert after["embeddings.npz"] == before["embeddings.npz"]
         assert after["metadata.txt"] == before["metadata.txt"]
 
     def test_bpr_trace_shows_dynamics_signature(self, tmp_path, data_file):
@@ -384,7 +388,7 @@ class TestEvalCommand:
         assert list(manifest["metrics"]["geometry"]) == geometry
         assert main(["eval", "--checkpoint", str(trained), "--data", str(data_file)]) == 0
         assert list(json.loads(capsys.readouterr().out)) == ["recall", "ndcg", *geometry]
-        assert main(["probe", "--embeddings", str(trained / "embeddings.txt"),
+        assert main(["probe", "--embeddings", str(trained / "embeddings.npz"),
                      "--interactions", str(data_file)]) == 0
         assert list(json.loads(capsys.readouterr().out)) == geometry
 
@@ -420,7 +424,7 @@ class TestEvalCommand:
         # a diverged run writes no manifest, so there is nothing to compare
         no_manifest = tmp_path / "no-manifest"
         no_manifest.mkdir()
-        for name in ("embeddings.txt", "metadata.txt"):
+        for name in ("embeddings.npz", "metadata.txt"):
             (no_manifest / name).write_bytes((trained / name).read_bytes())
         assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(other)]) == 0
 
@@ -429,7 +433,7 @@ class TestEvalCommand:
         # a diverged run leaves no manifest; the entity counts still have to agree
         no_manifest = tmp_path / "no-manifest"
         no_manifest.mkdir()
-        for name in ("embeddings.txt", "metadata.txt"):
+        for name in ("embeddings.npz", "metadata.txt"):
             (no_manifest / name).write_bytes((trained / name).read_bytes())
         data = two_cluster_dataset()
         keep = data.users != data.users.max()
@@ -442,6 +446,46 @@ class TestEvalCommand:
         assert "data error" in capsys.readouterr().err
         assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(data_file)]) == 0
 
+    def test_torn_checkpoint_is_data_error(self, trained, data_file, tmp_path, capsys):
+        # run B's dump beside run A's metadata, as a crash between the two
+        # writes of save_checkpoint leaves them
+        other = tmp_path / "b"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(other), "--set", "seed=6"]) == 0
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        for name in ("metadata.txt", "manifest.json"):
+            (torn / name).write_bytes((trained / name).read_bytes())
+        (torn / "embeddings.npz").write_bytes((other / "embeddings.npz").read_bytes())
+        assert main(["eval", "--checkpoint", str(torn), "--data", str(data_file)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert str(torn / "embeddings.npz") in err and str(torn / "metadata.txt") in err
+
+    def test_metadata_without_dump_digest_is_data_error(self, trained, data_file, tmp_path,
+                                                        capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("embeddings.npz", "metadata.txt"):
+            (run / name).write_bytes((trained / name).read_bytes())
+        meta = run / "metadata.txt"
+        text = meta.read_text(encoding="utf-8")
+        assert "\nembeddings_sha256=" in text
+        meta.write_text(re.sub(r"(?m)^embeddings_sha256=.*\n", "", text), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(meta) in err
+
+    def test_text_dump_run_directory_is_data_error(self, trained, data_file, tmp_path, capsys):
+        # a run directory from before the binary dump holds embeddings.txt
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "embeddings.txt").write_text("200 100 2\n" + "0.5 0.5\n" * 300)
+        (old / "metadata.txt").write_bytes((trained / "metadata.txt").read_bytes())
+        assert main(["eval", "--checkpoint", str(old), "--data", str(data_file)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "embeddings.npz" in err
+
     def test_dimension_mismatch(self, trained, tmp_path, capsys):
         small = tmp_path / "small.txt"
         small.write_text("0\t0\n0\t1\n1\t0\n1\t1\n201\t0\n")
@@ -452,7 +496,7 @@ class TestEvalCommand:
 
 class TestProbeCommand:
     def test_all_equal_rows(self, tmp_path, capsys):
-        emb = tmp_path / "emb.txt"
+        emb = tmp_path / "emb.npz"
         t = EmbeddingTable.from_parts(np.tile([[1.0, 2.0]], (3, 1)), np.tile([[1.0, 2.0]], (4, 1)))
         write_embeddings(t, emb)
         inter = tmp_path / "inter.txt"
@@ -473,7 +517,7 @@ class TestProbeCommand:
         inter = InteractionSet.from_pairs(
             [grid[s][0] for s in sel], [grid[s][1] for s in sel], 12, 15
         )
-        emb = tmp_path / "emb.txt"
+        emb = tmp_path / "emb.npz"
         write_embeddings(table, emb)
         inter_path = tmp_path / "inter.txt"
         write_interactions(inter, inter_path)
@@ -493,12 +537,107 @@ class TestProbeCommand:
         assert rc == 3
 
     def test_row_count_mismatch(self, tmp_path, capsys):
-        emb = tmp_path / "emb.txt"
+        emb = tmp_path / "emb.npz"
         write_embeddings(init_xavier(2, 2, 3, seed=0), emb)
         inter = tmp_path / "inter.txt"
         inter.write_text("0\t0\n5\t1\n")
         rc = main(["probe", "--embeddings", str(emb), "--interactions", str(inter)])
         assert rc == 3
+
+
+def _malformed_dump(case, path):
+    """Write at `path` a file that read_embeddings must reject, as `case`
+    names it."""
+    rng = np.random.default_rng(0)
+    user, item = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+    if case == "empty":
+        path.write_bytes(b"")
+    elif case == "truncated":
+        write_embeddings(EmbeddingTable.from_parts(user, item), path)
+        path.write_bytes(path.read_bytes()[:-40])
+    elif case == "corrupted":
+        write_embeddings(EmbeddingTable.from_parts(user, item), path)
+        data = bytearray(path.read_bytes())
+        at = bytes(data).index(item.tobytes())
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+    elif case in ("unknown-compression", "bad-offset"):
+        write_embeddings(EmbeddingTable.from_parts(user, item), path)
+        data = bytearray(path.read_bytes())
+        if case == "unknown-compression":  # method 99 in the local and central headers
+            for sig, at in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
+                pos = bytes(data).index(sig)
+                data[pos + at : pos + at + 2] = (99).to_bytes(2, "little")
+        else:  # the end record places the central directory past where it is
+            pos = bytes(data).rindex(b"PK\x05\x06") + 16
+            offset = int.from_bytes(data[pos : pos + 4], "little") + 1000
+            data[pos : pos + 4] = offset.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+    elif case == "huge-shape":  # a header declaring far more rows than the member holds
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**12, 3)}
+        )
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("user_emb.npy", header.getvalue() + user.tobytes())
+            with archive.open("item_emb.npy", "w") as member:
+                np.lib.format.write_array(member, item)
+    elif case == "text":
+        path.write_text("2 2 3\n" + "0.5 0.5 0.5\n" * 4)
+    elif case == "bare-npy":
+        with path.open("wb") as fh:
+            np.save(fh, np.concatenate([user, item]))
+    elif case == "pickled":
+        with path.open("wb") as fh:
+            np.savez(fh, user_emb=np.array([[1.0, None]], dtype=object), item_emb=item)
+    else:
+        members = {"user_emb": user, "item_emb": item}
+        if case == "missing-member":
+            del members["item_emb"]
+        elif case == "extra-member":
+            members["bias"] = np.zeros(2)
+        elif case == "float32":
+            members["user_emb"] = user.astype(np.float32)
+        elif case == "1-d":
+            members["user_emb"] = user.ravel()
+        elif case == "no-rows":
+            members["item_emb"] = item[:0]
+        elif case == "no-width":
+            members = {"user_emb": user[:, :0], "item_emb": item[:, :0]}
+        elif case == "width-mismatch":
+            members["item_emb"] = item[:, :2]
+        with path.open("wb") as fh:
+            np.savez(fh, **members)
+
+
+class TestDumpFormat:
+    """probe reads any .npz with exactly the members user_emb and item_emb,
+    and rejects everything else as a data error that names the file."""
+
+    def test_probe_reads_numpy_savez(self, tmp_path, capsys):
+        table = init_xavier(12, 15, 8, seed=3)
+        inter = tmp_path / "inter.txt"
+        inter.write_text("0\t0\n1\t1\n2\t14\n11\t3\n")
+        ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
+        write_embeddings(table, ours)
+        np.savez(theirs, user_emb=table.user_emb, item_emb=table.item_emb)
+        reports = []
+        for emb in (ours, theirs):
+            assert main(["probe", "--embeddings", str(emb), "--interactions", str(inter)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("case", [
+        "empty", "truncated", "corrupted", "unknown-compression", "bad-offset", "huge-shape",
+        "text", "bare-npy", "pickled", "missing-member", "extra-member", "float32", "1-d",
+        "no-rows", "no-width", "width-mismatch",
+    ])
+    def test_malformed_dump_is_data_error(self, case, tmp_path, data_file, capsys):
+        emb = tmp_path / "emb.npz"
+        _malformed_dump(case, emb)
+        assert main(["probe", "--embeddings", str(emb), "--interactions", str(data_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(emb) in err and err.count("\n") == 1
 
 
 class TestUsageErrors:
@@ -549,10 +688,10 @@ class TestUnreadableInputs:
         if command == "eval":
             bare = tmp_path / "no-manifest"
             bare.mkdir()
-            for name in ("embeddings.txt", "metadata.txt"):
+            for name in ("embeddings.npz", "metadata.txt"):
                 (bare / name).write_bytes((trained / name).read_bytes())
             return ["--checkpoint", str(bare), "--data", str(data)]
-        return ["--embeddings", str(trained / "embeddings.txt"), "--interactions", str(data)]
+        return ["--embeddings", str(trained / "embeddings.npz"), "--interactions", str(data)]
 
     @pytest.mark.parametrize("command", ["train", "eval", "probe"])
     def test_id_past_int64_is_data_error(self, command, tmp_path, trained, capsys):
@@ -588,7 +727,7 @@ class TestUnreadableInputs:
     def test_metadata_not_utf8_is_config_error(self, tmp_path, trained, data_file, capsys):
         run = tmp_path / "run"
         run.mkdir()
-        for name in ("embeddings.txt", "metadata.txt", "manifest.json"):
+        for name in ("embeddings.npz", "metadata.txt", "manifest.json"):
             (run / name).write_bytes((trained / name).read_bytes())
         with (run / "metadata.txt").open("ab") as fh:
             fh.write(b"# \xff\n")
@@ -600,7 +739,7 @@ class TestUnreadableInputs:
     def test_non_integer_best_epoch_is_config_error(self, tmp_path, trained, data_file, capsys):
         run = tmp_path / "run"
         run.mkdir()
-        for name in ("embeddings.txt", "metadata.txt"):  # no manifest
+        for name in ("embeddings.npz", "metadata.txt"):  # no manifest
             (run / name).write_bytes((trained / name).read_bytes())
         meta = run / "metadata.txt"
         text = meta.read_text(encoding="utf-8")
@@ -675,7 +814,7 @@ from directau.cli import main
 assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt"]) == 0
 assert main(["train", "--data", "clean.txt", "--config", "run.conf", "--out-dir", "run"]) == 0
 assert main(["eval", "--checkpoint", "run", "--data", "clean.txt"]) == 0
-assert main(["probe", "--embeddings", "run/embeddings.txt", "--interactions", "clean.txt"]) == 0
+assert main(["probe", "--embeddings", "run/embeddings.npz", "--interactions", "clean.txt"]) == 0
 """
         assert _modules_after(tmp_path, script) == []
 

@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import importlib.util
+import zipfile
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from helpers import (
     naive_backward,
     naive_propagate,
     scipy_adjacency,
-    write_embeddings_per_float,
 )
 
 
@@ -387,35 +387,61 @@ class TestEmbeddingDump:
     def test_lossless_roundtrip(self, tmp_path):
         t = init_xavier(7, 9, 5, seed=8)
         t.user_emb[0, 0] = 1.0 / 3.0  # non-terminating decimal
-        p = tmp_path / "emb.txt"
+        p = tmp_path / "emb.npz"
         write_embeddings(t, p)
         back = read_embeddings(p)
         assert np.array_equal(back.user_emb, t.user_emb)
         assert np.array_equal(back.item_emb, t.item_emb)
 
-    def test_writer_matches_per_float_oracle(self, tmp_path):
-        specials = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1,
-                    1e16, 1e16 + 2.0, 3.0, -42.0, 1.0 / 3.0, 2.0**-1074 * 3]
+    def test_special_values_roundtrip_bit_for_bit(self, tmp_path):
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1.0 / 3.0,
+                    np.inf, -np.inf, np.nan, 1e16 + 2.0, -42.0, 2.0**-1074 * 3]
         rng = np.random.default_rng(9)
         user = rng.standard_normal((4, 6))
         user[0] = specials[:6]
         item = rng.standard_normal((3, 6)) * 1e-3
         item[1] = specials[6:]
         t = EmbeddingTable.from_parts(user, item)
-        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
-        write_embeddings(t, got)
-        write_embeddings_per_float(t, want)
-        assert got.read_bytes() == want.read_bytes()
-        back = read_embeddings(got)
-        assert back.n_users == 4
-        assert np.array_equal(back.emb, t.emb)
-        assert np.array_equal(np.signbit(back.emb), np.signbit(t.emb))
-
-    def test_header_format(self, tmp_path):
-        t = init_xavier(2, 3, 4, seed=0)
-        p = tmp_path / "emb.txt"
+        p = tmp_path / "emb.npz"
         write_embeddings(t, p)
-        assert p.read_text().splitlines()[0] == "2 3 4"
+        back = read_embeddings(p)
+        assert back.n_users == 4 and back.n_items == 3
+        assert np.array_equal(back.emb, t.emb, equal_nan=True)
+        assert np.array_equal(np.signbit(back.emb), np.signbit(t.emb))
+        assert np.array_equal(back.emb.view(np.uint64), t.emb.view(np.uint64))
+
+    def test_two_writes_are_byte_identical(self, tmp_path):
+        t = init_xavier(5, 4, 3, seed=1)
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+        write_embeddings(t, a)
+        write_embeddings(t.copy(), b)
+        assert a.read_bytes() == b.read_bytes()
+        with zipfile.ZipFile(a) as archive:
+            infos = archive.infolist()
+        # no clock in the file: every member carries zipfile's fixed default time
+        assert [(i.filename, i.date_time, i.compress_type) for i in infos] == [
+            (name, (1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)
+            for name in ("user_emb.npy", "item_emb.npy")
+        ]
+
+    def test_numpy_reads_ours(self, tmp_path):
+        t = init_xavier(3, 4, 2, seed=2)
+        p = tmp_path / "emb.npz"
+        write_embeddings(t, p)
+        with np.load(p, allow_pickle=False) as dump:
+            assert dump.files == ["user_emb", "item_emb"]
+            assert np.array_equal(dump["user_emb"], t.user_emb)
+            assert np.array_equal(dump["item_emb"], t.item_emb)
+
+    @pytest.mark.parametrize("save", [np.savez, np.savez_compressed])
+    def test_reads_numpy_savez(self, tmp_path, save):
+        rng = np.random.default_rng(3)
+        user, item = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        p = tmp_path / "other.npz"
+        save(p, item_emb=item, user_emb=user)
+        back = read_embeddings(p)
+        assert back.n_users == 3
+        assert np.array_equal(back.user_emb, user) and np.array_equal(back.item_emb, item)
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "emb.txt"
