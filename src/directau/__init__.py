@@ -9,8 +9,6 @@ exact popularity-weighted uniformity estimator.
 from .data import (
     DatasetSplit,
     InteractionSet,
-    PositiveBatch,
-    iter_batches,
     load_interactions,
     preprocess,
     split,
@@ -27,8 +25,6 @@ from .evaluation import (
     GeometryReport,
     RankingMetrics,
     geometry_report,
-    measure_alignment,
-    measure_uniformity,
     rank_eval,
 )
 from .losses import (

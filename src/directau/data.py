@@ -1,4 +1,4 @@
-"""Interaction ingestion, k-core preprocessing, per-user splits, batching.
+"""Interaction ingestion, k-core preprocessing, per-user splits.
 
 File format: UTF-8 text, one interaction per line, `user<delim>item[<delim>...]`,
 lines starting with '#' ignored. Columns past the second are ignored. The
@@ -114,17 +114,6 @@ class InteractionSet:
             raise DataError("some user IDs in [0, n_users) never appear")
         if np.unique(self.items).size != self.n_items:
             raise DataError("some item IDs in [0, n_items) never appear")
-
-
-@dataclass
-class PositiveBatch:
-    """A mini-batch of aligned positive (user, item) pairs."""
-
-    users: np.ndarray
-    items: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.users.size)
 
 
 class UserIndex(NamedTuple):
@@ -358,23 +347,6 @@ def split(
         validation=np.column_stack([data.users[va], data.items[va]]),
         test=np.column_stack([data.users[te], data.items[te]]),
     )
-
-
-def iter_batches(
-    split: DatasetSplit, batch_size: int, seed: int, epoch: int
-) -> Iterator[PositiveBatch]:
-    """Deterministically shuffled positive-pair batches for one epoch.
-
-    The shuffle substream depends on (seed, epoch); the last batch may be
-    short. The union of batches is exactly the training set.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    train = split.train
-    perm = substream(seed, "shuffle", epoch).permutation(train.n_pairs)
-    for start in range(0, train.n_pairs, batch_size):
-        sel = perm[start : start + batch_size]
-        yield PositiveBatch(users=train.users[sel], items=train.items[sel])
 
 
 @contextmanager

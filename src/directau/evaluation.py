@@ -111,27 +111,6 @@ def rank_eval(
     return RankingMetrics(recall_at, ndcg_at, n_eval)
 
 
-def measure_alignment(table: EmbeddingTable, interactions: InteractionSet) -> float:
-    """Mean squared distance between normalized rows over all pairs in R.
-
-    The pairs' differences are taken in row blocks of at most
-    _SCORE_BUDGET bytes; each pair's squared distance is one row sum, so
-    the blocks do not change it, and the mean runs once over all of them.
-    """
-    un = normalize_rows(table.user_emb)
-    im = normalize_rows(table.item_emb)
-    users, items = interactions.users, interactions.items
-    per_pair = np.empty(users.size)
-    n_rows = max(1, _SCORE_BUDGET // (8 * table.d))
-    for start in range(0, users.size, n_rows):
-        block = slice(start, start + n_rows)
-        diff = un[users[block]]
-        diff -= im[items[block]]
-        diff *= diff
-        np.sum(diff, axis=1, out=per_pair[block])
-    return float(np.mean(per_pair))
-
-
 def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> float:
     """log of the popularity-weighted Gaussian-potential mean for one side.
 
@@ -159,13 +138,17 @@ def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> f
     return float(np.log((off_diag + same_entity) / (n_pairs * (n_pairs - 1))))
 
 
-def measure_uniformity(
-    table: EmbeddingTable, interactions: InteractionSet
-) -> tuple[float, float, float]:
-    """(user side, item side, combined) log Gaussian-potential means.
+def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> GeometryReport:
+    """Alignment and uniformity of the normalized rows over `interactions`,
+    each side normalized once.
 
-    Equals the O(|R|^2) mean over ordered pairs of distinct interactions,
-    computed via the popularity-weighted form.
+    Uniformity is the log Gaussian-potential mean per side (and their
+    mean), equal to the O(|R|^2) mean over ordered pairs of distinct
+    interactions through the popularity-weighted form. Alignment is the
+    mean squared distance over all pairs in R, whose differences are taken
+    in row blocks of at most _SCORE_BUDGET bytes; each pair's squared
+    distance is one row sum, so the blocks do not change it, and the mean
+    runs once over all of them.
     """
     if interactions.n_pairs < 2:
         raise InsufficientData("uniformity needs at least two interactions")
@@ -173,14 +156,19 @@ def measure_uniformity(
     im = normalize_rows(table.item_emb)
     lu = _weighted_potential_mean(un, interactions.user_pop, interactions.n_pairs)
     li = _weighted_potential_mean(im, interactions.item_pop, interactions.n_pairs)
-    return lu, li, (lu + li) / 2.0
 
-
-def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> GeometryReport:
-    lu, li, combined = measure_uniformity(table, interactions)
+    users, items = interactions.users, interactions.items
+    per_pair = np.empty(users.size)
+    n_rows = max(1, _SCORE_BUDGET // (8 * table.d))
+    for start in range(0, users.size, n_rows):
+        block = slice(start, start + n_rows)
+        diff = un[users[block]]
+        diff -= im[items[block]]
+        diff *= diff
+        np.sum(diff, axis=1, out=per_pair[block])
     return GeometryReport(
-        l_align=measure_alignment(table, interactions),
-        l_uniform=combined,
+        l_align=float(np.mean(per_pair)),
+        l_uniform=(lu + li) / 2.0,
         l_uniform_user=lu,
         l_uniform_item=li,
     )

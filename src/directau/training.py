@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, PositiveBatch, Workspace, file_sha256, iter_batches, open_atomic
+from .data import DatasetSplit, Workspace, file_sha256, open_atomic
 from .encoders import (
     EmbeddingTable,
     GraphPropagator,
@@ -166,20 +166,19 @@ class TrainingDiverged(DivergedGradient):
         self.best_epoch = best_epoch
 
 
-def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list[PositiveBatch]:
-    batches = list(iter_batches(split, cfg.batch_size, cfg.seed, epoch))
-    if cfg.objective == "direct_au" and len(batches[-1]) == 1:
-        if len(batches) == 1:
+def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
+    """The epoch's batches as positions into split.train: one permutation
+    from the (seed, "shuffle", epoch) substream, cut at the multiples of
+    batch_size, so the last batch may be short and their union is the
+    training set. A singleton batch has no pairwise uniformity, so for
+    direct_au a trailing one joins the batch before it."""
+    n = split.train.n_pairs
+    starts = np.arange(cfg.batch_size, n, cfg.batch_size)
+    if cfg.objective == "direct_au" and n % cfg.batch_size == 1:
+        if n == 1:
             raise InsufficientBatch("direct_au needs at least two training pairs")
-        # a singleton batch has no pairwise uniformity; fold it into the
-        # previous batch instead of changing the loss contract
-        tail = batches.pop()
-        prev = batches[-1]
-        batches[-1] = PositiveBatch(
-            users=np.concatenate([prev.users, tail.users]),
-            items=np.concatenate([prev.items, tail.items]),
-        )
-    return batches
+        starts = starts[:-1]
+    return np.split(substream(cfg.seed, "shuffle", epoch).permutation(n), starts)
 
 
 def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTrace]]:
@@ -223,11 +222,15 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         loss_sum = 0.0
-        n_batches = 0
         try:
-            for batch in _training_batches(split, cfg, epoch):
-                loss_sum += _train_batch(batch, table, propagator, state, split, cfg, neg_rng)
-                n_batches += 1
+            batches = _training_batches(split, cfg, epoch)
+            for sel in batches:
+                value, rows, grads = _batch_loss_and_grads(
+                    split.train.users[sel], split.train.items[sel],
+                    table, propagator, work, split, cfg, neg_rng,
+                )
+                adam_step(state, table.emb, rows, grads)
+                loss_sum += value
             scoring = scoring_table()
             geo, ranked = measure(scoring)
         except NumericError as exc:
@@ -238,7 +241,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
         traces.append(
             EpochTrace(
                 epoch=epoch,
-                train_loss=loss_sum / n_batches,
+                train_loss=loss_sum / len(batches),
                 l_align=geo.l_align,
                 l_uniform_user=geo.l_uniform_user,
                 l_uniform_item=geo.l_uniform_item,
@@ -275,7 +278,8 @@ def _sum_rows(inv: np.ndarray, grads: np.ndarray, out: np.ndarray, at: np.ndarra
 
 
 def _batch_loss_and_grads(
-    batch: PositiveBatch,
+    bu: np.ndarray,
+    bi: np.ndarray,
     table: EmbeddingTable,
     propagator: GraphPropagator | None,
     work: Workspace,
@@ -283,7 +287,8 @@ def _batch_loss_and_grads(
     cfg: TrainConfig,
     neg_rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch loss and its gradients w.r.t. the stacked base parameter rows.
+    """Loss of the batch of positive pairs (bu[k], bi[k]) and its gradients
+    w.r.t. the stacked base parameter rows.
 
     Returns (value, rows, grads) with rows indexing `table.emb` (items
     offset by n_users); duplicate batch rows are pre-accumulated in
@@ -295,7 +300,6 @@ def _batch_loss_and_grads(
     propagates every row, because its sampler scores candidates drawn from
     the whole catalog; uniform `bpr` never reads the table while sampling.
     """
-    bu, bi = batch.users, batch.items
     n_users, b = table.n_users, bu.size
     out = table
     if propagator is not None:
@@ -322,23 +326,6 @@ def _batch_loss_and_grads(
     if propagator is None:
         return lo.value, rows, acc
     return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)
-
-
-def _train_batch(
-    batch: PositiveBatch,
-    table: EmbeddingTable,
-    propagator: GraphPropagator | None,
-    state: AdamState,
-    split: DatasetSplit,
-    cfg: TrainConfig,
-    neg_rng: np.random.Generator,
-) -> float:
-    """One gradient step; returns the batch loss value."""
-    value, rows, grads = _batch_loss_and_grads(
-        batch, table, propagator, state.work, split, cfg, neg_rng
-    )
-    adam_step(state, table.emb, rows, grads)
-    return value
 
 
 def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
@@ -395,16 +382,17 @@ def read_key_values(path: str | Path) -> dict[str, str]:
 
 
 def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, int]:
-    """Inverse of save_checkpoint; a torn pair is a DataError."""
+    """Inverse of save_checkpoint; a torn pair is a DataError, and a
+    missing or non-integer best_epoch a ConfigError."""
     out_dir = Path(out_dir)
     dump, meta = out_dir / "embeddings.npz", out_dir / "metadata.txt"
     table = read_embeddings(dump)
     raw = read_key_values(meta)
-    text = raw.pop("best_epoch", "0")
+    text = raw.pop("best_epoch", None)
     try:
         best_epoch = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{meta}: bad value for 'best_epoch': {text!r}") from exc
+    except (TypeError, ValueError) as exc:  # TypeError: the key is missing
+        raise ConfigError(f"{meta}: missing or bad value for 'best_epoch': {text!r}") from exc
     if raw.pop("embeddings_sha256", None) != file_sha256(dump):
         raise DataError(f"{dump} is not the dump {meta} records (SHA-256 differs or is missing)")
     return table, TrainConfig.from_mapping(raw), best_epoch

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from directau import (
     EmbeddingTable,
     InteractionSet,
+    adam_step,
     bpr_loss,
     direct_au_loss,
     sample_negatives,
@@ -37,7 +38,7 @@ from directau.losses import (
     _unit_pairs,
     softplus,
 )
-from directau.training import TRACE_COLUMNS, EpochTrace
+from directau.training import TRACE_COLUMNS, EpochTrace, _batch_loss_and_grads
 
 
 def scipy_adjacency(interactions):
@@ -282,9 +283,21 @@ def gather_adam_step(state, params, rows, grads):
     return params
 
 
-def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_rng,
+def train_step(sel, table, propagator, state, split, cfg, neg_rng):
+    """One step of train()'s epoch loop on the training pairs at positions
+    `sel` of split.train; returns the batch loss."""
+    value, rows, grads = _batch_loss_and_grads(
+        split.train.users[sel], split.train.items[sel],
+        table, propagator, state.work, split, cfg, neg_rng,
+    )
+    adam_step(state, table.emb, rows, grads)
+    return value
+
+
+def two_matrix_step(sel, user, item, user_state, item_state, split, cfg, neg_rng,
                     adjacency=None):
-    """Reference training step on separate user and item matrices.
+    """Reference training step, on the training pairs at positions `sel`
+    of split.train, on separate user and item matrices.
 
     Each matrix has its own AdamState and takes its own gather_adam_step;
     batch gradients are scattered per matrix, and with an adjacency (the
@@ -298,7 +311,7 @@ def two_matrix_step(batch, user, item, user_state, item_state, split, cfg, neg_r
     else:
         out = layer_mean(adjacency, np.vstack([user, item]), cfg.layers)
         out_user, out_item = out[:nu], out[nu:]
-    bu, bi = batch.users, batch.items
+    bu, bi = split.train.users[sel], split.train.items[sel]
     u_reps, i_reps = out_user[bu], out_item[bi]
 
     negs = None

@@ -17,8 +17,8 @@ from directau import (
     bpr_loss,
     direct_au_loss,
     init_xavier,
+    geometry_report,
     load_interactions,
-    measure_uniformity,
     preprocess,
     rank_eval,
     split,
@@ -108,7 +108,8 @@ def test_criterion_2_estimator_equivalence():
             rng.standard_normal((inter.n_users, d)),
             rng.standard_normal((inter.n_items, d)),
         )
-        got = measure_uniformity(table, inter)
+        rep = geometry_report(table, inter)
+        got = (rep.l_uniform_user, rep.l_uniform_item, rep.l_uniform)
         want = naive_uniformity(table, inter)
         worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
     elapsed = time.perf_counter() - start

@@ -528,14 +528,6 @@ class TestProbeCommand:
         assert rep["l_uniform_user"] == pytest.approx(want[0], abs=1e-10)
         assert rep["l_uniform_item"] == pytest.approx(want[1], abs=1e-10)
 
-    def test_malformed_header(self, tmp_path, capsys):
-        emb = tmp_path / "emb.txt"
-        emb.write_text("not a header\n")
-        inter = tmp_path / "inter.txt"
-        inter.write_text("0\t0\n")
-        rc = main(["probe", "--embeddings", str(emb), "--interactions", str(inter)])
-        assert rc == 3
-
     def test_row_count_mismatch(self, tmp_path, capsys):
         emb = tmp_path / "emb.npz"
         write_embeddings(init_xavier(2, 2, 3, seed=0), emb)
@@ -584,6 +576,8 @@ def _malformed_dump(case, path):
                 np.lib.format.write_array(member, item)
     elif case == "text":
         path.write_text("2 2 3\n" + "0.5 0.5 0.5\n" * 4)
+    elif case == "not-utf8":
+        path.write_bytes(b"2 2 1\xff\n1\n2\n3\n4\n")
     elif case == "bare-npy":
         with path.open("wb") as fh:
             np.save(fh, np.concatenate([user, item]))
@@ -629,7 +623,7 @@ class TestDumpFormat:
 
     @pytest.mark.parametrize("case", [
         "empty", "truncated", "corrupted", "unknown-compression", "bad-offset", "huge-shape",
-        "text", "bare-npy", "pickled", "missing-member", "extra-member", "float32", "1-d",
+        "text", "not-utf8", "bare-npy", "pickled", "missing-member", "extra-member", "float32", "1-d",
         "no-rows", "no-width", "width-mismatch",
     ])
     def test_malformed_dump_is_data_error(self, case, tmp_path, data_file, capsys):
@@ -709,13 +703,6 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert "data error" in err and str(data) in err
 
-    def test_embedding_header_not_utf8_is_data_error(self, tmp_path, data_file, capsys):
-        emb = tmp_path / "emb.txt"
-        emb.write_bytes(b"2 2 1\xff\n1\n2\n3\n4\n")
-        assert main(["probe", "--embeddings", str(emb), "--interactions", str(data_file)]) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and str(emb) in err
-
     def test_config_not_utf8_is_config_error(self, tmp_path, data_file, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
@@ -735,7 +722,6 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert "config error" in err and str(run / "metadata.txt") in err
 
-
     def test_non_integer_best_epoch_is_config_error(self, tmp_path, trained, data_file, capsys):
         run = tmp_path / "run"
         run.mkdir()
@@ -748,6 +734,20 @@ class TestUnreadableInputs:
         assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(meta) in err and "'one'" in err
+
+    def test_missing_best_epoch_is_config_error(self, tmp_path, trained, data_file, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("embeddings.npz", "metadata.txt"):  # no manifest
+            (run / name).write_bytes((trained / name).read_bytes())
+        meta = run / "metadata.txt"
+        text = meta.read_text(encoding="utf-8")
+        assert "\nbest_epoch=" in text and "\nembeddings_sha256=" in text
+        meta.write_text(re.sub(r"(?m)^best_epoch=.*\n", "", text), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(meta) in err and "best_epoch" in err
+
 
 class TestManifestGeometry:
     """The manifest's geometry is that of the saved checkpoint."""

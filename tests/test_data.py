@@ -1,4 +1,4 @@
-"""Dataset ingestion, k-core filtering, splitting, and batching."""
+"""Dataset ingestion, k-core filtering, splitting, and epoch batches."""
 
 import importlib.util
 import itertools
@@ -11,7 +11,7 @@ import pytest
 
 from directau import (
     InteractionSet,
-    iter_batches,
+    TrainConfig,
     load_interactions,
     preprocess,
     split,
@@ -24,6 +24,8 @@ from directau.errors import (
     EmptyInput,
     MalformedLine,
 )
+from directau.rng import substream
+from directau.training import _training_batches
 from helpers import (
     naive_contains,
     naive_load_interactions,
@@ -448,38 +450,60 @@ class TestWorkspace:
                 assert not np.shares_memory(a.base, b.base)
 
 
+def batch_cfg(**kw):
+    """A TrainConfig for batching tests; only objective, batch_size and seed matter."""
+    kw.setdefault("objective", "direct_au")
+    if kw["objective"] == "direct_au":
+        kw.setdefault("gamma", 1.0)
+    kw.setdefault("seed", 0)
+    return TrainConfig(**kw)
+
+
 class TestIterBatches:
+    """An epoch's batches (training._training_batches) are positions into
+    the training pairs."""
+
     def test_partition_sizes(self):
         data = InteractionSet.from_pairs(list(range(10)), [0] * 10, 10, 1)
         tiny = split(data, ratios=(1.0, 0.0, 0.0), seed=0)
-        sizes = [len(b) for b in iter_batches(tiny, 4, seed=0, epoch=1)]
+        sizes = [b.size for b in _training_batches(tiny, batch_cfg(batch_size=4), epoch=1)]
         assert sizes == [4, 4, 2]
 
     def test_single_batch_when_outsized(self, two_cluster):
         ds = split(two_cluster, seed=0)
-        batches = list(iter_batches(ds, 10**6, seed=0, epoch=1))
-        assert len(batches) == 1 and len(batches[0]) == ds.train.n_pairs
+        batches = _training_batches(ds, batch_cfg(batch_size=10**6), epoch=1)
+        assert len(batches) == 1 and batches[0].size == ds.train.n_pairs
 
     def test_determinism_and_epoch_variation(self, two_cluster):
         ds = split(two_cluster, seed=0)
-        a = [b.users for b in iter_batches(ds, 64, seed=5, epoch=2)]
-        b = [b.users for b in iter_batches(ds, 64, seed=5, epoch=2)]
-        c = [b.users for b in iter_batches(ds, 64, seed=5, epoch=3)]
+        cfg = batch_cfg(batch_size=64, seed=5)
+        a = _training_batches(ds, cfg, epoch=2)
+        b = _training_batches(ds, cfg, epoch=2)
+        c = _training_batches(ds, cfg, epoch=3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_union_covers_train_exactly_once(self, two_cluster):
         ds = split(two_cluster, seed=0)
-        got = Counter()
-        for b in iter_batches(ds, 33, seed=1, epoch=4):
-            got.update(zip(b.users.tolist(), b.items.tolist()))
-        want = Counter(zip(ds.train.users.tolist(), ds.train.items.tolist()))
-        assert got == want
+        batches = _training_batches(ds, batch_cfg(batch_size=33, seed=1), epoch=4)
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(ds.train.n_pairs))
 
-    def test_bad_batch_size(self, two_cluster):
+    @pytest.mark.parametrize("objective, batch_size", [("bpr", 33), ("direct_au", 41)])
+    def test_positions_are_the_shuffle_cut_at_batch_size(self, two_cluster, objective,
+                                                          batch_size):
         ds = split(two_cluster, seed=0)
-        with pytest.raises(ValueError):
-            next(iter_batches(ds, 0, seed=0, epoch=1))
+        n = ds.train.n_pairs
+        cfg = batch_cfg(objective=objective, batch_size=batch_size, seed=3)
+        perm = substream(cfg.seed, "shuffle", 2).permutation(n)
+        want = [perm[start : start + batch_size] for start in range(0, n, batch_size)]
+        if objective == "direct_au":
+            # the last batch is a singleton here, and joins the one before it
+            assert want[-1].size == 1
+            want[-2:] = [perm[n - 1 - batch_size :]]
+        got = _training_batches(ds, cfg, epoch=2)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
 
 
 class TestSerialization:

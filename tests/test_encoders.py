@@ -18,7 +18,7 @@ from directau import (
     write_embeddings,
 )
 from directau.data import UserIndex
-from directau.errors import DataError, DegenerateEmbedding
+from directau.errors import DegenerateEmbedding
 from directau.encoders import _sparsetools, _spmm_into
 from helpers import (
     as_scipy,
@@ -442,15 +442,3 @@ class TestEmbeddingDump:
         back = read_embeddings(p)
         assert back.n_users == 3
         assert np.array_equal(back.user_emb, user) and np.array_equal(back.item_emb, item)
-
-    def test_malformed_header(self, tmp_path):
-        p = tmp_path / "emb.txt"
-        p.write_text("2 3\n1 2 3 4\n")
-        with pytest.raises(DataError):
-            read_embeddings(p)
-
-    def test_row_count_mismatch(self, tmp_path):
-        p = tmp_path / "emb.txt"
-        p.write_text("2 1 2\n0.1 0.2\n0.3 0.4\n")
-        with pytest.raises(DataError):
-            read_embeddings(p)

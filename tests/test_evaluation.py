@@ -11,8 +11,6 @@ from directau import (
     InteractionSet,
     bpr_loss,
     geometry_report,
-    measure_alignment,
-    measure_uniformity,
     rank_eval,
     split,
 )
@@ -235,16 +233,23 @@ class TestRankEvalMatchesOracle:
             rank_eval(t, ds)
 
 
+def uniformity(table, inter):
+    """geometry_report's (user side, item side, combined) uniformity."""
+    rep = geometry_report(table, inter)
+    return rep.l_uniform_user, rep.l_uniform_item, rep.l_uniform
+
+
 class TestMeasureAlignment:
     def test_all_equal_is_zero(self):
         t = EmbeddingTable.from_parts(np.tile([[1.0, 1.0]], (3, 1)), np.tile([[2.0, 2.0]], (4, 1)))
         inter = InteractionSet.from_pairs([0, 1, 2], [0, 1, 3], 3, 4)
-        assert measure_alignment(t, inter) == pytest.approx(0.0, abs=1e-12)
+        assert geometry_report(t, inter).l_align == pytest.approx(0.0, abs=1e-12)
 
     def test_single_orthogonal_pair(self):
-        t = EmbeddingTable.from_parts(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        inter = InteractionSet.from_pairs([0], [0], 1, 1)
-        assert measure_alignment(t, inter) == 2.0
+        # geometry needs two interactions: two copies of one orthogonal pair
+        t = EmbeddingTable.from_parts(np.array([[1.0, 0.0]] * 2), np.array([[0.0, 1.0]] * 2))
+        inter = InteractionSet.from_pairs([0, 1], [0, 1], 2, 2)
+        assert geometry_report(t, inter).l_align == 2.0
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
@@ -253,7 +258,7 @@ class TestMeasureAlignment:
             rng.standard_normal((data.n_users, 4)),
             rng.standard_normal((data.n_items, 4)),
         )
-        assert measure_alignment(t, data) == pytest.approx(
+        assert geometry_report(t, data).l_align == pytest.approx(
             naive_alignment(t, data), abs=1e-12
         )
 
@@ -268,13 +273,13 @@ class TestMeasureAlignment:
             t.user_emb * rng.uniform(0.5, 3.0, size=(data.n_users, 1)),
             t.item_emb * rng.uniform(0.5, 3.0, size=(data.n_items, 1)),
         )
-        assert measure_alignment(scaled, data) == pytest.approx(
-            measure_alignment(t, data), abs=1e-12
+        assert geometry_report(scaled, data).l_align == pytest.approx(
+            geometry_report(t, data).l_align, abs=1e-12
         )
 
     @staticmethod
     def unblocked(table, inter):
-        """The expression measure_alignment had before it took row blocks."""
+        """The alignment expression before it took row blocks."""
         un, im = normalize_rows(table.user_emb), normalize_rows(table.item_emb)
         diff = un[inter.users] - im[inter.items]
         return float(np.mean(np.sum(diff * diff, axis=1)))
@@ -288,7 +293,7 @@ class TestMeasureAlignment:
             t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, d)), rng.standard_normal((data.n_items, d))
             )
-            assert measure_alignment(t, data) == self.unblocked(t, data)
+            assert geometry_report(t, data).l_align == self.unblocked(t, data)
 
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
         budget = 64 << 10
@@ -302,7 +307,7 @@ class TestMeasureAlignment:
         )
         tracemalloc.start()
         try:
-            measure_alignment(t, data)
+            geometry_report(t, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,7 +323,7 @@ class TestMeasureUniformity:
             np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])
         )
         inter = InteractionSet.from_pairs([0, 1], [0, 1], 2, 2)
-        lu, li, combined = measure_uniformity(t, inter)
+        lu, li, combined = uniformity(t, inter)
         assert lu == pytest.approx(-8.0, abs=1e-12)
         assert li == pytest.approx(0.0, abs=1e-12)
         assert combined == pytest.approx(-4.0, abs=1e-12)
@@ -326,7 +331,7 @@ class TestMeasureUniformity:
     def test_all_identical_is_zero(self):
         t = EmbeddingTable.from_parts(np.tile([[1.0, 2.0]], (3, 1)), np.tile([[3.0, 1.0]], (4, 1)))
         inter = InteractionSet.from_pairs([0, 0, 1, 2], [0, 1, 2, 3], 3, 4)
-        lu, li, combined = measure_uniformity(t, inter)
+        lu, li, combined = uniformity(t, inter)
         assert lu == pytest.approx(0.0, abs=1e-12)
         assert li == pytest.approx(0.0, abs=1e-12)
         assert combined == pytest.approx(0.0, abs=1e-12)
@@ -339,7 +344,7 @@ class TestMeasureUniformity:
                 rng.standard_normal((data.n_users, 3)),
                 rng.standard_normal((data.n_items, 3)),
             )
-            got = measure_uniformity(t, data)
+            got = uniformity(t, data)
             want = naive_uniformity(t, data)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -355,7 +360,7 @@ class TestMeasureUniformity:
                 rng.standard_normal((data.n_users, 3)),
                 rng.standard_normal((data.n_items, 3)),
             )
-            got = measure_uniformity(t, data)
+            got = uniformity(t, data)
             assert got == pytest.approx(naive_uniformity(t, data), abs=1e-10)
 
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
@@ -371,7 +376,7 @@ class TestMeasureUniformity:
         )
         tracemalloc.start()
         try:
-            measure_uniformity(t, data)
+            geometry_report(t, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,7 +387,7 @@ class TestMeasureUniformity:
         t = EmbeddingTable.from_parts(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
         inter = InteractionSet.from_pairs([0], [0], 1, 1)
         with pytest.raises(InsufficientData):
-            measure_uniformity(t, inter)
+            geometry_report(t, inter)
 
     def test_geometry_report_bounds(self):
         rng = np.random.default_rng(8)

@@ -17,7 +17,6 @@ from directau import (
     emit_trace,
     geometry_report,
     init_xavier,
-    iter_batches,
     load_checkpoint,
     rank_eval,
     save_checkpoint,
@@ -26,7 +25,7 @@ from directau import (
 )
 from directau.errors import ConfigError
 from directau.losses import LossOutput
-from directau.training import read_key_values, split_key_value
+from directau.training import _training_batches, read_key_values, split_key_value
 from helpers import naive_read_config_file, naive_read_metadata, read_trace
 
 
@@ -203,9 +202,9 @@ class TestTrain:
         cfg = small_cfg(batch_size=10**6, max_epochs=1, gamma=2.0)
         _, traces = train(ds, cfg)
         init = init_xavier(two_cluster.n_users, two_cluster.n_items, cfg.d, cfg.seed)
-        (batch,) = iter_batches(ds, cfg.batch_size, cfg.seed, epoch=1)
+        (sel,) = _training_batches(ds, cfg, epoch=1)
         expected = direct_au_loss(
-            init.user_emb[batch.users], init.item_emb[batch.items], cfg.gamma
+            init.user_emb[ds.train.users[sel]], init.item_emb[ds.train.items[sel]], cfg.gamma
         ).value
         assert traces[0].train_loss == pytest.approx(expected, abs=1e-9)
 
@@ -264,7 +263,7 @@ class TestTrain:
     def test_lgcn_gradient_chain_matches_finite_differences(self):
         # end-to-end oracle for the trickiest composite: loss gradients,
         # scatter over batch rows, then the propagation transpose
-        from directau import GraphPropagator, InteractionSet, PositiveBatch
+        from directau import GraphPropagator, InteractionSet
         from directau.data import DatasetSplit
         from directau.training import _batch_loss_and_grads
         from helpers import finite_difference_gradients, relative_gradient_error
@@ -278,7 +277,7 @@ class TestTrain:
         cfg = TrainConfig(objective="direct_au", gamma=1.5, seed=0, d=4,
                           encoder="lgcn", layers=2)
         table = init_xavier(3, 3, 4, seed=2)
-        batch = PositiveBatch(np.array([0, 2, 1, 0]), np.array([1, 0, 1, 0]))
+        bu, bi = np.array([0, 2, 1, 0]), np.array([1, 0, 1, 0])
 
         def loss_of(emb):
             from directau import EmbeddingTable
@@ -289,13 +288,13 @@ class TestTrain:
             from directau import direct_au_loss
 
             return direct_au_loss(
-                out.user_emb[batch.users], out.item_emb[batch.items], 1.5
+                out.user_emb[bu], out.item_emb[bi], 1.5
             ).value
 
         prop = GraphPropagator.build(table, inter, n_layers=2)
         # the row sums share the propagator's workspace, as in train()
         _, rows, grads = _batch_loss_and_grads(
-            batch, table, prop, prop.work, ds, cfg, np.random.default_rng(0)
+            bu, bi, table, prop, prop.work, ds, cfg, np.random.default_rng(0)
         )
         (fd,) = finite_difference_gradients(loss_of, [table.emb])
         assert np.array_equal(rows, np.arange(6))
@@ -339,8 +338,7 @@ class TestTrain:
         # one scatter and one adam_step on the stacked array must reproduce,
         # bit for bit, separate user/item matrices with their own Adam states
         from directau import AdamState, GraphPropagator
-        from directau.training import _train_batch, _training_batches
-        from helpers import scipy_adjacency, two_matrix_step
+        from helpers import scipy_adjacency, train_step, two_matrix_step
 
         ds = split(two_cluster, seed=5)
         cfg = small_cfg(objective=objective, encoder=encoder, layers=layers, weight_decay=1e-3)
@@ -353,7 +351,7 @@ class TestTrain:
         rng_stacked, rng_oracle = np.random.default_rng(7), np.random.default_rng(7)
         adjacency = None if prop is None else scipy_adjacency(ds.train)
         for batch in _training_batches(ds, cfg, epoch=1)[:3]:
-            got = _train_batch(batch, table, prop, state, ds, cfg, rng_stacked)
+            got = train_step(batch, table, prop, state, ds, cfg, rng_stacked)
             want = two_matrix_step(
                 batch, user, item, user_state, item_state, ds, cfg, rng_oracle, adjacency
             )
@@ -373,7 +371,7 @@ class TestTrain:
         # after warm-up, the propagator's and Adam's buffers hold every
         # full-table temporary; a step's peak stays under `bound` tables
         from directau import AdamState, GraphPropagator, InteractionSet
-        from directau.training import _train_batch, _training_batches
+        from helpers import train_step
 
         rng = np.random.default_rng(0)
         n_users, n_items = 600, 400
@@ -388,10 +386,10 @@ class TestTrain:
         neg_rng = np.random.default_rng(1)
         batches = _training_batches(ds, cfg, epoch=1)
         for batch in batches[:3]:
-            _train_batch(batch, table, prop, state, ds, cfg, neg_rng)
+            train_step(batch, table, prop, state, ds, cfg, neg_rng)
         tracemalloc.start()
         try:
-            _train_batch(batches[3], table, prop, state, ds, cfg, neg_rng)
+            train_step(batches[3], table, prop, state, ds, cfg, neg_rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,7 +401,7 @@ class TestTrain:
         # positives, negatives); only the dynamic sampler, which scores
         # candidates from the whole catalog, propagates every row instead
         from directau import AdamState, GraphPropagator
-        from directau.training import _train_batch, _training_batches
+        from helpers import train_step
 
         calls, drawn = [], []
         real_propagate = GraphPropagator.propagate
@@ -430,13 +428,13 @@ class TestTrain:
         for batch in _training_batches(ds, cfg, epoch=1)[:3]:
             calls.clear()
             drawn.clear()
-            _train_batch(batch, table, prop, state, ds, cfg, neg_rng)
+            train_step(batch, table, prop, state, ds, cfg, neg_rng)
             (rows,) = calls
             if objective == "bpr_ds":
                 assert rows == slice(None)
                 continue
             negs = drawn[0] if drawn else np.empty(0, dtype=np.int64)
-            ids = np.concatenate([batch.users, nu + batch.items, nu + negs])
+            ids = np.concatenate([ds.train.users[batch], nu + ds.train.items[batch], nu + negs])
             assert np.array_equal(rows, np.unique(ids))
 
     def test_mf_bpr_ds_step_gathers_no_whole_pool(self):
@@ -446,7 +444,7 @@ class TestTrain:
         # of the whole pool would take four
         from directau import AdamState, InteractionSet
         from directau.losses import _POOL_BLOCK
-        from directau.training import _train_batch, _training_batches
+        from helpers import train_step
 
         rng = np.random.default_rng(0)
         n_users, n_items = 600, 400
@@ -459,11 +457,11 @@ class TestTrain:
         state = AdamState.for_params(table.emb, cfg.lr)
         neg_rng = np.random.default_rng(1)
         for batch in _training_batches(ds, cfg, epoch=1):
-            _train_batch(batch, table, None, state, ds, cfg, neg_rng)
+            train_step(batch, table, None, state, ds, cfg, neg_rng)
         batch = _training_batches(ds, cfg, epoch=2)[0]
         tracemalloc.start()
         try:
-            _train_batch(batch, table, None, state, ds, cfg, neg_rng)
+            train_step(batch, table, None, state, ds, cfg, neg_rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -509,7 +507,6 @@ class TestTrain:
 
     def test_trailing_singleton_batch_merged_for_direct_au(self):
         from directau import InteractionSet
-        from directau.training import _training_batches
 
         # 9 users x 1 interaction -> 9 train pairs; batch 4 leaves a singleton
         data = InteractionSet.from_pairs(list(range(9)), list(range(9)), 9, 9)
