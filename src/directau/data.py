@@ -17,7 +17,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, prod
+from math import prod
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -90,8 +90,8 @@ class InteractionSet:
         n_items = int(items.max()) + 1 if n_items is None else int(n_items)
         if users.max() >= n_users or items.max() >= n_items:
             raise DataError("interaction IDs exceed declared user/item counts")
-        key = users * n_items + items
-        if np.unique(key).size != key.size:
+        key = np.sort(users * n_items + items)
+        if (key[1:] == key[:-1]).any():
             raise DataError("duplicate (user, item) pairs")
         return cls(
             n_users=n_users,
@@ -310,10 +310,13 @@ def split(
 ) -> DatasetSplit:
     """Per-user random partition into train/validation/test.
 
-    For each user independently, interactions are shuffled with the seeded
-    split substream; floor(val_ratio * p(u)) go to validation and
-    floor(test_ratio * p(u)) to test, the remainder to train, so every user
-    keeps at least one training interaction.
+    For each user independently, in user order, the user's interactions
+    are shuffled with the seeded split substream, which each user advances
+    as `rng.permutation(p(u))` would; the first floor(val_ratio * p(u)) go
+    to validation, the next floor(test_ratio * p(u)) to test and the rest
+    to train. Every user with interactions must keep at least one training
+    interaction: ratios that leave one without raise DataError naming the
+    first such user, before any draw.
     """
     if len(ratios) != 3:
         raise ValueError("ratios must be (train, validation, test)")
@@ -322,21 +325,26 @@ def split(
     if any(r < 0 for r in ratios) or ratios[0] <= 0:
         raise ValueError("ratios must be non-negative with a positive train share")
 
-    rng = substream(seed, "split")
     by_user = UserIndex.build(data.users, np.arange(data.n_pairs, dtype=np.int64), data.n_users)
+    counts = np.diff(by_user.indptr)
+    n_val = np.floor(ratios[1] * counts).astype(np.int64)
+    n_held = n_val + np.floor(ratios[2] * counts).astype(np.int64)
+    # the sum check's tolerance admits a train share too small for this
+    short = np.flatnonzero((counts > 0) & (n_held >= counts))
+    if short.size:
+        raise DataError(f"ratios {ratios} leave user {int(short[0])} without training pairs")
+
+    rng = substream(seed, "split")
+    order = by_user.indices.copy()
     bounds = by_user.indptr.tolist()
-    part = np.zeros(data.n_pairs, dtype=np.int8)  # 0 train, 1 validation, 2 test
     for u in range(data.n_users):
-        idx = by_user.indices[bounds[u] : bounds[u + 1]]
-        p = idx.size
-        shuffled = idx[rng.permutation(p)]
-        n_val = floor(ratios[1] * p)
-        n_test = floor(ratios[2] * p)
-        # the sum check's tolerance admits a train share too small for this
-        if p and n_val + n_test >= p:
-            raise DataError(f"ratios {ratios} leave user {u} without training pairs")
-        part[shuffled[:n_val]] = 1
-        part[shuffled[n_val : n_val + n_test]] = 2
+        rng.shuffle(order[bounds[u] : bounds[u + 1]])
+    # a pair's rank in its user's shuffled slice picks its part
+    rank = np.arange(data.n_pairs) - np.repeat(by_user.indptr[:-1], counts)
+    part = np.empty(data.n_pairs, dtype=np.int8)  # 0 train, 1 validation, 2 test
+    part[order] = np.where(
+        rank < np.repeat(n_val, counts), 1, np.where(rank < np.repeat(n_held, counts), 2, 0)
+    )
 
     tr, va, te = (np.flatnonzero(part == k) for k in range(3))
     train_set = InteractionSet.from_pairs(
@@ -400,12 +408,41 @@ def read_id_pairs(
 
     IDs need not be contiguous (popularity is zero for unused IDs), but
     duplicates and out-of-range IDs are rejected. Each ID parses as Python's
-    int() does, and must fit in int64.
+    int() does, and must fit in int64. A tab-separated file in the form
+    `write_interactions` writes (see `_id_columns`) is parsed in numpy;
+    every other file goes through `load_interactions` and int().
     """
-    user_keys, item_keys = load_interactions(path, delimiter)
-    try:
-        users = np.array(user_keys, dtype=np.int64)
-        items = np.array(item_keys, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: expected integer IDs ({exc})") from exc
-    return InteractionSet.from_pairs(users, items, n_users, n_items)
+    columns = _id_columns(Path(path).read_bytes()) if delimiter == "\t" else None
+    if columns is None:
+        user_keys, item_keys = load_interactions(path, delimiter)
+        try:
+            columns = np.array(user_keys, dtype=np.int64), np.array(item_keys, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: expected integer IDs ({exc})") from exc
+    return InteractionSet.from_pairs(*columns, n_users, n_items)
+
+
+def _id_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two int64 columns of `raw` when it is exactly one or more lines
+    of 1-18 ASCII digits, TAB, 1-18 ASCII digits, LF; None for any other
+    bytes. On that form int() reads each field as its decimal digits, and
+    18 digits fit in int64, so the values are int()'s."""
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    digits = codes - np.uint8(ord("0"))  # every other byte wraps past 9
+    ends = np.flatnonzero(digits > 9)  # the byte after each field
+    if ends.size == 0 or ends.size % 2 or ends[-1] != codes.size - 1:
+        return None
+    delims = codes[ends]
+    if not ((delims[0::2] == ord("\t")).all() and (delims[1::2] == ord("\n")).all()):
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        # the k-th digit from the right of every field longer than k; for a
+        # shorter field the position lies before it (or wraps round to the
+        # buffer's end) and is masked
+        digit = np.where(lengths > k, digits[ends - 1 - k], np.uint8(0))
+        values += digit.astype(np.int64) * 10**k
+    return values[0::2].copy(), values[1::2].copy()

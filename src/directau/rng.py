@@ -5,6 +5,8 @@ shuffling, negative sampling) draws from its own substream, so adding or
 reordering draws in one consumer never perturbs the others.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

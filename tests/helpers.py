@@ -3,6 +3,7 @@
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from math import floor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from directau import (
     direct_au_loss,
     sample_negatives,
 )
+from directau.data import DatasetSplit, UserIndex
 from directau.encoders import _unit_rows, normalize_rows
 from directau.errors import (
     ConfigError,
@@ -38,6 +40,7 @@ from directau.losses import (
     _unit_pairs,
     softplus,
 )
+from directau.rng import substream
 from directau.training import TRACE_COLUMNS, EpochTrace, _batch_loss_and_grads
 
 
@@ -226,6 +229,37 @@ def naive_read_id_pairs(path, delimiter="\t", n_users=None, n_items=None):
     except ValueError as exc:
         raise DataError(f"{path}: expected integer IDs ({exc})") from exc
     return InteractionSet.from_pairs(users, items, n_users, n_items)
+
+
+def naive_split(data, ratios=(0.8, 0.1, 0.1), seed=0):
+    """Reference per-user split: one permutation per user, in user order,
+    from the split substream, each user's parts labelled in the loop; the
+    ratio check comes after that user's draw."""
+    rng = substream(seed, "split")
+    by_user = UserIndex.build(data.users, np.arange(data.n_pairs, dtype=np.int64), data.n_users)
+    bounds = by_user.indptr.tolist()
+    part = np.zeros(data.n_pairs, dtype=np.int8)  # 0 train, 1 validation, 2 test
+    for u in range(data.n_users):
+        idx = by_user.indices[bounds[u] : bounds[u + 1]]
+        p = idx.size
+        shuffled = idx[rng.permutation(p)]
+        n_val = floor(ratios[1] * p)
+        n_test = floor(ratios[2] * p)
+        # the sum check's tolerance admits a train share too small for this
+        if p and n_val + n_test >= p:
+            raise DataError(f"ratios {ratios} leave user {u} without training pairs")
+        part[shuffled[:n_val]] = 1
+        part[shuffled[n_val : n_val + n_test]] = 2
+
+    tr, va, te = (np.flatnonzero(part == k) for k in range(3))
+    train_set = InteractionSet.from_pairs(
+        data.users[tr], data.items[tr], data.n_users, data.n_items
+    )
+    return DatasetSplit(
+        train=train_set,
+        validation=np.column_stack([data.users[va], data.items[va]]),
+        test=np.column_stack([data.users[te], data.items[te]]),
+    )
 
 
 def naive_read_config_file(path):

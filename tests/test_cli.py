@@ -784,13 +784,14 @@ class TestManifestGeometry:
         assert manifest["metrics"]["geometry"] == self.checkpoint_geometry(out, data_file)
 
 
-def _modules_after(tmp_path, script):
-    """Run `script` in a fresh interpreter; the scipy modules it left loaded."""
+def _modules_after(tmp_path, script, prefix="scipy"):
+    """Run `script` in a fresh interpreter; the modules named `prefix...`
+    that it left loaded."""
     src = str(Path(directau.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = script + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -800,7 +801,7 @@ def _modules_after(tmp_path, script):
 
 class TestStartup:
     """Only the graph encoder loads scipy code: its compiled sparse kernel,
-    and no scipy module."""
+    and no scipy module. Only commands that draw load numpy.random."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         assert _modules_after(tmp_path, "import directau.cli") == []
@@ -817,6 +818,16 @@ assert main(["eval", "--checkpoint", "run", "--data", "clean.txt"]) == 0
 assert main(["probe", "--embeddings", "run/embeddings.npz", "--interactions", "clean.txt"]) == 0
 """
         assert _modules_after(tmp_path, script) == []
+
+    def test_preprocess_loads_no_numpy_random(self, tmp_path):
+        if _modules_after(tmp_path, "import numpy", "numpy.random"):
+            pytest.skip("this numpy loads numpy.random with numpy itself")
+        (tmp_path / "raw.txt").write_text("".join(f"u{u}\ti{u % 7}\n" for u in range(40)))
+        script = """
+from directau.cli import main
+assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt", "--k-core", "1"]) == 0
+"""
+        assert _modules_after(tmp_path, script, "numpy.random") == []
 
     def test_lgcn_train_loads_scipy(self, tmp_path, data_file):
         write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))

@@ -31,6 +31,7 @@ from helpers import (
     naive_load_interactions,
     naive_preprocess,
     naive_read_id_pairs,
+    naive_split,
 )
 
 
@@ -306,6 +307,50 @@ class TestSplit:
     def test_bad_ratios(self, two_cluster):
         with pytest.raises(ValueError):
             split(two_cluster, ratios=(0.8, 0.1, 0.2), seed=0)
+
+    @staticmethod
+    def profile(seed):
+        """Users of 0, 1, 2, 5, 10 and 37 pairs in a seeded mix, their pairs
+        in a shuffled source order."""
+        rng = np.random.default_rng(seed)
+        counts = rng.choice([0, 1, 2, 5, 10, 37], size=30)
+        users = np.repeat(np.arange(counts.size), counts)
+        items = np.concatenate([rng.choice(50, c, replace=False) for c in counts])
+        order = rng.permutation(users.size)
+        return InteractionSet.from_pairs(users[order], items[order], counts.size + 2, 50)
+
+    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_user_loop(self, monkeypatch, ratios, seed):
+        data = self.profile(seed)
+        streams = []
+
+        def recorded(*args):
+            streams.append(substream(*args))
+            return streams[-1]
+
+        monkeypatch.setattr(data_mod, "substream", recorded)
+        got = split(data, ratios, seed=seed)
+        want = naive_split(data, ratios, seed=seed)
+        assert np.array_equal(got.train.users, want.train.users)
+        assert np.array_equal(got.train.items, want.train.items)
+        assert np.array_equal(got.validation, want.validation)
+        assert np.array_equal(got.test, want.test)
+        # the split left its substream where the per-user permutations did
+        reference = substream(seed, "split")
+        for u in range(data.n_users):
+            reference.permutation(int(data.user_pop[u]))
+        assert streams[0].integers(2**62, size=4).tolist() == reference.integers(2**62, size=4).tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_short_train_share_names_the_same_user(self, seed):
+        data = self.profile(seed)
+        ratios = (1e-12, 0.5, 0.5)
+        with pytest.raises(DataError) as want:
+            naive_split(data, ratios, seed=seed)
+        with pytest.raises(DataError) as got:
+            split(data, ratios, seed=seed)
+        assert str(got.value) == str(want.value)
 
     def test_train_share_within_sum_tolerance_is_data_error(self):
         # the ratios pass the sum check, but a user with two interactions
@@ -600,6 +645,19 @@ class TestReadersMatchNaiveOracles:
         "0\t0\n1\n",
         "0\t\t1\n",
         "",
+        # the edges of the form parsed in numpy (see test_canonical_columns)
+        "999999999999999999\t0\n",
+        "1000000000000000000\t0\n",
+        "0\t9223372036854775807\n",
+        "000000000000000003\t0000000000000000004\n0\t00\n",
+        "0\t1\n2\t3",
+        "0\t1\n2",
+        "0\t1\r\n2\t3\r\n",
+        "0\t1\n2\t3\n\n",
+        "0\t1\n\t\t\n",
+        "0\t1\t2\n",
+        "\ufeff0\t1\n",
+        "\n",
     ])
     def test_integer_ids(self, tmp_path, text):
         p = tmp_path / "ids.txt"
@@ -609,6 +667,66 @@ class TestReadersMatchNaiveOracles:
             assert got == want
         else:
             assert same_interactions(got, want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mutated_canonical_files(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        pairs = rng.permutation(60)[:n]
+        chars = list("".join(f"{k // 8}\t{k % 8}\n" for k in pairs.tolist()))
+        inserts = ["0", "3", "7", "\t", "\n", "\r", " ", "#", "+", "-", "_", ",", "\ufeff", "\u0663"]
+        for _ in range(int(rng.integers(0, 4))):
+            at = int(rng.integers(0, len(chars) + 1))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                chars.insert(at, inserts[int(rng.integers(len(inserts)))])
+            elif kind == 1:
+                del chars[at : at + 1]
+            else:
+                chars[at : at + 1] = [inserts[int(rng.integers(len(inserts)))]]
+        p = tmp_path / "ids.txt"
+        p.write_bytes("".join(chars).encode())
+        got, want = outcome(read_id_pairs, p), outcome(naive_read_id_pairs, p)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_interactions(got, want)
+
+    @pytest.mark.parametrize("text", [
+        b"0\t0\n",
+        b"999999999999999999\t000000000000000000\n12\t3\n",
+        b"0001\t20\n300\t4\n5\t60000\n",
+    ])
+    def test_canonical_columns(self, text):
+        users, items = data_mod._id_columns(text)
+        fields = [line.split(b"\t") for line in text.splitlines()]
+        assert users.tolist() == [int(u) for u, _ in fields]
+        assert items.tolist() == [int(i) for _, i in fields]
+
+    @pytest.mark.parametrize("text", [
+        b"", b"\n", b"0\t1", b"0\t1\n2", b"0\t1\r\n", b"0\t1\n\n", b"0\t\t1\n", b"\t1\n",
+        b"0\t1\t2\n", b"0\n1\t2\n", b"0 \t1\n", b"1000000000000000000\t0\n",
+        b"0\t1000000000000000000\n", b"\xef\xbb\xbf0\t1\n", b"#0\t1\n",
+    ])
+    def test_other_bytes_are_not_canonical(self, text):
+        assert data_mod._id_columns(text) is None
+
+    def test_only_other_files_use_the_line_reader(self, tmp_path, monkeypatch):
+        canonical, other = tmp_path / "clean.txt", tmp_path / "other.txt"
+        canonical.write_bytes(b"0\t0\n1\t2\n")
+        other.write_bytes(b"0\t0\r\n1\t2\r\n")
+        want = naive_read_id_pairs(canonical)
+
+        def refuse(*args):
+            raise AssertionError("the line reader was called")
+
+        monkeypatch.setattr(data_mod, "load_interactions", refuse)
+        assert same_interactions(read_id_pairs(canonical), want)
+        with pytest.raises(AssertionError, match="line reader"):
+            read_id_pairs(other)
+        # a comma-separated file always goes through the line reader
+        with pytest.raises(AssertionError, match="line reader"):
+            read_id_pairs(canonical, ",")
 
     @pytest.mark.parametrize("bad", [str(2**63), str(-(2**63) - 1), str(10**30)])
     def test_ids_past_int64_are_data_errors(self, tmp_path, bad):
