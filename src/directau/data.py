@@ -110,10 +110,16 @@ class InteractionSet:
         """Check the full invariants (every ID used, popularity sums)."""
         if not self.user_pop.sum() == self.n_pairs == self.item_pop.sum():
             raise DataError("popularity counts do not sum to the number of pairs")
-        if np.unique(self.users).size != self.n_users:
+        if _distinct_count(self.users) != self.n_users:
             raise DataError("some user IDs in [0, n_users) never appear")
-        if np.unique(self.items).size != self.n_items:
+        if _distinct_count(self.items) != self.n_items:
             raise DataError("some item IDs in [0, n_items) never appear")
+
+
+def _distinct_count(values: np.ndarray) -> int:
+    """np.unique(values).size, without the numpy.ma import a bare np.unique makes."""
+    ordered = np.sort(values, axis=None)
+    return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 class UserIndex(NamedTuple):

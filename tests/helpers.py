@@ -17,6 +17,7 @@ from directau import (
     direct_au_loss,
     sample_negatives,
 )
+from directau.data import BLOCK_BUDGET as _SCORE_BUDGET
 from directau.data import DatasetSplit, UserIndex
 from directau.encoders import _unit_rows, normalize_rows
 from directau.errors import (
@@ -507,6 +508,36 @@ def naive_uniformity(table, inter):
     lu = float(np.log(sum_user / (n * (n - 1))))
     li = float(np.log(sum_item / (n * (n - 1))))
     return lu, li, (lu + li) / 2.0
+
+
+def blocked_potential_mean(xn, pop, n_pairs):
+    """log of the popularity-weighted Gaussian-potential mean for one side,
+    with each gram row block taken against every column, so that each
+    distinct pair is weighted twice (the oracle for the strips of
+    evaluation._weighted_potential_mean).
+
+    Sums p(a) p(b) exp(-2 ||x_a - x_b||^2) over distinct entity pairs,
+    adds sum_a p(a)(p(a) - 1) for same-entity distinct interactions (the
+    exact diagonal correction, computed in integers so no cancellation),
+    and normalizes by |R| (|R| - 1). Gram row blocks of at most
+    _SCORE_BUDGET bytes set the summation grouping.
+    """
+    p = pop.astype(np.float64)
+    n = xn.shape[0]
+    n_rows = max(1, _SCORE_BUDGET // (8 * n))
+    gram_buf = np.empty((min(n_rows, n), n))
+    off_diag = 0.0
+    for start in range(0, n, n_rows):
+        stop = min(start + n_rows, n)
+        pot = np.matmul(xn[start:stop], xn.T, out=gram_buf[: stop - start])
+        pot -= 1.0
+        pot *= 2.0 * UNIFORMITY_SCALE
+        np.exp(pot, out=pot)
+        cols = np.arange(start, stop)
+        pot[cols - start, cols] = 0.0
+        off_diag += float(p[start:stop] @ pot @ p)
+    same_entity = float(np.sum(pop.astype(np.int64) * (pop.astype(np.int64) - 1)))
+    return float(np.log((off_diag + same_entity) / (n_pairs * (n_pairs - 1))))
 
 
 def naive_alignment(table, inter):

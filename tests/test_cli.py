@@ -801,7 +801,8 @@ def _modules_after(tmp_path, script, prefix="scipy"):
 
 class TestStartup:
     """Only the graph encoder loads scipy code: its compiled sparse kernel,
-    and no scipy module. Only commands that draw load numpy.random."""
+    and no scipy module. Only commands that draw load numpy.random, and
+    none loads numpy.ma."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         assert _modules_after(tmp_path, "import directau.cli") == []
@@ -828,6 +829,22 @@ from directau.cli import main
 assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt", "--k-core", "1"]) == 0
 """
         assert _modules_after(tmp_path, script, "numpy.random") == []
+
+    def test_mf_pipeline_loads_no_numpy_ma(self, tmp_path):
+        # "numpy.ma." so that numpy.matrixlib does not match; numpy.ma loads numpy.ma.core
+        if _modules_after(tmp_path, "import numpy", "numpy.ma."):
+            pytest.skip("this numpy loads numpy.ma with numpy itself")
+        raw = tmp_path / "raw.txt"
+        raw.write_text("".join(f"u{u}\ti{(u + t) % 40}\n" for u in range(60) for t in range(10)))
+        write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        script = """
+from directau.cli import main
+assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt"]) == 0
+assert main(["train", "--data", "clean.txt", "--config", "run.conf", "--out-dir", "run"]) == 0
+assert main(["eval", "--checkpoint", "run", "--data", "clean.txt"]) == 0
+assert main(["probe", "--embeddings", "run/embeddings.npz", "--interactions", "clean.txt"]) == 0
+"""
+        assert _modules_after(tmp_path, script, "numpy.ma.") == []
 
     def test_lgcn_train_loads_scipy(self, tmp_path, data_file):
         write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))

@@ -17,7 +17,14 @@ from directau import (
     split,
 )
 from directau import data as data_mod
-from directau.data import UserIndex, Workspace, read_id_pairs, write_id_map, write_interactions
+from directau.data import (
+    UserIndex,
+    Workspace,
+    _distinct_count,
+    read_id_pairs,
+    write_id_map,
+    write_interactions,
+)
 from directau.errors import (
     DataError,
     EmptyAfterFiltering,
@@ -164,6 +171,21 @@ class TestPreprocess:
         data.user_pop = np.array([2, 1])
         with pytest.raises(DataError, match="popularity"):
             data.validate()
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_validate_rejects_an_unused_id(self, side):
+        # the side under test never uses ID 1; the other uses all three
+        gap, full = [0, 2, 2], [0, 1, 2]
+        users, items = (gap, full) if side == "user" else (full, gap)
+        data = InteractionSet.from_pairs(users, items, 3, 3)
+        with pytest.raises(DataError, match=f"some {side} IDs"):
+            data.validate()
+
+    def test_distinct_count_matches_unique(self):
+        rng = np.random.default_rng(3)
+        for size in [0, 1, 2, 5, 40, 300]:
+            values = rng.integers(0, max(1, size // 3), size)
+            assert _distinct_count(values) == np.unique(values).size
 
 
 def k_core_rounds(pairs, k):

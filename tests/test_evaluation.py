@@ -17,6 +17,7 @@ from directau import (
 from directau.encoders import normalize_rows
 from directau.errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from helpers import (
+    blocked_potential_mean,
     bpr_bound_harness,
     naive_alignment,
     naive_rank_eval,
@@ -362,6 +363,67 @@ class TestMeasureUniformity:
             )
             got = uniformity(t, data)
             assert got == pytest.approx(naive_uniformity(t, data), abs=1e-10)
+
+    @pytest.mark.parametrize("budget_rows", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 11])
+    def test_strips_match_the_blocked_oracle(self, monkeypatch, budget_rows, n):
+        # 7 and 11 are not multiples of 2 or 5; n = 1 is a side with one entity
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * n * budget_rows)
+        rng = np.random.default_rng(10 * n + budget_rows)
+        for _ in range(10):
+            xn = normalize_rows(rng.standard_normal((n, 4)))
+            pop = rng.integers(0, 4, n)  # entities with zero popularity too
+            pop[0] = max(pop[0], 2)
+            n_pairs = int(pop.sum())
+            got = evaluation._weighted_potential_mean(xn, pop, n_pairs)
+            assert got == pytest.approx(blocked_potential_mean(xn, pop, n_pairs), abs=1e-12)
+
+    def test_items_without_training_popularity(self):
+        # the items only validation/test pairs use have popularity 0 in the train side
+        rng = np.random.default_rng(6)
+        data = random_interaction_set(rng, max_users=8, max_items=9, max_pairs=40)
+        inter = InteractionSet.from_pairs(data.users, data.items, data.n_users, data.n_items + 3)
+        t = EmbeddingTable.from_parts(
+            rng.standard_normal((inter.n_users, 3)), rng.standard_normal((inter.n_items, 3))
+        )
+        rep = geometry_report(t, inter)
+        im = normalize_rows(t.item_emb)
+        want = blocked_potential_mean(im, inter.item_pop, inter.n_pairs)
+        assert rep.l_uniform_item == pytest.approx(want, abs=1e-12)
+        assert rep.l_uniform_item == pytest.approx(naive_uniformity(t, inter)[1], abs=1e-10)
+
+    def test_strips_match_the_blocked_oracle_at_the_real_budget(self):
+        # several row blocks per side at 8 MiB, the last one short
+        rng = np.random.default_rng(15)
+        n_users, n_items = 1500, 1100
+        users = np.repeat(np.arange(n_users), 3)
+        items = (users * 7 + np.tile([0, 1, 5], n_users)) % n_items
+        data = InteractionSet.from_pairs(users, items, n_users, n_items)
+        t = EmbeddingTable.from_parts(
+            rng.standard_normal((n_users, 32)), rng.standard_normal((n_items, 32))
+        )
+        assert n_users * n_users * 8 > evaluation._SCORE_BUDGET
+        rep = geometry_report(t, data)
+        un, im = normalize_rows(t.user_emb), normalize_rows(t.item_emb)
+        lu = blocked_potential_mean(un, data.user_pop, data.n_pairs)
+        li = blocked_potential_mean(im, data.item_pop, data.n_pairs)
+        assert rep.l_uniform_user == pytest.approx(lu, abs=1e-12)
+        assert rep.l_uniform_item == pytest.approx(li, abs=1e-12)
+        assert rep.l_uniform == pytest.approx((lu + li) / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("budget_rows", [1, 3, 1000])
+    def test_permuting_the_entities(self, monkeypatch, budget_rows):
+        n = 40
+        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * n * budget_rows)
+        rng = np.random.default_rng(budget_rows)
+        xn = normalize_rows(rng.standard_normal((n, 8)))
+        pop = rng.integers(0, 6, n)
+        n_pairs = int(pop.sum())
+        want = evaluation._weighted_potential_mean(xn, pop, n_pairs)
+        for _ in range(5):
+            perm = rng.permutation(n)
+            got = evaluation._weighted_potential_mean(xn[perm], pop[perm], n_pairs)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
         budget = 1 << 20

@@ -24,6 +24,7 @@ from directau import (
     train,
 )
 from directau.errors import ConfigError
+from directau.evaluation import GeometryReport
 from directau.losses import LossOutput
 from directau.training import _training_batches, read_key_values, split_key_value
 from helpers import naive_read_config_file, naive_read_metadata, read_trace
@@ -185,6 +186,23 @@ class TestTrain:
                     a.l_uniform_item, a.val_ndcg20) == (
                 b.epoch, b.train_loss, b.l_align, b.l_uniform_user,
                 b.l_uniform_item, b.val_ndcg20)
+
+    def test_training_does_not_read_the_geometry(self, two_cluster, monkeypatch):
+        # the geometry is only reported: a fixed report leaves the run bit for bit
+        ds = split(two_cluster, seed=3)
+        cfg = small_cfg(objective="direct_au", encoder="mf", max_epochs=3, seed=4)
+        best, traces = train(ds, cfg)
+        fixed = GeometryReport(
+            l_align=1.0, l_uniform=-2.0, l_uniform_user=-3.0, l_uniform_item=-1.0
+        )
+        monkeypatch.setattr(training_mod, "geometry_report", lambda table, interactions: fixed)
+        best_f, traces_f = train(ds, cfg)
+        assert best_f.table.emb.tobytes() == best.table.emb.tobytes()
+        assert best_f.epoch == best.epoch and best_f.geometry is fixed
+        assert len(traces_f) == len(traces) == 3
+        for a, b in zip(traces, traces_f):
+            assert np.array([a.train_loss, a.val_ndcg20]).tobytes() == np.array(
+                [b.train_loss, b.val_ndcg20]).tobytes()
 
     def test_best_epoch_contract(self, two_cluster):
         ds = split(two_cluster, seed=2)
