@@ -17,7 +17,6 @@ from pathlib import Path
 from .data import (
     file_sha256,
     load_interactions,
-    open_atomic,
     preprocess,
     read_id_pairs,
     split,
@@ -82,22 +81,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # a manifest only ever sits beside the checkpoint of a completed run
-    (out_dir / "manifest.json").unlink(missing_ok=True)
-    try:
-        best, traces = train(ds, cfg)
-    except TrainingDiverged as exc:
-        emit_trace(exc.traces, out_dir / "trace.csv")
-        save_checkpoint(out_dir, exc.table, cfg, exc.best_epoch)
-        print(f"training diverged: {exc}; last good snapshot saved", file=sys.stderr)
-        return 4
-
-    emit_trace(traces, out_dir / "trace.csv")
-    save_checkpoint(out_dir, best.table, cfg, best.epoch)
-
-    manifest = {
+    record = {
         "config": cfg.to_mapping(),
-        "seed": cfg.seed,
         "dataset": {
             "path": str(data_path),
             "n_users": data.n_users,
@@ -105,21 +90,24 @@ def cmd_train(args: argparse.Namespace) -> int:
             "n_interactions": data.n_pairs,
             "sha256": file_sha256(data_path),
         },
-        "best_epoch": best.epoch,
-        "epochs_run": len(traces),
-        "metrics": {
-            "validation": _ranking_json(best.validation) if best.validation else None,
-            "geometry": asdict(best.geometry),
-        },
-        "artifacts": {
-            "checkpoint": str(out_dir / "embeddings.npz"),
-            "metadata": str(out_dir / "metadata.txt"),
-            "trace": str(out_dir / "trace.csv"),
-        },
     }
-    with open_atomic(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    try:
+        best, traces = train(ds, cfg)
+    except TrainingDiverged as exc:
+        # the last good snapshot is kept, with nothing measured to record
+        emit_trace(exc.traces, out_dir / "trace.csv")
+        record.update(best_epoch=exc.best_epoch, epochs_run=len(exc.traces), metrics=None)
+        save_checkpoint(out_dir, exc.table, record)
+        print(f"training diverged: {exc}; last good snapshot saved", file=sys.stderr)
+        return 4
+
+    metrics = {
+        "validation": _ranking_json(best.validation) if best.validation else None,
+        "geometry": asdict(best.geometry),
+    }
+    emit_trace(traces, out_dir / "trace.csv")
+    record.update(best_epoch=best.epoch, epochs_run=len(traces), metrics=metrics)
+    save_checkpoint(out_dir, best.table, record)
     print(f"best_epoch={best.epoch} epochs_run={len(traces)} out_dir={out_dir}")
     return 0
 
@@ -132,19 +120,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if min(ks) < 1:
         raise ConfigError(f"--ks values must be >= 1, got {args.ks}")
     checkpoint, data_path = Path(args.checkpoint), Path(args.data)
-    table, cfg, _ = load_checkpoint(checkpoint)
-    manifest_path = checkpoint / "manifest.json"
-    if manifest_path.exists():
-        # a file with the same counts would split differently, silently
-        try:
-            trained_on = json.loads(manifest_path.read_text(encoding="utf-8"))["dataset"]["sha256"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
-        if trained_on != file_sha256(data_path):
-            raise DataError(
-                f"{data_path} is not the dataset this checkpoint was trained on "
-                f"(SHA-256 differs from {manifest_path})"
-            )
+    table, cfg, record = load_checkpoint(checkpoint)
+    # a file with the same counts would split differently, silently
+    if record["dataset"]["sha256"] != file_sha256(data_path):
+        raise DataError(
+            f"{data_path} is not the dataset this checkpoint was trained on "
+            f"(SHA-256 differs from {checkpoint / 'manifest.json'})"
+        )
     data = read_id_pairs(data_path)  # counts inferred, as train infers them
     if data.n_users != table.n_users or data.n_items != table.n_items:
         raise DataError("checkpoint and dataset disagree on entity counts")

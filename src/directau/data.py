@@ -4,10 +4,9 @@ File format: UTF-8 text, one interaction per line, `user<delim>item[<delim>...]`
 lines starting with '#' ignored. Columns past the second are ignored. The
 integer-ID file that preprocessing writes is always tab-separated, the form
 `read_id_pairs` reads by default; its `.users.map`/`.items.map` sidecars keep
-the input delimiter, which no key can contain. Config files and checkpoint
-`metadata.txt` are key=value text read by `training.read_key_values`. A file
-that is not UTF-8 raises DataError (exit 3), or ConfigError (exit 2) for
-key=value files.
+the input delimiter, which no key can contain. Config files are key=value
+text read by `training.read_key_values`. A file that is not UTF-8 raises
+DataError (exit 3), or ConfigError (exit 2) for a config file.
 """
 
 from __future__ import annotations

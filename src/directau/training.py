@@ -14,6 +14,7 @@ the propagated outputs.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import MISSING, dataclass, fields
 from math import inf, nan
@@ -95,9 +96,9 @@ class TrainConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "TrainConfig":
-        """Build from string key/values (config file or metadata echo); each
-        value parses as its field's type, and the fields without a default
-        are required.
+        """Build from string key/values (a config file, or a run record's
+        `config`); each value parses as its field's type, and the fields
+        without a default are required.
 
         Unknown keys are errors: a typo must never fall back to a default.
         """
@@ -340,22 +341,18 @@ def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
             fh.write(",".join(vals) + "\n")
 
 
-def save_checkpoint(
-    out_dir: str | Path, table: EmbeddingTable, cfg: TrainConfig, best_epoch: int
-) -> None:
-    """Write embeddings.npz, then metadata.txt (config echo, best epoch and
-    the dump's `embeddings_sha256`), each replaced whole; load_checkpoint
-    rejects the torn pair that a crash between the two writes leaves."""
+def save_checkpoint(out_dir: str | Path, table: EmbeddingTable, record: dict) -> None:
+    """Write embeddings.npz, then manifest.json, the run's one record:
+    `record` plus the dump's `embeddings_sha256`. Each file is replaced
+    whole; load_checkpoint rejects the dump that a crash between the two
+    writes leaves beside the previous record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = out_dir / "embeddings.npz"
     write_embeddings(table, dump)
-    meta = cfg.to_mapping()
-    meta["best_epoch"] = str(best_epoch)
-    meta["embeddings_sha256"] = file_sha256(dump)
-    with open_atomic(out_dir / "metadata.txt") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key}={val}\n")
+    with open_atomic(out_dir / "manifest.json") as fh:
+        json.dump({**record, "embeddings_sha256": file_sha256(dump)}, fh, indent=2)
+        fh.write("\n")
 
 
 def split_key_value(text: str, where: str) -> tuple[str, str]:
@@ -381,18 +378,26 @@ def read_key_values(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, int]:
-    """Inverse of save_checkpoint; a torn pair is a DataError, and a
-    missing or non-integer best_epoch a ConfigError."""
+def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, dict]:
+    """Inverse of save_checkpoint: the table, its config and the whole
+    record. A missing or malformed record, or a dump that is not the one it
+    records, is a DataError; a config value that from_mapping rejects
+    stays a ConfigError."""
     out_dir = Path(out_dir)
-    dump, meta = out_dir / "embeddings.npz", out_dir / "metadata.txt"
+    dump, path = out_dir / "embeddings.npz", out_dir / "manifest.json"
     table = read_embeddings(dump)
-    raw = read_key_values(meta)
-    text = raw.pop("best_epoch", None)
     try:
-        best_epoch = int(text)
-    except (TypeError, ValueError) as exc:  # TypeError: the key is missing
-        raise ConfigError(f"{meta}: missing or bad value for 'best_epoch': {text!r}") from exc
-    if raw.pop("embeddings_sha256", None) != file_sha256(dump):
-        raise DataError(f"{dump} is not the dump {meta} records (SHA-256 differs or is missing)")
-    return table, TrainConfig.from_mapping(raw), best_epoch
+        record = json.loads(path.read_text(encoding="utf-8"))
+        raw, best, digest = record["config"], record["best_epoch"], record["embeddings_sha256"]
+        trained_on = record["dataset"]["sha256"]
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise DataError(f"{path}: malformed run record ({exc!r})") from exc
+    if not (isinstance(raw, dict) and all(isinstance(v, str) for v in raw.values())):
+        raise DataError(f"{path}: 'config' must map keys to strings, got {raw!r}")
+    if type(best) is not int or best < 0:  # a bool is an int, but not a best epoch
+        raise DataError(f"{path}: 'best_epoch' must be an integer >= 0, got {best!r}")
+    if not (isinstance(digest, str) and isinstance(trained_on, str)):
+        raise DataError(f"{path}: the SHA-256 entries must be strings")
+    if digest != file_sha256(dump):
+        raise DataError(f"{dump} is not the dump {path} records (SHA-256 differs)")
+    return table, TrainConfig.from_mapping(raw), record

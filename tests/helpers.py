@@ -279,20 +279,6 @@ def naive_read_config_file(path):
     return raw
 
 
-def naive_read_metadata(path):
-    """Reference metadata.txt reader: lax key=value lines, blank lines
-    skipped, nothing else checked or stripped around '='."""
-    raw = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            raw[key] = val
-    return raw
-
-
 def gather_adam_step(state, params, rows, grads):
     """Reference lazy Adam step: gathers the listed rows, updates them
     out of place and scatters them back, for any row order."""

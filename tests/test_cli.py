@@ -3,7 +3,6 @@
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import zipfile
@@ -17,7 +16,7 @@ import pytest
 import directau
 from directau import EmbeddingTable, InteractionSet, init_xavier, write_embeddings
 from directau.cli import main
-from directau.data import read_id_pairs, split, write_interactions
+from directau.data import file_sha256, read_id_pairs, split, write_interactions
 from directau.evaluation import geometry_report
 from directau.training import load_checkpoint
 from helpers import naive_uniformity, read_trace, two_cluster_dataset
@@ -46,6 +45,35 @@ def write_config(tmp_path, text=BASE_CONFIG):
     p = tmp_path / "run.conf"
     p.write_text(text)
     return p
+
+
+def read_record(run):
+    return json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+
+
+def copy_run(run, dest, record=None):
+    """`run`'s dump and record copied into the new directory `dest`;
+    `record`, a JSON value or raw bytes, replaces the record when given."""
+    dest.mkdir()
+    (dest / "embeddings.npz").write_bytes((run / "embeddings.npz").read_bytes())
+    if record is None:
+        record = (run / "manifest.json").read_bytes()
+    elif not isinstance(record, bytes):
+        record = json.dumps(record).encode()
+    (dest / "manifest.json").write_bytes(record)
+    return dest
+
+
+def same_counts_dataset(path):
+    """`data_file`'s dataset with one pair of user 0 moved to an item it
+    never had: the same entity counts, another split."""
+    data = two_cluster_dataset()
+    items = data.items.copy()
+    items[0] = next(j for j in range(data.n_items) if j not in items[data.users == 0])
+    write_interactions(
+        InteractionSet.from_pairs(data.users, items, data.n_users, data.n_items), path
+    )
+    return path
 
 
 class TestPreprocessCommand:
@@ -175,10 +203,14 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(data_file), "--config", str(cfg),
                    "--out-dir", str(out)])
         assert rc == 0
-        for name in ("embeddings.npz", "metadata.txt", "trace.csv", "manifest.json"):
-            assert (out / name).exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        assert {p.name for p in out.iterdir()} == {"embeddings.npz", "trace.csv", "manifest.json"}
+        manifest = read_record(out)
+        assert list(manifest) == [
+            "config", "dataset", "best_epoch", "epochs_run", "metrics", "embeddings_sha256"
+        ]
+        assert manifest["embeddings_sha256"] == file_sha256(out / "embeddings.npz")
         assert manifest["config"]["objective"] == "direct_au"
+        assert manifest["dataset"]["sha256"] == file_sha256(data_file)
         assert manifest["dataset"]["n_users"] == 200
         assert manifest["dataset"]["n_items"] == 100
         assert len(manifest["dataset"]["sha256"]) == 64
@@ -198,7 +230,8 @@ class TestTrainCommand:
         # all columns except the wall-clock measurement must match exactly
         for ra, rb in zip(*outs):
             assert ra.rsplit(",", 1)[0] == rb.rsplit(",", 1)[0]
-        for name in ("embeddings.npz", "metadata.txt"):
+        # the record names no file of its run directory, so it does not depend on --out-dir
+        for name in ("embeddings.npz", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_set_overrides_config(self, tmp_path, data_file):
@@ -207,8 +240,8 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(data_file), "--config", str(cfg),
                    "--out-dir", str(out), "--set", "max_epochs=1", "--set", "seed=9"])
         assert rc == 0
-        meta = (out / "metadata.txt").read_text()
-        assert "max_epochs=1" in meta and "seed=9" in meta
+        config = read_record(out)["config"]
+        assert config["max_epochs"] == "1" and config["seed"] == "9"
 
     @pytest.mark.parametrize("override", ["max_epochs", "max_epochs 1", ""])
     def test_set_without_equals_is_config_error(self, tmp_path, data_file, capsys, override):
@@ -295,11 +328,13 @@ class TestTrainCommand:
         assert rc == 4
         assert "zero-norm row" in capsys.readouterr().err
         assert [t.epoch for t in read_trace(out / "trace.csv")] == [1]
-        assert (out / "embeddings.npz").exists()
-        assert "best_epoch=1" in (out / "metadata.txt").read_text()
-        assert not (out / "manifest.json").exists()
+        record = read_record(out)
+        assert record["config"]["seed"] == "5"
+        assert (record["best_epoch"], record["epochs_run"], record["metrics"]) == (1, 1, None)
+        monkeypatch.undo()
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data_file)]) == 0
 
-    def test_diverged_rerun_leaves_no_manifest(self, tmp_path, data_file, monkeypatch):
+    def test_diverged_rerun_writes_its_own_record(self, tmp_path, data_file, monkeypatch):
         import directau.training as training_mod
         from directau.errors import DegenerateEmbedding
 
@@ -307,15 +342,38 @@ class TestTrainCommand:
         args = ["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
                 "--out-dir", str(out)]
         assert main(args + ["--set", "seed=3"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+        assert read_record(out)["config"]["seed"] == "3"
 
         def degenerate(table, interactions):
             raise DegenerateEmbedding("zero-norm row")
 
         monkeypatch.setattr(training_mod, "geometry_report", degenerate)
         assert main(args + ["--set", "seed=4"]) == 4
-        assert "seed=4" in (out / "metadata.txt").read_text()
-        assert not (out / "manifest.json").exists()
+        record = read_record(out)
+        assert record["config"]["seed"] == "4"
+        # the initial table, since not one epoch was measured
+        assert (record["best_epoch"], record["epochs_run"], record["metrics"]) == (0, 0, None)
+        monkeypatch.undo()
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data_file)]) == 0
+
+    def test_diverged_run_checks_the_dataset(self, tmp_path, data_file, monkeypatch, capsys):
+        import directau.training as training_mod
+        from directau.errors import DegenerateEmbedding
+
+        def degenerate(table, interactions):
+            raise DegenerateEmbedding("zero-norm row")
+
+        monkeypatch.setattr(training_mod, "geometry_report", degenerate)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out)]) == 4
+        monkeypatch.undo()
+        other = same_counts_dataset(tmp_path / "other.txt")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out), "--data", str(other)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(other) in err and "manifest.json" in err
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data_file)]) == 0
 
     def test_failed_checkpoint_write_keeps_the_previous_file(
         self, tmp_path, data_file, monkeypatch
@@ -335,9 +393,11 @@ class TestTrainCommand:
         monkeypatch.setattr(np.lib.format, "write_array", fails_partway)
         assert main(args + ["--set", "seed=6"]) == 3
         after = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert set(after) == {"trace.csv", "embeddings.npz", "metadata.txt"}
+        assert set(after) == {"trace.csv", "embeddings.npz", "manifest.json"}
         assert after["embeddings.npz"] == before["embeddings.npz"]
-        assert after["metadata.txt"] == before["metadata.txt"]
+        assert after["manifest.json"] == before["manifest.json"]
+        monkeypatch.undo()
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data_file)]) == 0
 
     def test_bpr_trace_shows_dynamics_signature(self, tmp_path, data_file):
         # pairwise-ranking training first tightens alignment at the cost of
@@ -367,6 +427,15 @@ def trained(tmp_path_factory, data_file):
     assert main(["train", "--data", str(data_file), "--config", str(cfg),
                  "--out-dir", str(out)]) == 0
     return out
+
+
+# the config echo and best epoch that train wrote as metadata.txt before
+# manifest.json became the run's one record
+OLD_METADATA = (
+    "objective=direct_au\nseed=5\nencoder=mf\nlayers=0\ngamma=1\nd=8\nlr=0.02\n"
+    "batch_size=128\nweight_decay=0\nmax_epochs=3\npatience=100\nds_candidates=32\n"
+    "best_epoch=3\n"
+)
 
 
 class TestEvalCommand:
@@ -408,83 +477,75 @@ class TestEvalCommand:
         assert capsys.readouterr().out == first
 
     def test_other_dataset_with_same_counts_is_data_error(self, trained, data_file, tmp_path, capsys):
-        data = two_cluster_dataset()
-        items = data.items.copy()
-        moved_to = next(j for j in range(data.n_items) if j not in items[data.users == 0])
-        items[0] = moved_to  # one pair of user 0 moved to an item it never had
-        other = tmp_path / "other.txt"
-        write_interactions(
-            InteractionSet.from_pairs(data.users, items, data.n_users, data.n_items), other
-        )
+        other = same_counts_dataset(tmp_path / "other.txt")
         rc = main(["eval", "--checkpoint", str(trained), "--data", str(other)])
         assert rc == 3
         assert "data error" in capsys.readouterr().err
         assert main(["eval", "--checkpoint", str(trained), "--data", str(data_file)]) == 0
 
-        # a diverged run writes no manifest, so there is nothing to compare
-        no_manifest = tmp_path / "no-manifest"
-        no_manifest.mkdir()
-        for name in ("embeddings.npz", "metadata.txt"):
-            (no_manifest / name).write_bytes((trained / name).read_bytes())
-        assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(other)]) == 0
-
     def test_fewer_users_without_manifest_is_data_error(self, trained, data_file, tmp_path,
                                                         capsys):
-        # a diverged run leaves no manifest; the entity counts still have to agree
-        no_manifest = tmp_path / "no-manifest"
-        no_manifest.mkdir()
-        for name in ("embeddings.npz", "metadata.txt"):
-            (no_manifest / name).write_bytes((trained / name).read_bytes())
+        # the entity counts have to agree even where the recorded SHA-256
+        # does: the copy's record names the smaller file's digest
         data = two_cluster_dataset()
         keep = data.users != data.users.max()
         fewer = tmp_path / "fewer-users.txt"
         write_interactions(
             InteractionSet.from_pairs(data.users[keep], data.items[keep]), fewer
         )
-        rc = main(["eval", "--checkpoint", str(no_manifest), "--data", str(fewer)])
+        record = read_record(trained)
+        record["dataset"]["sha256"] = file_sha256(fewer)
+        run = copy_run(trained, tmp_path / "fewer-run", record)
+        rc = main(["eval", "--checkpoint", str(run), "--data", str(fewer)])
         assert rc == 3
-        assert "data error" in capsys.readouterr().err
-        assert main(["eval", "--checkpoint", str(no_manifest), "--data", str(data_file)]) == 0
+        assert "disagree on entity counts" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(trained), "--data", str(data_file)]) == 0
 
     def test_torn_checkpoint_is_data_error(self, trained, data_file, tmp_path, capsys):
-        # run B's dump beside run A's metadata, as a crash between the two
+        # run B's dump beside run A's record, as a crash between the two
         # writes of save_checkpoint leaves them
         other = tmp_path / "b"
         assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
                      "--out-dir", str(other), "--set", "seed=6"]) == 0
-        torn = tmp_path / "torn"
-        torn.mkdir()
-        for name in ("metadata.txt", "manifest.json"):
-            (torn / name).write_bytes((trained / name).read_bytes())
-        (torn / "embeddings.npz").write_bytes((other / "embeddings.npz").read_bytes())
+        torn = copy_run(other, tmp_path / "torn", (trained / "manifest.json").read_bytes())
         assert main(["eval", "--checkpoint", str(torn), "--data", str(data_file)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err
-        assert str(torn / "embeddings.npz") in err and str(torn / "metadata.txt") in err
+        assert str(torn / "embeddings.npz") in err and str(torn / "manifest.json") in err
 
     def test_metadata_without_dump_digest_is_data_error(self, trained, data_file, tmp_path,
                                                         capsys):
-        run = tmp_path / "run"
-        run.mkdir()
-        for name in ("embeddings.npz", "metadata.txt"):
-            (run / name).write_bytes((trained / name).read_bytes())
-        meta = run / "metadata.txt"
-        text = meta.read_text(encoding="utf-8")
-        assert "\nembeddings_sha256=" in text
-        meta.write_text(re.sub(r"(?m)^embeddings_sha256=.*\n", "", text), encoding="utf-8")
+        record = read_record(trained)
+        del record["embeddings_sha256"]
+        run = copy_run(trained, tmp_path / "run", record)
         assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 3
         err = capsys.readouterr().err
-        assert "data error" in err and str(meta) in err
+        assert "data error" in err and str(run / "manifest.json") in err
+        assert "embeddings_sha256" in err
 
-    def test_text_dump_run_directory_is_data_error(self, trained, data_file, tmp_path, capsys):
+    def test_text_dump_run_directory_is_data_error(self, data_file, tmp_path, capsys):
         # a run directory from before the binary dump holds embeddings.txt
         old = tmp_path / "old"
         old.mkdir()
         (old / "embeddings.txt").write_text("200 100 2\n" + "0.5 0.5\n" * 300)
-        (old / "metadata.txt").write_bytes((trained / "metadata.txt").read_bytes())
+        (old / "metadata.txt").write_text(OLD_METADATA)
         assert main(["eval", "--checkpoint", str(old), "--data", str(data_file)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "embeddings.npz" in err
+
+    def test_metadata_txt_run_directory_is_data_error(self, trained, data_file, tmp_path,
+                                                      capsys):
+        # a run directory from before the one record: a binary dump beside
+        # metadata.txt, and no manifest (a diverged run left none)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "embeddings.npz").write_bytes((trained / "embeddings.npz").read_bytes())
+        digest = file_sha256(old / "embeddings.npz")
+        (old / "metadata.txt").write_text(OLD_METADATA + f"embeddings_sha256={digest}\n")
+        assert main(["eval", "--checkpoint", str(old), "--data", str(data_file)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(old / "manifest.json") in err
+        assert err.count("\n") == 1
 
     def test_dimension_mismatch(self, trained, tmp_path, capsys):
         small = tmp_path / "small.txt"
@@ -672,19 +733,18 @@ class TestUnreadableInputs:
     @staticmethod
     def args(command, tmp_path, trained, data):
         """`command`'s arguments, reading interactions from `data`; eval runs
-        on a copy of `trained` without the manifest, which would reject any
-        other dataset before reading it."""
+        on a copy of `trained` whose record names `data`'s SHA-256, so that
+        the interaction reader, not the digest check, meets the file."""
         if command == "preprocess":
             return ["--input", str(data), "--output", str(tmp_path / "clean.txt")]
         if command == "train":
             return ["--data", str(data), "--config", str(write_config(tmp_path)),
                     "--out-dir", str(tmp_path / "run")]
         if command == "eval":
-            bare = tmp_path / "no-manifest"
-            bare.mkdir()
-            for name in ("embeddings.npz", "metadata.txt"):
-                (bare / name).write_bytes((trained / name).read_bytes())
-            return ["--checkpoint", str(bare), "--data", str(data)]
+            record = read_record(trained)
+            record["dataset"]["sha256"] = file_sha256(data)
+            run = copy_run(trained, tmp_path / "run", record)
+            return ["--checkpoint", str(run), "--data", str(data)]
         return ["--embeddings", str(trained / "embeddings.npz"), "--interactions", str(data)]
 
     @pytest.mark.parametrize("command", ["train", "eval", "probe"])
@@ -693,7 +753,7 @@ class TestUnreadableInputs:
         data.write_text(f"0\t0\n1\t1\n{2**63}\t0\n")
         assert main([command, *self.args(command, tmp_path, trained, data)]) == 3
         err = capsys.readouterr().err
-        assert "data error" in err and str(data) in err
+        assert "data error" in err and str(data) in err and "SHA-256" not in err
 
     @pytest.mark.parametrize("command", ["preprocess", "train", "eval", "probe"])
     def test_interactions_not_utf8_is_data_error(self, command, tmp_path, trained, capsys):
@@ -701,7 +761,7 @@ class TestUnreadableInputs:
         data.write_bytes(b"0\t0\n1\t1\n\xff\t0\n")
         assert main([command, *self.args(command, tmp_path, trained, data)]) == 3
         err = capsys.readouterr().err
-        assert "data error" in err and str(data) in err
+        assert "data error" in err and str(data) in err and "SHA-256" not in err
 
     def test_config_not_utf8_is_config_error(self, tmp_path, data_file, capsys):
         cfg = tmp_path / "run.conf"
@@ -711,42 +771,58 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert "config error" in err and str(cfg) in err
 
-    def test_metadata_not_utf8_is_config_error(self, tmp_path, trained, data_file, capsys):
-        run = tmp_path / "run"
-        run.mkdir()
-        for name in ("embeddings.npz", "metadata.txt", "manifest.json"):
-            (run / name).write_bytes((trained / name).read_bytes())
-        with (run / "metadata.txt").open("ab") as fh:
-            fh.write(b"# \xff\n")
-        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
+    @pytest.mark.parametrize("case", [
+        "missing", "not-utf8", "not-json", "not-an-object", "config-not-an-object",
+        "config-value-not-a-string", "best-epoch-missing", "best-epoch-not-int",
+        "best-epoch-float", "best-epoch-bool", "best-epoch-negative", "dump-digest-missing",
+        "dump-digest-not-a-string", "dataset-missing", "dataset-digest-missing",
+        "dataset-digest-not-a-string",
+    ])
+    def test_malformed_record_is_data_error(self, case, tmp_path, trained, data_file, capsys):
+        record = read_record(trained)
+        if case == "missing":
+            run = copy_run(trained, tmp_path / "run")
+            (run / "manifest.json").unlink()
+        else:
+            if case == "not-utf8":
+                record = (trained / "manifest.json").read_bytes() + b"\xff"
+            elif case == "not-json":
+                record = (trained / "manifest.json").read_bytes()[:-3]
+            elif case == "not-an-object":
+                record = [record]
+            elif case == "config-not-an-object":
+                record["config"] = [f"{k}={v}" for k, v in record["config"].items()]
+            elif case == "config-value-not-a-string":
+                record["config"]["seed"] = 5
+            elif case == "best-epoch-missing":
+                del record["best_epoch"]
+            elif case.startswith("best-epoch-"):
+                bad = {"not-int": "one", "float": 3.0, "bool": True, "negative": -1}
+                record["best_epoch"] = bad[case.removeprefix("best-epoch-")]
+            elif case == "dump-digest-missing":
+                del record["embeddings_sha256"]
+            elif case == "dump-digest-not-a-string":
+                record["embeddings_sha256"] = [record["embeddings_sha256"]]
+            elif case == "dataset-missing":
+                del record["dataset"]
+            elif case == "dataset-digest-missing":
+                del record["dataset"]["sha256"]
+            else:
+                record["dataset"]["sha256"] = None
+            run = copy_run(trained, tmp_path / "run", record)
+        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 3
         err = capsys.readouterr().err
-        assert "config error" in err and str(run / "metadata.txt") in err
+        assert err.startswith("data error:") and str(run / "manifest.json") in err
+        assert err.count("\n") == 1
 
-    def test_non_integer_best_epoch_is_config_error(self, tmp_path, trained, data_file, capsys):
-        run = tmp_path / "run"
-        run.mkdir()
-        for name in ("embeddings.npz", "metadata.txt"):  # no manifest
-            (run / name).write_bytes((trained / name).read_bytes())
-        meta = run / "metadata.txt"
-        text = meta.read_text(encoding="utf-8")
-        assert "\nbest_epoch=" in text
-        meta.write_text(re.sub(r"(?m)^best_epoch=.*$", "best_epoch=one", text), encoding="utf-8")
+    def test_record_config_value_is_config_error(self, tmp_path, trained, data_file, capsys):
+        # a well-formed record whose config TrainConfig rejects
+        record = read_record(trained)
+        record["config"]["lr"] = "fast"
+        run = copy_run(trained, tmp_path / "run", record)
         assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and str(meta) in err and "'one'" in err
-
-    def test_missing_best_epoch_is_config_error(self, tmp_path, trained, data_file, capsys):
-        run = tmp_path / "run"
-        run.mkdir()
-        for name in ("embeddings.npz", "metadata.txt"):  # no manifest
-            (run / name).write_bytes((trained / name).read_bytes())
-        meta = run / "metadata.txt"
-        text = meta.read_text(encoding="utf-8")
-        assert "\nbest_epoch=" in text and "\nembeddings_sha256=" in text
-        meta.write_text(re.sub(r"(?m)^best_epoch=.*\n", "", text), encoding="utf-8")
-        assert main(["eval", "--checkpoint", str(run), "--data", str(data_file)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and str(meta) in err and "best_epoch" in err
+        assert err.startswith("config error:") and "'lr'" in err and "'fast'" in err
 
 
 class TestManifestGeometry:

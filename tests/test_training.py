@@ -23,11 +23,12 @@ from directau import (
     split,
     train,
 )
+from directau.data import file_sha256
 from directau.errors import ConfigError
 from directau.evaluation import GeometryReport
 from directau.losses import LossOutput
 from directau.training import _training_batches, read_key_values, split_key_value
-from helpers import naive_read_config_file, naive_read_metadata, read_trace
+from helpers import naive_read_config_file, read_trace
 
 
 # every field away from its default
@@ -605,22 +606,39 @@ class TestTraceSerialization:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def record(cfg, best_epoch):
+        return {
+            "config": cfg.to_mapping(),
+            "dataset": {"sha256": "0" * 64},
+            "best_epoch": best_epoch,
+            "metrics": None,
+        }
+
     def test_roundtrip(self, tmp_path):
         table = init_xavier(5, 7, 3, seed=1)
         cfg = TrainConfig(objective="direct_au", gamma=1.0, seed=4, d=3)
-        save_checkpoint(tmp_path, table, cfg, best_epoch=11)
-        back_table, back_cfg, back_best = load_checkpoint(tmp_path)
+        record = self.record(cfg, best_epoch=11)
+        save_checkpoint(tmp_path, table, record)
+        back_table, back_cfg, back_record = load_checkpoint(tmp_path)
         assert np.array_equal(back_table.user_emb, table.user_emb)
         assert np.array_equal(back_table.item_emb, table.item_emb)
-        assert back_cfg == cfg and back_best == 11
+        assert back_cfg == cfg
+        dump_digest = file_sha256(tmp_path / "embeddings.npz")
+        assert back_record == {**record, "embeddings_sha256": dump_digest}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embeddings.npz", "manifest.json"]
 
-    def test_metadata_is_flat_key_value(self, tmp_path):
-        table = init_xavier(2, 2, 2, seed=0)
-        cfg = TrainConfig(objective="bpr", seed=1, d=2)
-        save_checkpoint(tmp_path, table, cfg, best_epoch=3)
-        text = (tmp_path / "metadata.txt").read_text()
-        assert "objective=bpr" in text and "best_epoch=3" in text
-        assert "gamma" not in text
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(objective="direct_au", gamma=1.0, seed=4, d=3),
+        TrainConfig(objective="direct_au", gamma=0.1, seed=0, lr=1e-3, weight_decay=1e-7,
+                    encoder="lgcn", layers=3),
+        TrainConfig(objective="bpr", seed=11, lr=0.3, batch_size=1, max_epochs=0),
+        TrainConfig(objective="bpr_ds", seed=2**40, ds_candidates=5, patience=1),
+        EVERY_FIELD_SET,
+    ])
+    def test_record_config_roundtrips(self, tmp_path, cfg):
+        save_checkpoint(tmp_path, init_xavier(2, 3, cfg.d, seed=0), self.record(cfg, 7))
+        assert load_checkpoint(tmp_path)[1] == cfg
 
 
 def outcome(fn, *args):
@@ -632,8 +650,7 @@ def outcome(fn, *args):
 
 
 class TestKeyValueReader:
-    """One reader takes both config files and metadata.txt, as the two
-    loops it replaces did."""
+    """The config file reader, against the loop it replaced."""
 
     @pytest.mark.parametrize("text", [
         "# run\nobjective = bpr\n\n  seed=3  \n# d = 9\n",
@@ -648,15 +665,3 @@ class TestKeyValueReader:
         p = tmp_path / "run.conf"
         p.write_bytes(text.encode())
         assert outcome(read_key_values, p) == outcome(naive_read_config_file, p)
-
-    @pytest.mark.parametrize("cfg", [
-        TrainConfig(objective="direct_au", gamma=1.0, seed=4, d=3),
-        TrainConfig(objective="direct_au", gamma=0.1, seed=0, lr=1e-3, weight_decay=1e-7,
-                    encoder="lgcn", layers=3),
-        TrainConfig(objective="bpr", seed=11, lr=0.3, batch_size=1, max_epochs=0),
-        TrainConfig(objective="bpr_ds", seed=2**40, ds_candidates=5, patience=1),
-    ])
-    def test_matches_metadata_oracle(self, tmp_path, cfg):
-        save_checkpoint(tmp_path, init_xavier(2, 3, cfg.d, seed=0), cfg, best_epoch=7)
-        meta = tmp_path / "metadata.txt"
-        assert read_key_values(meta) == naive_read_metadata(meta)
