@@ -38,7 +38,6 @@ from .training import (
     EpochTrace,
     Snapshot,
     TrainConfig,
-    TrainingDiverged,
     emit_trace,
     load_checkpoint,
     save_checkpoint,

@@ -28,13 +28,11 @@ from .errors import ConfigError, DataError, NumericError
 from .evaluation import RankingMetrics, geometry_report, rank_eval
 from .training import (
     TrainConfig,
-    emit_trace,
     load_checkpoint,
     read_key_values,
     save_checkpoint,
     split_key_value,
     train,
-    TrainingDiverged,
 )
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
@@ -91,23 +89,17 @@ def cmd_train(args: argparse.Namespace) -> int:
             "sha256": file_sha256(data_path),
         },
     }
-    try:
-        best, traces = train(ds, cfg)
-    except TrainingDiverged as exc:
-        # the last good snapshot is kept, with nothing measured to record
-        emit_trace(exc.traces, out_dir / "trace.csv")
-        record.update(best_epoch=exc.best_epoch, epochs_run=len(exc.traces), metrics=None)
-        save_checkpoint(out_dir, exc.table, record)
-        print(f"training diverged: {exc}; last good snapshot saved", file=sys.stderr)
-        return 4
-
-    metrics = {
+    best, traces = train(ds, cfg)
+    # a diverged run keeps its last good snapshot, with nothing measured to record
+    metrics = None if best.diverged else {
         "validation": _ranking_json(best.validation) if best.validation else None,
         "geometry": asdict(best.geometry),
     }
-    emit_trace(traces, out_dir / "trace.csv")
     record.update(best_epoch=best.epoch, epochs_run=len(traces), metrics=metrics)
-    save_checkpoint(out_dir, best.table, record)
+    save_checkpoint(out_dir, best.table, traces, record)
+    if best.diverged:
+        print(f"training diverged: {best.diverged}; last good snapshot saved", file=sys.stderr)
+        return 4
     print(f"best_epoch={best.epoch} epochs_run={len(traces)} out_dir={out_dir}")
     return 0
 

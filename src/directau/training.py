@@ -5,7 +5,8 @@ updates embeddings with lazy Adam, then records: the epoch-mean training
 loss, alignment/uniformity of the full learned representations over the
 training interactions, and the validation ranking at K = 10, 20, 50.
 Early stopping reads NDCG@20 and keeps the snapshot from the best
-validation epoch, together with what that epoch measured on it.
+validation epoch, together with what that epoch measured on it; an epoch
+that hits a NumericError ends the run with the last good one, `diverged`.
 
 Ranking and validation use raw dot-product scores even though the losses
 normalize; for the graph encoder, the traced/scored representations are
@@ -30,7 +31,7 @@ from .encoders import (
     read_embeddings,
     write_embeddings,
 )
-from .errors import ConfigError, DataError, DivergedGradient, InsufficientBatch, NumericError
+from .errors import ConfigError, DataError, InsufficientBatch, NumericError
 from .evaluation import GeometryReport, RankingMetrics, geometry_report, rank_eval
 from .losses import bpr_loss, direct_au_loss, sample_negatives
 from .optim import AdamState, adam_step
@@ -148,23 +149,15 @@ TRACE_COLUMNS = tuple(f.name for f in fields(EpochTrace))
 class Snapshot:
     """The representations a run keeps, from `epoch` (0: the initial
     table), with the geometry and validation ranking measured on them;
-    `validation` is None without validation pairs."""
+    `validation` is None without validation pairs. A diverged run keeps
+    its last good table, nothing measured (both None), and `diverged` says
+    which epoch failed and why."""
 
     table: EmbeddingTable
     epoch: int
-    geometry: GeometryReport
+    geometry: GeometryReport | None
     validation: RankingMetrics | None
-
-
-class TrainingDiverged(DivergedGradient):
-    """Raised when an epoch hits a NumericError; carries the last good
-    snapshot so callers can still inspect/save it."""
-
-    def __init__(self, detail: str, table: EmbeddingTable, traces: list[EpochTrace], best_epoch: int):
-        super().__init__(detail)
-        self.table = table
-        self.traces = traces
-        self.best_epoch = best_epoch
+    diverged: str | None = None
 
 
 def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
@@ -190,7 +183,9 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
     highest validation NDCG@20, and its geometry and ranking are the ones
     that epoch measured. Without a validation split, early stopping is
     disabled, val_ndcg20 is NaN, and the final epoch is returned. When no
-    epoch runs, the initial table is measured once.
+    epoch runs, the initial table is measured once. An epoch that hits a
+    NumericError ends the run: `best` is the best snapshot before it, with
+    nothing measured and `diverged` = "epoch {e}: {error}".
     """
     n_users, n_items = split.train.n_users, split.train.n_items
     table = init_xavier(n_users, n_items, cfg.d, cfg.seed)
@@ -235,9 +230,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
             scoring = scoring_table()
             geo, ranked = measure(scoring)
         except NumericError as exc:
-            raise TrainingDiverged(
-                f"epoch {epoch}: {exc}", best_table, traces, best_epoch
-            ) from exc
+            return Snapshot(best_table, best_epoch, None, None, f"epoch {epoch}: {exc}"), traces
         val = ranked.ndcg_at[20] if has_val else nan
         traces.append(
             EpochTrace(
@@ -341,15 +334,19 @@ def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
             fh.write(",".join(vals) + "\n")
 
 
-def save_checkpoint(out_dir: str | Path, table: EmbeddingTable, record: dict) -> None:
-    """Write embeddings.npz, then manifest.json, the run's one record:
-    `record` plus the dump's `embeddings_sha256`. Each file is replaced
-    whole; load_checkpoint rejects the dump that a crash between the two
-    writes leaves beside the previous record."""
+def save_checkpoint(
+    out_dir: str | Path, table: EmbeddingTable, traces: list[EpochTrace], record: dict
+) -> None:
+    """Write the run directory: embeddings.npz, then trace.csv, then
+    manifest.json, the run's one record (`record` plus the dump's
+    `embeddings_sha256`). Each file is replaced whole and the record goes
+    last, as the commit point: a write that fails leaves the previous
+    run's files, or a new dump that load_checkpoint rejects."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump = out_dir / "embeddings.npz"
     write_embeddings(table, dump)
+    emit_trace(traces, out_dir / "trace.csv")
     with open_atomic(out_dir / "manifest.json") as fh:
         json.dump({**record, "embeddings_sha256": file_sha256(dump)}, fh, indent=2)
         fh.write("\n")

@@ -395,9 +395,44 @@ class TestTrainCommand:
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert set(after) == {"trace.csv", "embeddings.npz", "manifest.json"}
         assert after["embeddings.npz"] == before["embeddings.npz"]
+        assert after["trace.csv"] == before["trace.csv"]
         assert after["manifest.json"] == before["manifest.json"]
         monkeypatch.undo()
         assert main(["eval", "--checkpoint", str(out), "--data", str(data_file)]) == 0
+
+    @pytest.mark.parametrize("write", ["write_embeddings", "emit_trace", "file_sha256"],
+                             ids=["dump", "trace", "record"])
+    def test_failed_write_never_leaves_a_mixed_run_directory(
+        self, tmp_path, data_file, monkeypatch, capsys, write
+    ):
+        # each of save_checkpoint's writes fails in turn: the directory is
+        # then the previous run's, or eval rejects it
+        import directau.training as training_mod
+
+        out = tmp_path / "run"
+        args = ["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                "--out-dir", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training_mod, write, disk_full)
+        capsys.readouterr()
+        assert main(args + ["--set", "seed=6"]) == 3
+        assert capsys.readouterr().err == "data error: disk full\n"
+        monkeypatch.undo()
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(after) == set(before)
+        assert after["manifest.json"] == before["manifest.json"]  # the commit point
+        rc = main(["eval", "--checkpoint", str(out), "--data", str(data_file)])
+        err = capsys.readouterr().err
+        if after == before:
+            assert rc == 0
+        else:
+            assert rc == 3
+            assert str(out / "embeddings.npz") in err and str(out / "manifest.json") in err
 
     def test_bpr_trace_shows_dynamics_signature(self, tmp_path, data_file):
         # pairwise-ranking training first tightens alignment at the cost of

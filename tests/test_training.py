@@ -12,7 +12,6 @@ import directau.training as training_mod
 from directau import (
     EpochTrace,
     TrainConfig,
-    TrainingDiverged,
     direct_au_loss,
     emit_trace,
     geometry_report,
@@ -24,7 +23,7 @@ from directau import (
     train,
 )
 from directau.data import file_sha256
-from directau.errors import ConfigError
+from directau.errors import ConfigError, DegenerateEmbedding
 from directau.evaluation import GeometryReport
 from directau.losses import LossOutput
 from directau.training import _training_batches, read_key_values, split_key_value
@@ -256,8 +255,13 @@ class TestTrain:
             last.l_align, last.l_uniform_user, last.l_uniform_item
         )
 
-    def test_diverged_gradient_carries_snapshot(self, two_cluster, monkeypatch):
+    def test_diverged_gradient_returns_the_epoch_before(self, two_cluster, monkeypatch):
+        # the oracle: the same config stopped after epoch 1
         ds = split(two_cluster, seed=5)
+        cfg = small_cfg(max_epochs=10)
+        kept, kept_traces = train(ds, small_cfg(max_epochs=1))
+        n_batches = len(_training_batches(ds, cfg, epoch=1))
+        assert n_batches >= 2
 
         calls = {"n": 0}
         real = training_mod.direct_au_loss
@@ -265,19 +269,44 @@ class TestTrain:
         def poisoned(u, i, gamma):
             calls["n"] += 1
             out = real(u, i, gamma)
-            if calls["n"] > 15:  # fail partway through epoch 2
+            if calls["n"] == n_batches + 2:  # epoch 2's second batch
                 bad = out.grad_user.copy()
                 bad[0, 0] = np.nan
                 return LossOutput(out.value, bad, out.grad_item)
             return out
 
         monkeypatch.setattr(training_mod, "direct_au_loss", poisoned)
-        with pytest.raises(TrainingDiverged) as exc:
-            train(ds, small_cfg(max_epochs=10))
-        err = exc.value
-        assert len(err.traces) >= 1
-        assert err.table.user_emb.shape == (two_cluster.n_users, 8)
-        assert np.all(np.isfinite(err.table.user_emb))
+        best, traces = train(ds, cfg)
+        assert best.diverged.startswith("epoch 2:")
+        assert "non-finite gradient" in best.diverged
+        assert best.geometry is None and best.validation is None
+        assert best.epoch == kept.epoch == 1
+        assert best.table.emb.tobytes() == kept.table.emb.tobytes()
+        assert kept.diverged is None
+
+        def untimed(rows):
+            return [{**vars(t), "wall_seconds": None} for t in rows]
+
+        assert len(traces) == 1 and untimed(traces) == untimed(kept_traces)
+
+    def test_degenerate_first_measurement_returns_the_initial_table(
+        self, two_cluster, monkeypatch
+    ):
+        # epoch 1's geometry fails on 2-layer lgcn: what is kept is the
+        # initial propagated table, as a run of no epochs keeps it
+        ds = split(two_cluster, seed=6)
+        cfg = small_cfg(encoder="lgcn", layers=2, max_epochs=5)
+        initial, _ = train(ds, small_cfg(encoder="lgcn", layers=2, max_epochs=0))
+
+        def degenerate(table, interactions):
+            raise DegenerateEmbedding("zero-norm row")
+
+        monkeypatch.setattr(training_mod, "geometry_report", degenerate)
+        best, traces = train(ds, cfg)
+        assert best.diverged == "epoch 1: zero-norm row"
+        assert best.geometry is None and best.validation is None
+        assert best.epoch == initial.epoch == 0 and traces == []
+        assert best.table.emb.tobytes() == initial.table.emb.tobytes()
 
     def test_lgcn_gradient_chain_matches_finite_differences(self):
         # end-to-end oracle for the trickiest composite: loss gradients,
@@ -557,18 +586,19 @@ class TestTrain:
         assert after > before
 
 
-class TestTraceSerialization:
-    def trace_row(self, e):
-        return EpochTrace(
-            epoch=e,
-            train_loss=0.123456789123,
-            l_align=1.5,
-            l_uniform_user=-3.25,
-            l_uniform_item=-2.75,
-            val_ndcg20=0.42,
-            wall_seconds=12.5,
-        )
+def trace_row(e):
+    return EpochTrace(
+        epoch=e,
+        train_loss=0.123456789123,
+        l_align=1.5,
+        l_uniform_user=-3.25,
+        l_uniform_item=-2.75,
+        val_ndcg20=0.42,
+        wall_seconds=12.5,
+    )
 
+
+class TestTraceSerialization:
     def test_empty_trace_header_only(self, tmp_path):
         p = tmp_path / "t.csv"
         emit_trace([], p)
@@ -579,7 +609,7 @@ class TestTraceSerialization:
 
     def test_two_epochs_three_lines(self, tmp_path):
         p = tmp_path / "t.csv"
-        emit_trace([self.trace_row(1), self.trace_row(2)], p)
+        emit_trace([trace_row(1), trace_row(2)], p)
         assert len(p.read_text().splitlines()) == 3
 
     def test_roundtrip_within_tolerance(self, tmp_path, two_cluster):
@@ -598,7 +628,7 @@ class TestTraceSerialization:
                 assert y == pytest.approx(x, rel=5e-9, abs=1e-12)
 
     def test_nan_val_roundtrips(self, tmp_path):
-        row = self.trace_row(1)
+        row = trace_row(1)
         row.val_ndcg20 = float("nan")
         p = tmp_path / "t.csv"
         emit_trace([row], p)
@@ -619,14 +649,20 @@ class TestCheckpoint:
         table = init_xavier(5, 7, 3, seed=1)
         cfg = TrainConfig(objective="direct_au", gamma=1.0, seed=4, d=3)
         record = self.record(cfg, best_epoch=11)
-        save_checkpoint(tmp_path, table, record)
-        back_table, back_cfg, back_record = load_checkpoint(tmp_path)
+        traces = [trace_row(1), trace_row(2)]
+        run = tmp_path / "run"
+        save_checkpoint(run, table, traces, record)
+        back_table, back_cfg, back_record = load_checkpoint(run)
         assert np.array_equal(back_table.user_emb, table.user_emb)
         assert np.array_equal(back_table.item_emb, table.item_emb)
         assert back_cfg == cfg
-        dump_digest = file_sha256(tmp_path / "embeddings.npz")
+        dump_digest = file_sha256(run / "embeddings.npz")
         assert back_record == {**record, "embeddings_sha256": dump_digest}
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["embeddings.npz", "manifest.json"]
+        assert sorted(p.name for p in run.iterdir()) == [
+            "embeddings.npz", "manifest.json", "trace.csv"
+        ]
+        emit_trace(traces, tmp_path / "trace.csv")
+        assert (run / "trace.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(objective="direct_au", gamma=1.0, seed=4, d=3),
@@ -637,7 +673,7 @@ class TestCheckpoint:
         EVERY_FIELD_SET,
     ])
     def test_record_config_roundtrips(self, tmp_path, cfg):
-        save_checkpoint(tmp_path, init_xavier(2, 3, cfg.d, seed=0), self.record(cfg, 7))
+        save_checkpoint(tmp_path, init_xavier(2, 3, cfg.d, seed=0), [], self.record(cfg, 7))
         assert load_checkpoint(tmp_path)[1] == cfg
 
 
