@@ -5,8 +5,9 @@ lines starting with '#' ignored. Columns past the second are ignored. The
 integer-ID file that preprocessing writes is always tab-separated, the form
 `read_id_pairs` reads by default; its `.users.map`/`.items.map` sidecars keep
 the input delimiter, which no key can contain. Config files are key=value
-text read by `training.read_key_values`. A file that is not UTF-8 raises
-DataError (exit 3), or ConfigError (exit 2) for a config file.
+text read by `training.read_key_values`. Both readers drop one leading UTF-8
+byte-order mark. A file that is not UTF-8 raises DataError (exit 3), or
+ConfigError (exit 2) for a config file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Sequence
@@ -183,30 +183,19 @@ class UserIndex(NamedTuple):
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSplit:
     """Per-user train/validation/test partition of an InteractionSet.
 
-    `validation` and `test` are (k, 2) arrays of held-out (user, item)
-    pairs, ordered by their position in the source set. The per-user item
-    indices of each part are built on first use and cached.
+    `train` holds the training pairs in source order; `train_index`,
+    `validation` and `test` hold each part's items per user, over all of the
+    source set's users.
     """
 
     train: InteractionSet
-    validation: np.ndarray
-    test: np.ndarray
-
-    @cached_property
-    def train_index(self) -> UserIndex:
-        return UserIndex.build(self.train.users, self.train.items, self.train.n_users)
-
-    @cached_property
-    def validation_index(self) -> UserIndex:
-        return UserIndex.build(self.validation[:, 0], self.validation[:, 1], self.train.n_users)
-
-    @cached_property
-    def test_index(self) -> UserIndex:
-        return UserIndex.build(self.test[:, 0], self.test[:, 1], self.train.n_users)
+    train_index: UserIndex
+    validation: UserIndex
+    test: UserIndex
 
 
 def load_interactions(path: str | Path, delimiter: str = "\t") -> tuple[list[str], list[str]]:
@@ -220,7 +209,7 @@ def load_interactions(path: str | Path, delimiter: str = "\t") -> tuple[list[str
     path = Path(path)
     user_keys: list[str] = []
     item_keys: list[str] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -321,7 +310,8 @@ def split(
     to validation, the next floor(test_ratio * p(u)) to test and the rest
     to train. Every user with interactions must keep at least one training
     interaction: ratios that leave one without raise DataError naming the
-    first such user, before any draw.
+    first such user, before any draw. The training pairs keep their source
+    order, and each part's per-user index is built here, once.
     """
     if len(ratios) != 3:
         raise ValueError("ratios must be (train, validation, test)")
@@ -352,14 +342,11 @@ def split(
     )
 
     tr, va, te = (np.flatnonzero(part == k) for k in range(3))
-    train_set = InteractionSet.from_pairs(
-        data.users[tr], data.items[tr], data.n_users, data.n_items
+    train = InteractionSet.from_pairs(data.users[tr], data.items[tr], data.n_users, data.n_items)
+    train_index, validation, test = (
+        UserIndex.build(data.users[at], data.items[at], data.n_users) for at in (tr, va, te)
     )
-    return DatasetSplit(
-        train=train_set,
-        validation=np.column_stack([data.users[va], data.items[va]]),
-        test=np.column_stack([data.users[te], data.items[te]]),
-    )
+    return DatasetSplit(train, train_index, validation, test)
 
 
 @contextmanager

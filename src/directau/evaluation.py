@@ -62,7 +62,7 @@ def rank_eval(
         raise ValueError(f"target must be 'validation' or 'test', got {target!r}")
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be non-empty positive integers")
-    targets = split.validation_index if target == "validation" else split.test_index
+    targets = split.validation if target == "validation" else split.test
     if targets.indices.size == 0:
         raise NothingToEvaluate(f"{target} split is empty")
     if not (np.isfinite(table.user_emb).all() and np.isfinite(table.item_emb).all()):

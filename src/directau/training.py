@@ -202,7 +202,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
     def scoring_table() -> EmbeddingTable:
         return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table
 
-    has_val = split.validation.size > 0
+    has_val = split.validation.nnz > 0
 
     def measure(scoring: EmbeddingTable) -> tuple[GeometryReport, RankingMetrics | None]:
         geo = geometry_report(scoring, split.train)
@@ -364,7 +364,7 @@ def read_key_values(path: str | Path) -> dict[str, str]:
     """Flat key=value lines (split_key_value); blank lines and '#'
     comments allowed, a later key overrides an earlier one. Raises
     ConfigError on a line without '=' or a file that is not UTF-8."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
         try:
             return dict(
                 split_key_value(line, f"{path}:{lineno}")

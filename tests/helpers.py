@@ -196,6 +196,7 @@ def naive_key_pairs(path, delimiter):
     found = False
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            line = line.removeprefix("\ufeff") if lineno == 1 else line
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -232,14 +233,15 @@ def naive_read_id_pairs(path, delimiter="\t", n_users=None, n_items=None):
     return InteractionSet.from_pairs(users, items, n_users, n_items)
 
 
-def naive_split(data, ratios=(0.8, 0.1, 0.1), seed=0):
+def naive_split_labels(data, ratios=(0.8, 0.1, 0.1), seed=0):
     """Reference per-user split: one permutation per user, in user order,
     from the split substream, each user's parts labelled in the loop; the
-    ratio check comes after that user's draw."""
+    ratio check comes after that user's draw. The part of every source
+    pair: 0 train, 1 validation, 2 test."""
     rng = substream(seed, "split")
     by_user = UserIndex.build(data.users, np.arange(data.n_pairs, dtype=np.int64), data.n_users)
     bounds = by_user.indptr.tolist()
-    part = np.zeros(data.n_pairs, dtype=np.int8)  # 0 train, 1 validation, 2 test
+    part = np.zeros(data.n_pairs, dtype=np.int8)
     for u in range(data.n_users):
         idx = by_user.indices[bounds[u] : bounds[u + 1]]
         p = idx.size
@@ -251,15 +253,18 @@ def naive_split(data, ratios=(0.8, 0.1, 0.1), seed=0):
             raise DataError(f"ratios {ratios} leave user {u} without training pairs")
         part[shuffled[:n_val]] = 1
         part[shuffled[n_val : n_val + n_test]] = 2
+    return part
 
-    tr, va, te = (np.flatnonzero(part == k) for k in range(3))
-    train_set = InteractionSet.from_pairs(
-        data.users[tr], data.items[tr], data.n_users, data.n_items
-    )
+
+def naive_split(data, ratios=(0.8, 0.1, 0.1), seed=0):
+    """naive_split_labels' parts as a DatasetSplit: the training pairs in
+    source order, and each part's UserIndex built from its pairs."""
+    tr, va, te = (np.flatnonzero(naive_split_labels(data, ratios, seed) == k) for k in range(3))
     return DatasetSplit(
-        train=train_set,
-        validation=np.column_stack([data.users[va], data.items[va]]),
-        test=np.column_stack([data.users[te], data.items[te]]),
+        train=InteractionSet.from_pairs(data.users[tr], data.items[tr], data.n_users, data.n_items),
+        train_index=UserIndex.build(data.users[tr], data.items[tr], data.n_users),
+        validation=UserIndex.build(data.users[va], data.items[va], data.n_users),
+        test=UserIndex.build(data.users[te], data.items[te], data.n_users),
     )
 
 
@@ -269,6 +274,7 @@ def naive_read_config_file(path):
     raw = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            line = line.removeprefix("\ufeff") if lineno == 1 else line
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -601,11 +607,12 @@ def _items_by_user(pairs, n_users):
 def naive_rank_eval(table, split, target="validation", ks=(10, 20, 50)):
     """Reference full ranking: a stable argsort of every user's whole score
     row in blocks of 1024 users, and per-user membership tests."""
-    pairs = split.validation if target == "validation" else split.test
-    if pairs.size == 0:
+    index = split.validation if target == "validation" else split.test
+    if index.nnz == 0:
         raise NothingToEvaluate(f"{target} split is empty")
     n_users, n_items = table.n_users, table.n_items
-    targets_by_user = _items_by_user(pairs, n_users)
+    bounds = index.indptr.tolist()
+    targets_by_user = [index.indices[bounds[u] : bounds[u + 1]] for u in range(n_users)]
     train_by_user = _items_by_user(
         np.column_stack([split.train.users, split.train.items]), n_users
     )

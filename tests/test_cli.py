@@ -100,6 +100,23 @@ class TestPreprocessCommand:
         assert "interactions=2" in capsys.readouterr().out
         assert out.read_text() == "0\t0\n1\t1\n"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # without the rule "\ufeffu1" is a user of its own
+        text = "u1\ti1\nu1\ti2\nu2\ti1\nu2\ti2\n".encode()
+        outputs = []
+        for name, raw in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / name).mkdir()
+            inp, out = tmp_path / name / "raw.txt", tmp_path / name / "clean.txt"
+            inp.write_bytes(raw)
+            assert main(["preprocess", "--input", str(inp), "--output", str(out),
+                         "--k-core", "1"]) == 0
+            outputs.append([capsys.readouterr().out] + [
+                (tmp_path / name / f"clean.txt{ext}").read_bytes()
+                for ext in ("", ".users.map", ".items.map")
+            ])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith("users=2 ")
+
     def test_missing_input_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "clean.txt"
         rc = main(["preprocess", "--input", str(tmp_path / "nope"), "--output", str(out)])
@@ -233,6 +250,18 @@ class TestTrainCommand:
         # the record names no file of its run directory, so it does not depend on --out-dir
         for name in ("embeddings.npz", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_config_byte_order_mark_is_dropped(self, tmp_path, data_file):
+        # the first line is a key, which the mark would otherwise lead
+        text = BASE_CONFIG.split("\n", 1)[1].replace("max_epochs = 3", "max_epochs = 1")
+        records = []
+        for name, raw in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            cfg = tmp_path / f"{name}.conf"
+            cfg.write_bytes(raw)
+            assert main(["train", "--data", str(data_file), "--config", str(cfg),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            records.append((tmp_path / name / "manifest.json").read_bytes())
+        assert records[0] == records[1]
 
     def test_set_overrides_config(self, tmp_path, data_file):
         cfg = write_config(tmp_path)
@@ -518,8 +547,8 @@ class TestEvalCommand:
         assert "data error" in capsys.readouterr().err
         assert main(["eval", "--checkpoint", str(trained), "--data", str(data_file)]) == 0
 
-    def test_fewer_users_without_manifest_is_data_error(self, trained, data_file, tmp_path,
-                                                        capsys):
+    def test_fewer_users_with_a_matching_digest_is_data_error(self, trained, data_file,
+                                                              tmp_path, capsys):
         # the entity counts have to agree even where the recorded SHA-256
         # does: the copy's record names the smaller file's digest
         data = two_cluster_dataset()
@@ -548,8 +577,8 @@ class TestEvalCommand:
         assert "data error" in err
         assert str(torn / "embeddings.npz") in err and str(torn / "manifest.json") in err
 
-    def test_metadata_without_dump_digest_is_data_error(self, trained, data_file, tmp_path,
-                                                        capsys):
+    def test_record_without_dump_digest_is_data_error(self, trained, data_file, tmp_path,
+                                                      capsys):
         record = read_record(trained)
         del record["embeddings_sha256"]
         run = copy_run(trained, tmp_path / "run", record)

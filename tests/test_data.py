@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,24 @@ from helpers import (
     naive_preprocess,
     naive_read_id_pairs,
     naive_split,
+    naive_split_labels,
 )
 
 
 def keys(*pairs):
     """The user keys and the item keys of (user, item) pairs."""
     return [u for u, _ in pairs], [i for _, i in pairs]
+
+
+def same_index(a, b):
+    """Whether two UserIndexes hold equal arrays."""
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def index_pairs(index):
+    """The (user, item) pairs of a UserIndex, as a set."""
+    users = np.repeat(np.arange(index.indptr.size - 1), np.diff(index.indptr))
+    return set(zip(users.tolist(), index.indices.tolist()))
 
 
 class TestLoadInteractions:
@@ -85,6 +98,14 @@ class TestLoadInteractions:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_interactions(tmp_path / "nope.txt")
+
+    def test_only_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "a.txt"
+        bom = b"\xef\xbb\xbf"
+        p.write_bytes(bom + b"u1\ti1\n" + bom + b"u2\ti2\n")
+        assert load_interactions(p) == (["u1", "\ufeffu2"], ["i1", "i2"])
+        p.write_bytes(bom + bom + b"u1\ti1\n")
+        assert load_interactions(p) == (["\ufeffu1"], ["i1"])
 
 
 def brute_force_k_core(pairs, k):
@@ -285,28 +306,25 @@ class TestSplit:
     def test_user_with_10_gets_8_1_1(self):
         data = self.make([10])
         ds = split(data, seed=1)
-        assert ds.train.n_pairs == 8 and len(ds.validation) == 1 and len(ds.test) == 1
+        assert ds.train.n_pairs == 8 and ds.validation.nnz == 1 and ds.test.nnz == 1
 
     def test_user_with_5_gets_5_0_0(self):
         data = self.make([5])
         ds = split(data, seed=1)
-        assert ds.train.n_pairs == 5 and ds.validation.size == 0 and ds.test.size == 0
+        assert ds.train.n_pairs == 5 and ds.validation.nnz == 0 and ds.test.nnz == 0
 
     def test_determinism(self, two_cluster):
         a = split(two_cluster, seed=7)
         b = split(two_cluster, seed=7)
         assert np.array_equal(a.train.users, b.train.users)
         assert np.array_equal(a.train.items, b.train.items)
-        assert np.array_equal(a.validation, b.validation)
-        assert np.array_equal(a.test, b.test)
+        for part in ("train_index", "validation", "test"):
+            assert same_index(getattr(a, part), getattr(b, part))
 
     def test_different_seed_differs(self, two_cluster):
         a = split(two_cluster, seed=7)
         b = split(two_cluster, seed=8)
-        assert not (
-            np.array_equal(a.validation, b.validation)
-            and np.array_equal(a.test, b.test)
-        )
+        assert not (same_index(a.validation, b.validation) and same_index(a.test, b.test))
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
@@ -315,8 +333,7 @@ class TestSplit:
         ds = split(data, seed=4)
         src = set(zip(data.users.tolist(), data.items.tolist()))
         tr = set(zip(ds.train.users.tolist(), ds.train.items.tolist()))
-        va = {tuple(p) for p in ds.validation.tolist()}
-        te = {tuple(p) for p in ds.test.tolist()}
+        va, te = index_pairs(ds.validation), index_pairs(ds.test)
         assert tr | va | te == src
         assert len(tr) + len(va) + len(te) == len(src)
         # per-user floor rule
@@ -356,8 +373,8 @@ class TestSplit:
         want = naive_split(data, ratios, seed=seed)
         assert np.array_equal(got.train.users, want.train.users)
         assert np.array_equal(got.train.items, want.train.items)
-        assert np.array_equal(got.validation, want.validation)
-        assert np.array_equal(got.test, want.test)
+        for part in ("train_index", "validation", "test"):
+            assert same_index(getattr(got, part), getattr(want, part))
         # the split left its substream where the per-user permutations did
         reference = substream(seed, "split")
         for u in range(data.n_users):
@@ -466,18 +483,14 @@ class TestUserIndex:
         want[0, [0, 4]] = want[1, 0] = want[2, 4] = True
         assert np.array_equal(got, want)
 
-    def test_split_caches_each_part(self, two_cluster):
+    def test_split_builds_each_part(self, two_cluster):
         ds = split(two_cluster, seed=3)
-        assert ds.validation_index is ds.validation_index
-        for index, pairs in (
-            (ds.train_index, np.column_stack([ds.train.users, ds.train.items])),
-            (ds.validation_index, ds.validation),
-            (ds.test_index, ds.test),
-        ):
-            assert index.indptr[-1] == len(pairs)
-            got = {(u, i) for u in range(two_cluster.n_users)
-                   for i in index.indices[index.indptr[u] : index.indptr[u + 1]].tolist()}
-            assert got == {tuple(p) for p in pairs.tolist()}
+        assert [f.name for f in fields(ds)] == ["train", "train_index", "validation", "test"]
+        part = naive_split_labels(two_cluster, seed=3)
+        for k, index in enumerate((ds.train_index, ds.validation, ds.test)):
+            users, items = two_cluster.users[part == k], two_cluster.items[part == k]
+            assert same_index(index, UserIndex.build(users, items, two_cluster.n_users))
+            assert index_pairs(index) == set(zip(users.tolist(), items.tolist()))
         n_items = two_cluster.n_items
         row_5 = set(ds.train.items[ds.train.users == 5].tolist())
         got = ds.train_index.contains(5, np.arange(n_items), n_items)

@@ -28,15 +28,17 @@ from helpers import (
 
 
 def manual_split(train_pairs, val_pairs, test_pairs, n_users, n_items):
-    from directau.data import DatasetSplit
+    from directau.data import DatasetSplit, UserIndex
+
+    def index(pairs):
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return UserIndex.build(pairs[:, 0], pairs[:, 1], n_users)
 
     tr = InteractionSet.from_pairs(
         [p[0] for p in train_pairs], [p[1] for p in train_pairs], n_users, n_items
     )
     return DatasetSplit(
-        train=tr,
-        validation=np.array(val_pairs, dtype=np.int64).reshape(-1, 2),
-        test=np.array(test_pairs, dtype=np.int64).reshape(-1, 2),
+        train=tr, train_index=index(train_pairs), validation=index(val_pairs), test=index(test_pairs)
     )
 
 
@@ -120,7 +122,7 @@ class TestRankEval:
         for _ in range(10):
             data = random_interaction_set(rng, max_users=7, max_items=9, max_pairs=40)
             ds = split(data, ratios=(0.6, 0.2, 0.2), seed=2)
-            if ds.validation.size == 0:
+            if ds.validation.nnz == 0:
                 continue
             t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, 3)),

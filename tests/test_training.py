@@ -242,7 +242,7 @@ class TestTrain:
             [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2], 3, 3
         )
         ds = split(data, seed=0)  # p(u)=3 < 10 -> empty val/test
-        assert ds.validation.size == 0
+        assert ds.validation.nnz == 0
         best, traces = train(ds, small_cfg(max_epochs=4, patience=1))
         assert len(traces) == 4 and best.epoch == 4
         assert all(math.isnan(t.val_ndcg20) for t in traces)
@@ -312,15 +312,17 @@ class TestTrain:
         # end-to-end oracle for the trickiest composite: loss gradients,
         # scatter over batch rows, then the propagation transpose
         from directau import GraphPropagator, InteractionSet
-        from directau.data import DatasetSplit
+        from directau.data import DatasetSplit, UserIndex
         from directau.training import _batch_loss_and_grads
         from helpers import finite_difference_gradients, relative_gradient_error
 
         inter = InteractionSet.from_pairs([0, 0, 1, 2, 2], [0, 1, 1, 2, 0], 3, 3)
+        none = UserIndex.build(np.empty(0, np.int64), np.empty(0, np.int64), 3)
         ds = DatasetSplit(
             train=inter,
-            validation=np.empty((0, 2), dtype=np.int64),
-            test=np.empty((0, 2), dtype=np.int64),
+            train_index=UserIndex.build(inter.users, inter.items, 3),
+            validation=none,
+            test=none,
         )
         cfg = TrainConfig(objective="direct_au", gamma=1.5, seed=0, d=4,
                           encoder="lgcn", layers=2)
