@@ -1,8 +1,9 @@
 """End-to-end training loop with early stopping and geometry tracing.
 
-Each epoch consumes deterministically shuffled positive-pair batches,
-updates embeddings with lazy Adam, then records: the epoch-mean training
-loss, alignment/uniformity of the full learned representations over the
+Each epoch, the generator _epochs steps Adam on deterministically shuffled
+positive-pair batches (lazy on the batch rows for mf, on every row for
+lgcn); train() then records: the epoch-mean training loss,
+alignment/uniformity of the full learned representations over the
 training interactions, and the validation ranking at K = 10, 20, 50.
 Early stopping reads NDCG@20 and keeps the snapshot from the best
 validation epoch, together with what that epoch measured on it; an epoch
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import MISSING, dataclass, fields
+from collections.abc import Iterator
+from dataclasses import MISSING, dataclass, fields, replace
+from itertools import count
 from math import inf, nan
 from pathlib import Path
 
@@ -175,20 +178,17 @@ def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list
     return np.split(substream(cfg.seed, "shuffle", epoch).permutation(n), starts)
 
 
-def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTrace]]:
-    """Run the configured objective/encoder; return the best snapshot.
+def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float, EmbeddingTable]]:
+    """Train, one epoch per pull: yields (0, nan, the initial table), then
+    (epoch, mean batch loss, scoring table) after each epoch's batches.
+    Epoch e + 1 runs, and draws, only when the caller pulls again.
 
-    Returns (best, traces) where `best.table` holds the scoring
-    representations (propagated outputs for lgcn) from the epoch with the
-    highest validation NDCG@20, and its geometry and ranking are the ones
-    that epoch measured. Without a validation split, early stopping is
-    disabled, val_ndcg20 is NaN, and the final epoch is returned. When no
-    epoch runs, the initial table is measured once. An epoch that hits a
-    NumericError ends the run: `best` is the best snapshot before it, with
-    nothing measured and `diverged` = "epoch {e}: {error}".
+    The scoring table is the propagated outputs for lgcn; for mf it is
+    the live parameter table, which the next pull updates in place, so a
+    caller that keeps it copies it.
     """
-    n_users, n_items = split.train.n_users, split.train.n_items
-    table = init_xavier(n_users, n_items, cfg.d, cfg.seed)
+    n_users = split.train.n_users
+    table = init_xavier(n_users, split.train.n_items, cfg.d, cfg.seed)
     # the step's reused arrays: graph layers, row sums and Adam temporaries
     work = Workspace()
     propagator = (
@@ -202,60 +202,68 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
     def scoring_table() -> EmbeddingTable:
         return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table
 
+    yield 0, nan, scoring_table()
+    for epoch in count(1):
+        batches = _training_batches(split, cfg, epoch)
+        loss_sum = 0.0
+        for sel in batches:
+            value, rows, grads = _batch_loss_and_grads(
+                split.train.users[sel], split.train.items[sel],
+                table, propagator, work, split, cfg, neg_rng,
+            )
+            adam_step(state, table.emb, rows, grads)
+            loss_sum += value
+        yield epoch, loss_sum / len(batches), scoring_table()
+
+
+def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTrace]]:
+    """Run the configured objective/encoder; return the best snapshot.
+
+    Returns (best, traces) where `best.table` holds the scoring
+    representations (propagated outputs for lgcn) from the epoch with the
+    highest validation NDCG@20, and its geometry and ranking are the ones
+    that epoch measured. Without a validation split, early stopping is
+    disabled, val_ndcg20 is NaN, and the final epoch is returned. When no
+    epoch runs, the initial table is measured once. An epoch that hits a
+    NumericError ends the run: `best` is the best snapshot before it, with
+    nothing measured and `diverged` = "epoch {e}: {error}". The epochs
+    come from _epochs, and train stops pulling them when patience runs out.
+    """
     has_val = split.validation.nnz > 0
 
-    def measure(scoring: EmbeddingTable) -> tuple[GeometryReport, RankingMetrics | None]:
+    def measure(epoch: int, scoring: EmbeddingTable) -> Snapshot:
         geo = geometry_report(scoring, split.train)
-        return geo, (rank_eval(scoring, split, "validation") if has_val else None)
+        return Snapshot(scoring, epoch, geo, rank_eval(scoring, split, "validation") if has_val else None)
 
-    traces: list[EpochTrace] = []
-    best_table = scoring_table().copy()
-    best_epoch = 0
-    measured = None  # what best_table's epoch measured on it
-    best_val = -np.inf
-    stale = 0
-
+    epochs = _epochs(split, cfg)
+    best = Snapshot(next(epochs)[2].copy(), 0, None, None)
+    best_val, stale, traces = -inf, 0, []
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        loss_sum = 0.0
         try:
-            batches = _training_batches(split, cfg, epoch)
-            for sel in batches:
-                value, rows, grads = _batch_loss_and_grads(
-                    split.train.users[sel], split.train.items[sel],
-                    table, propagator, work, split, cfg, neg_rng,
-                )
-                adam_step(state, table.emb, rows, grads)
-                loss_sum += value
-            scoring = scoring_table()
-            geo, ranked = measure(scoring)
+            _, loss, scoring = next(epochs)
+            now = measure(epoch, scoring)
         except NumericError as exc:
-            return Snapshot(best_table, best_epoch, None, None, f"epoch {epoch}: {exc}"), traces
-        val = ranked.ndcg_at[20] if has_val else nan
-        traces.append(
-            EpochTrace(
-                epoch=epoch,
-                train_loss=loss_sum / len(batches),
-                l_align=geo.l_align,
-                l_uniform_user=geo.l_uniform_user,
-                l_uniform_item=geo.l_uniform_item,
-                val_ndcg20=val,
-                wall_seconds=time.perf_counter() - t0,
-            )
-        )
+            diverged = f"epoch {epoch}: {exc}"
+            return replace(best, geometry=None, validation=None, diverged=diverged), traces
+        val, geo = now.validation.ndcg_at[20] if has_val else nan, now.geometry
+        traces.append(EpochTrace(
+            epoch, loss, geo.l_align, geo.l_uniform_user, geo.l_uniform_item, val,
+            wall_seconds=time.perf_counter() - t0,
+        ))
 
         # without validation every epoch is the best so far
         if not has_val or val > best_val:
-            best_val, best_epoch, stale = val, epoch, 0
-            best_table, measured = scoring.copy(), (geo, ranked)
+            best_val, stale = val, 0
+            best = replace(now, table=scoring.copy())
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    if measured is None:  # no epoch ran
-        measured = measure(best_table)
-    return Snapshot(best_table, best_epoch, *measured), traces
+    if best.geometry is None:  # no epoch ran
+        best = measure(0, best.table)
+    return best, traces
 
 
 def _sum_rows(inv: np.ndarray, grads: np.ndarray, out: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -363,16 +371,19 @@ def split_key_value(text: str, where: str) -> tuple[str, str]:
 def read_key_values(path: str | Path) -> dict[str, str]:
     """Flat key=value lines (split_key_value); blank lines and '#'
     comments allowed, a later key overrides an earlier one. Raises
-    ConfigError on a line without '=' or a file that is not UTF-8."""
-    with Path(path).open("r", encoding="utf-8-sig") as fh:
-        try:
+    ConfigError on a line without '=', or a file that cannot be read or is
+    not UTF-8."""
+    try:
+        with Path(path).open("r", encoding="utf-8-sig") as fh:
             return dict(
                 split_key_value(line, f"{path}:{lineno}")
                 for lineno, line in enumerate(map(str.strip, fh), start=1)
                 if line and not line.startswith("#")
             )
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def load_checkpoint(out_dir: str | Path) -> tuple[EmbeddingTable, TrainConfig, dict]:

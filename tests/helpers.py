@@ -311,7 +311,7 @@ def gather_adam_step(state, params, rows, grads):
 
 
 def train_step(sel, table, propagator, state, split, cfg, neg_rng):
-    """One step of train()'s epoch loop on the training pairs at positions
+    """One step of _epochs' batch loop on the training pairs at positions
     `sel` of split.train; returns the batch loss."""
     value, rows, grads = _batch_loss_and_grads(
         split.train.users[sel], split.train.items[sel],

@@ -835,6 +835,19 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert "config error" in err and str(cfg) in err
 
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_config_that_cannot_be_opened_is_config_error(self, case, tmp_path, data_file,
+                                                          capsys):
+        cfg, out = tmp_path / "run.conf", tmp_path / "run"
+        if case == "directory":
+            cfg.mkdir()
+        assert main(["train", "--data", str(data_file), "--config", str(cfg),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", [
         "missing", "not-utf8", "not-json", "not-an-object", "config-not-an-object",
         "config-value-not-a-string", "best-epoch-missing", "best-epoch-not-int",

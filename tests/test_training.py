@@ -2,7 +2,8 @@
 
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,35 @@ class TestTrain:
         assert best.geometry == geometry_report(best.table, ds.train)
         assert best.validation == rank_eval(best.table, ds, "validation")
         assert best.validation.ndcg_at[20] == traces[best.epoch - 1].val_ndcg20
+
+    def test_early_stop_pulls_no_further_epoch(self, two_cluster, monkeypatch):
+        # epoch e + 1 shuffles its batches only once train pulls it
+        calls = []
+        real = training_mod._training_batches
+
+        def counting(split_, cfg, epoch):
+            calls.append(epoch)
+            return real(split_, cfg, epoch)
+
+        monkeypatch.setattr(training_mod, "_training_batches", counting)
+        ds = split(two_cluster, seed=5)
+        _, traces = train(ds, small_cfg(lr=0.1, patience=1, max_epochs=20))
+        assert len(traces) < 20 and len(calls) == len(traces)
+
+    @pytest.mark.parametrize("encoder, layers", [("mf", 0), ("lgcn", 2)])
+    def test_epoch_k_table_is_a_k_epoch_runs_table(self, two_cluster, encoder, layers):
+        # without validation a k-epoch run keeps its last table
+        ds = split(two_cluster, ratios=(1, 0, 0), seed=5)
+        cfg = small_cfg(encoder=encoder, layers=layers)
+        # the mf table is the live one, updated in place by the next pull
+        pulled = [(epoch, loss, table.emb.copy())
+                  for epoch, loss, table in islice(training_mod._epochs(ds, cfg), 4)]
+        _, traces = train(ds, replace(cfg, max_epochs=3))
+        assert [epoch for epoch, _, _ in pulled] == [0, 1, 2, 3] and math.isnan(pulled[0][1])
+        assert [loss for _, loss, _ in pulled[1:]] == [t.train_loss for t in traces]
+        for k in (0, 1, 3):
+            best, _ = train(ds, replace(cfg, max_epochs=k))
+            assert best.table.emb.tobytes() == pulled[k][2].tobytes()
 
     def test_determinism_identical_traces(self, two_cluster):
         ds = split(two_cluster, seed=1)
