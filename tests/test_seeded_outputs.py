@@ -2,7 +2,8 @@
 
 Four seeded `preprocess -> train -> eval --split test` runs go through
 `directau.cli.main` in one fresh interpreter with one BLAS thread, on a
-log this module builds, and each run's files are hashed: embeddings.npz,
+log this module builds. The preprocessed file and its two key maps are
+hashed, and so are each run's outputs: train's stdout, embeddings.npz,
 manifest.json, the eval JSON and trace.csv with `wall_seconds` blanked.
 The digests hold for one machine and one set of libraries, so the check
 skips where the fingerprint they were written with differs.
@@ -38,7 +39,8 @@ RUNS = {
         "objective": "direct_au", "gamma": "0.5", "max_epochs": "30", "patience": "2",
     },
 }
-OUTPUTS = ("embeddings.npz", "manifest.json", "eval.json", "trace.csv")
+PREPROCESSED = ("clean.txt", "clean.txt.users.map", "clean.txt.items.map")
+OUTPUTS = ("train.stdout", "embeddings.npz", "manifest.json", "eval.json", "trace.csv")
 
 SCRIPT = """
 import contextlib, io, sys
@@ -54,7 +56,8 @@ def run(argv, stdout=None):
 
 run(["preprocess", "--input", "raw.txt", "--output", "clean.txt"])
 for name in sys.argv[1:]:
-    run(["train", "--data", "clean.txt", "--config", name + ".conf", "--out-dir", name])
+    run(["train", "--data", "clean.txt", "--config", name + ".conf", "--out-dir", name],
+        stdout=name + "/train.stdout")
     run(["eval", "--checkpoint", name, "--data", "clean.txt", "--split", "test"],
         stdout=name + "/eval.json")
 """
@@ -115,8 +118,9 @@ def trace_without_wall_seconds(path):
 
 
 def run_digests(work):
-    """Run the seeded pipeline in the empty directory `work`; each run's
-    output digests."""
+    """Run the seeded pipeline in the empty directory `work`; the digests
+    of the preprocessed files, under "preprocess", and of each run's
+    outputs."""
     (work / "raw.txt").write_text(seeded_log(), encoding="utf-8")
     for name, overrides in RUNS.items():
         cfg = {**BASE, **overrides}
@@ -137,7 +141,9 @@ def run_digests(work):
         data = trace_without_wall_seconds(path) if path.name == "trace.csv" else path.read_bytes()
         return hashlib.sha256(data).hexdigest()
 
-    return {name: {out: digest(work / name / out) for out in OUTPUTS} for name in RUNS}
+    digests = {"preprocess": {out: digest(work / out) for out in PREPROCESSED}}
+    digests.update({name: {out: digest(work / name / out) for out in OUTPUTS} for name in RUNS})
+    return digests
 
 
 def test_seeded_runs_match_committed_digests(tmp_path):
