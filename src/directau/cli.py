@@ -52,14 +52,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         raise ConfigError(f"--k-core must be >= 1, got {args.k_core}")
     delim = _DELIMITERS[args.delimiter]
     user_keys, item_keys = load_interactions(args.input, delim)
-    data = preprocess(user_keys, item_keys, k_core=args.k_core)
+    data, user_keys, item_keys = preprocess(user_keys, item_keys, k_core=args.k_core)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the clean file is tab-separated, as train and eval read it; a key
     # may hold a tab but never the input delimiter, so the maps keep it
     write_interactions(data, out)
-    write_id_map(data.user_keys, Path(str(out) + ".users.map"), delim)
-    write_id_map(data.item_keys, Path(str(out) + ".items.map"), delim)
+    write_id_map(user_keys, Path(str(out) + ".users.map"), delim)
+    write_id_map(item_keys, Path(str(out) + ".items.map"), delim)
     density = data.n_pairs / (data.n_users * data.n_items)
     print(
         f"users={data.n_users} items={data.n_items} "

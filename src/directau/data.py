@@ -28,6 +28,8 @@ from .rng import substream
 # bytes of one work block: user x item scores or a gram row block in
 # evaluation, the membership marks of UserIndex.contains
 BLOCK_BUDGET = 8 << 20
+# share of each user's pairs that split() holds out for validation, and again for test
+HELD_OUT_SHARE = 0.1
 
 
 class Workspace:
@@ -56,8 +58,6 @@ class InteractionSet:
     """Deduplicated (user, item) pairs over contiguous integer IDs.
 
     `user_pop[u]` / `item_pop[i]` count the interactions touching u / i.
-    `user_keys` / `item_keys`, when present, map each ID back to the
-    original key it was remapped from.
     """
 
     n_users: int
@@ -66,8 +66,6 @@ class InteractionSet:
     items: np.ndarray
     user_pop: np.ndarray
     item_pop: np.ndarray
-    user_keys: tuple[str, ...] | None = None
-    item_keys: tuple[str, ...] | None = None
 
     @classmethod
     def from_pairs(
@@ -254,7 +252,7 @@ def _first_seen_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def preprocess(
     user_keys: Sequence[str], item_keys: Sequence[str], k_core: int = 5
-) -> InteractionSet:
+) -> tuple[InteractionSet, tuple[str, ...], tuple[str, ...]]:
     """Dedup, k-core filter to a fixpoint, remap keys to contiguous IDs.
 
     `user_keys[n]` and `item_keys[n]` form the n-th interaction. The keys
@@ -263,6 +261,7 @@ def preprocess(
     users/items with fewer than k_core interactions until none remain (a
     single pass is not enough: dropping a user can push an item below the
     threshold). Surviving keys get IDs in first-seen input order.
+    Returns the remapped pairs and the user and item keys by ID.
     """
     if len(user_keys) != len(item_keys):
         raise ValueError("user_keys and item_keys must have equal length")
@@ -291,43 +290,28 @@ def preprocess(
     users, user_codes = _first_seen_ids(users)
     items, item_codes = _first_seen_ids(items)
     out = InteractionSet.from_pairs(users, items, user_codes.size, item_codes.size)
-    out.user_keys = tuple(user_names[c] for c in user_codes.tolist())
-    out.item_keys = tuple(item_names[c] for c in item_codes.tolist())
     out.validate()
-    return out
+    return (
+        out,
+        tuple(user_names[c] for c in user_codes.tolist()),
+        tuple(item_names[c] for c in item_codes.tolist()),
+    )
 
 
-def split(
-    data: InteractionSet,
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-) -> DatasetSplit:
-    """Per-user random partition into train/validation/test.
+def split(data: InteractionSet, seed: int = 0) -> DatasetSplit:
+    """Per-user random 80/10/10 partition into train/validation/test.
 
     For each user independently, in user order, the user's interactions
     are shuffled with the seeded split substream, which each user advances
-    as `rng.permutation(p(u))` would; the first floor(val_ratio * p(u)) go
-    to validation, the next floor(test_ratio * p(u)) to test and the rest
-    to train. Every user with interactions must keep at least one training
-    interaction: ratios that leave one without raise DataError naming the
-    first such user, before any draw. The training pairs keep their source
-    order, and each part's per-user index is built here, once.
+    as `rng.permutation(p(u))` would; the first floor(0.1 * p(u)) go to
+    validation, the next floor(0.1 * p(u)) to test and the rest, at least
+    one, to train. The training pairs keep their source order, and each
+    part's per-user index is built here, once.
     """
-    if len(ratios) != 3:
-        raise ValueError("ratios must be (train, validation, test)")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    if any(r < 0 for r in ratios) or ratios[0] <= 0:
-        raise ValueError("ratios must be non-negative with a positive train share")
-
     by_user = UserIndex.build(data.users, np.arange(data.n_pairs, dtype=np.int64), data.n_users)
     counts = np.diff(by_user.indptr)
-    n_val = np.floor(ratios[1] * counts).astype(np.int64)
-    n_held = n_val + np.floor(ratios[2] * counts).astype(np.int64)
-    # the sum check's tolerance admits a train share too small for this
-    short = np.flatnonzero((counts > 0) & (n_held >= counts))
-    if short.size:
-        raise DataError(f"ratios {ratios} leave user {int(short[0])} without training pairs")
+    n_val = np.floor(HELD_OUT_SHARE * counts).astype(np.int64)
+    n_held = 2 * n_val
 
     rng = substream(seed, "split")
     order = by_user.indices.copy()

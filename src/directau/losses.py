@@ -163,7 +163,8 @@ def sample_negatives(
     strategy: str,
     table: EmbeddingTable | None = None,
     candidates: int = 32,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One negative item per user, drawn outside the user's training items.
 
@@ -172,8 +173,6 @@ def sample_negatives(
     user and picks one by the softmax of their dot scores (harder negatives
     more likely).
     """
-    if rng is None:
-        raise ValueError("an explicit rng is required for reproducibility")
     if strategy not in ("uniform", "dynamic"):
         raise ValueError(f"unknown negative-sampling strategy {strategy!r}")
     if strategy == "dynamic" and table is None:

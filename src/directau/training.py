@@ -181,11 +181,9 @@ def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list
 def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float, EmbeddingTable]]:
     """Train, one epoch per pull: yields (0, nan, the initial table), then
     (epoch, mean batch loss, scoring table) after each epoch's batches.
-    Epoch e + 1 runs, and draws, only when the caller pulls again.
-
-    The scoring table is the propagated outputs for lgcn; for mf it is
-    the live parameter table, which the next pull updates in place, so a
-    caller that keeps it copies it.
+    Epoch e + 1 runs, and draws, only when the caller pulls again. Each
+    yielded table is the caller's: a copy of the parameters for mf, the
+    fresh propagated outputs for lgcn.
     """
     n_users = split.train.n_users
     table = init_xavier(n_users, split.train.n_items, cfg.d, cfg.seed)
@@ -200,7 +198,7 @@ def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float,
     neg_rng = substream(cfg.seed, "negatives")
 
     def scoring_table() -> EmbeddingTable:
-        return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table
+        return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table.copy()
 
     yield 0, nan, scoring_table()
     for epoch in count(1):
@@ -236,7 +234,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
         return Snapshot(scoring, epoch, geo, rank_eval(scoring, split, "validation") if has_val else None)
 
     epochs = _epochs(split, cfg)
-    best = Snapshot(next(epochs)[2].copy(), 0, None, None)
+    best = Snapshot(next(epochs)[2], 0, None, None)
     best_val, stale, traces = -inf, 0, []
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -255,7 +253,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
         # without validation every epoch is the best so far
         if not has_val or val > best_val:
             best_val, stale = val, 0
-            best = replace(now, table=scoring.copy())
+            best = now
         else:
             stale += 1
             if stale >= cfg.patience:

@@ -248,7 +248,7 @@ def naive_split_labels(data, ratios=(0.8, 0.1, 0.1), seed=0):
         shuffled = idx[rng.permutation(p)]
         n_val = floor(ratios[1] * p)
         n_test = floor(ratios[2] * p)
-        # the sum check's tolerance admits a train share too small for this
+        # shares a test passes may leave a user without a training pair
         if p and n_val + n_test >= p:
             raise DataError(f"ratios {ratios} leave user {u} without training pairs")
         part[shuffled[:n_val]] = 1
@@ -411,13 +411,11 @@ def naive_contains(index, users, values, width):
     return keys[np.searchsorted(keys, queries)] == queries
 
 
-def naive_sample_negatives(split, users, strategy, table=None, candidates=32, rng=None):
+def naive_sample_negatives(split, users, strategy, table=None, candidates=32, *, rng):
     """Reference bulk sampler: every slot drawn at once, each round testing
     the slots still to redraw with naive_contains, and the 'dynamic' pool
     scored by one einsum over all of its gathered rows before the
     Gumbel-max pick. The error checks are sample_negatives' own."""
-    if rng is None:
-        raise ValueError("an explicit rng is required for reproducibility")
     n_items = split.train.n_items
     index = split.train_index
     users = np.asarray(users, dtype=np.int64)
@@ -545,7 +543,8 @@ def naive_alignment(table, inter):
 
 def naive_preprocess(user_keys, item_keys, k_core=5):
     """Reference preprocess on the key strings themselves: set dedup,
-    Counter rounds of k-core filtering, dict remap in first-seen order."""
+    Counter rounds of k-core filtering, dict remap in first-seen order.
+    Returns the pairs and the user and item keys by ID, as preprocess does."""
     if not user_keys:
         raise EmptyInput("no interactions to preprocess")
     if k_core < 1:
@@ -578,10 +577,8 @@ def naive_preprocess(user_keys, item_keys, k_core=5):
         items[k] = item_ids.setdefault(i, len(item_ids))
 
     out = InteractionSet.from_pairs(users, items, len(user_ids), len(item_ids))
-    out.user_keys = tuple(user_ids)
-    out.item_keys = tuple(item_ids)
     out.validate()
-    return out
+    return out, tuple(user_ids), tuple(item_ids)
 
 
 def random_interaction_set(rng, max_users=8, max_items=9, max_pairs=60):

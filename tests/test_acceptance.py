@@ -239,7 +239,7 @@ needs_beauty = pytest.mark.skipif(
 
 @needs_beauty
 def test_criterion_7_beauty_preprocessing():
-    data = preprocess(*load_interactions(BEAUTY_RAW, delimiter=","), k_core=5)
+    data, _, _ = preprocess(*load_interactions(BEAUTY_RAW, delimiter=","), k_core=5)
     targets = {"users": 22_400, "items": 12_100, "interactions": 198_500}
     got = {"users": data.n_users, "items": data.n_items, "interactions": data.n_pairs}
     ok = all(abs(got[k] - v) / v <= 0.02 for k, v in targets.items())
@@ -252,7 +252,7 @@ def test_criterion_7_beauty_preprocessing():
     "and provide the raw Beauty file",
 )
 def test_criterion_8_full_scale_beauty():
-    data = preprocess(*load_interactions(BEAUTY_RAW, delimiter=","), k_core=5)
+    data, _, _ = preprocess(*load_interactions(BEAUTY_RAW, delimiter=","), k_core=5)
     ds = split(data, seed=0)
     base = dict(d=64, lr=1e-3, batch_size=256, max_epochs=300, patience=10, seed=0)
 

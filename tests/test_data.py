@@ -124,7 +124,7 @@ class TestPreprocess:
     def test_already_k_core_retained(self):
         # 6 users x 5 items, every item appears 6 times
         pairs = [(f"u{u}", f"i{i}") for u in range(6) for i in range(5)]
-        out = preprocess(*keys(*pairs), k_core=5)
+        out, _, _ = preprocess(*keys(*pairs), k_core=5)
         assert out.n_users == 6 and out.n_items == 5 and out.n_pairs == 30
 
     def test_iterative_removal_matches_brute_force(self):
@@ -133,11 +133,11 @@ class TestPreprocess:
         pairs += [("u_weak", "i0"), ("u_weak", "i1"), ("u_weak", "i2"), ("u_weak", "i9")]
         pairs += [("u0", "i9"), ("u1", "i9"), ("u2", "i9"), ("u3", "i9")]
         expected = brute_force_k_core(pairs, 5)
-        out = preprocess(*keys(*pairs), k_core=5)
-        back = [(out.user_keys[u], out.item_keys[i])
+        out, user_keys, item_keys = preprocess(*keys(*pairs), k_core=5)
+        back = [(user_keys[u], item_keys[i])
                 for u, i in zip(out.users.tolist(), out.items.tolist())]
         assert back == expected
-        assert "u_weak" not in out.user_keys and "i9" not in out.item_keys
+        assert "u_weak" not in user_keys and "i9" not in item_keys
 
     @pytest.mark.parametrize("trial", range(20))
     def test_random_instances_match_brute_force(self, trial):
@@ -152,8 +152,8 @@ class TestPreprocess:
             with pytest.raises(EmptyAfterFiltering):
                 preprocess(*keys(*pairs), k_core=k)
             return
-        out = preprocess(*keys(*pairs), k_core=k)
-        back = [(out.user_keys[u], out.item_keys[i])
+        out, user_keys, item_keys = preprocess(*keys(*pairs), k_core=k)
+        back = [(user_keys[u], item_keys[i])
                 for u, i in zip(out.users.tolist(), out.items.tolist())]
         assert back == expected
 
@@ -164,21 +164,21 @@ class TestPreprocess:
     def test_min_popularity_after_filtering(self):
         rng = np.random.default_rng(5)
         pairs = list({(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 12)}") for _ in range(120)})
-        out = preprocess(*keys(*pairs), k_core=3)
+        out, _, _ = preprocess(*keys(*pairs), k_core=3)
         assert out.user_pop.min() >= 3 and out.item_pop.min() >= 3
 
     def test_dedup_keeps_first_and_first_seen_ids(self):
         pairs = [("b", "y"), ("a", "x"), ("b", "y"), ("a", "y"), ("b", "x"), ("a", "x")]
-        out = preprocess(*keys(*pairs), k_core=1)
-        assert out.user_keys == ("b", "a")
-        assert out.item_keys == ("y", "x")
+        out, user_keys, item_keys = preprocess(*keys(*pairs), k_core=1)
+        assert user_keys == ("b", "a")
+        assert item_keys == ("y", "x")
         assert out.n_pairs == 4
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         pairs = [(f"u{rng.integers(0, 8)}", f"i{rng.integers(0, 8)}") for _ in range(80)]
-        once = preprocess(*keys(*pairs), k_core=3)
-        again = preprocess(
+        once, _, _ = preprocess(*keys(*pairs), k_core=3)
+        again, _, _ = preprocess(
             [str(u) for u in once.users.tolist()],
             [str(i) for i in once.items.tolist()],
             k_core=3,
@@ -227,14 +227,14 @@ class TestPreprocessMatchesNaive:
     @staticmethod
     def check(pairs, k_core):
         user_keys, item_keys = keys(*pairs)
-        want = naive_preprocess(user_keys, item_keys, k_core=k_core)
-        got = preprocess(user_keys, item_keys, k_core=k_core)
+        want, want_users, want_items = naive_preprocess(user_keys, item_keys, k_core=k_core)
+        got, got_users, got_items = preprocess(user_keys, item_keys, k_core=k_core)
         assert np.array_equal(got.users, want.users)
         assert np.array_equal(got.items, want.items)
-        assert got.user_keys == want.user_keys
-        assert got.item_keys == want.item_keys
+        assert got_users == want_users
+        assert got_items == want_items
         assert (got.n_users, got.n_items) == (want.n_users, want.n_items)
-        return got
+        return got, got_users, got_items
 
     @pytest.mark.parametrize("k_core", [1, 2, 5])
     def test_seeded_synthetic_log(self, k_core):
@@ -242,15 +242,15 @@ class TestPreprocessMatchesNaive:
         users = rng.zipf(1.6, size=3000) % 400
         items = rng.zipf(1.4, size=3000) % 300
         pairs = [(f"user-{u}", f"item-{i}") for u, i in zip(users.tolist(), items.tolist())]
-        out = self.check(pairs, k_core)
+        out, _, _ = self.check(pairs, k_core)
         assert out.n_pairs < len(set(pairs)) or k_core == 1
 
     @pytest.mark.parametrize("k_core", [1, 2])
     def test_first_seen_order_differs_from_sort_order(self, k_core):
         pairs = [("10", "b"), ("9", "a"), ("10", "a"), ("9", "b"), ("9", "c"), ("10", "c")]
-        out = self.check(pairs, k_core)
-        assert out.user_keys == ("10", "9")
-        assert out.item_keys == ("b", "a", "c")
+        _, user_keys, item_keys = self.check(pairs, k_core)
+        assert user_keys == ("10", "9")
+        assert item_keys == ("b", "a", "c")
 
     def test_duplicates_before_and_after_removals(self):
         core = [(f"u{u}", f"i{i}") for u in range(3) for i in range(3)]
@@ -262,8 +262,8 @@ class TestPreprocessMatchesNaive:
             + [("u0", "i_weak"), ("u1", "i_weak"), ("weak", "i_weak")]
             + core[4:] + core[::-1] + [("u0", "i_weak"), ("u1", "i_weak")]
         )
-        out = self.check(pairs, 3)
-        assert out.user_keys == ("u0", "u1", "u2") and out.n_pairs == 9
+        out, user_keys, _ = self.check(pairs, 3)
+        assert user_keys == ("u0", "u1", "u2") and out.n_pairs == 9
 
     def test_cascade_of_several_rounds(self):
         # a 3 x 3 core with a path hanging off user c0: each round peels one
@@ -271,14 +271,14 @@ class TestPreprocessMatchesNaive:
         pairs = [(f"c{u}", f"x{i}") for u in range(3) for i in range(3)]
         pairs += [("c0", "p1"), ("q1", "p1"), ("q1", "p2"), ("q2", "p2"), ("q2", "p3"), ("q3", "p3")]
         assert k_core_rounds(pairs, 2) == 6
-        out = self.check(pairs, 2)
+        out, _, _ = self.check(pairs, 2)
         assert out.n_pairs == 9
 
     @pytest.mark.parametrize("k_core", [1, 2])
     def test_keys_differing_by_a_trailing_nul_stay_apart(self, k_core):
         pairs = [("a", "x"), ("a\x00", "x"), ("a", "x\x00"), ("a\x00", "x\x00"), ("a", "x")]
-        out = self.check(pairs, k_core)
-        assert out.user_keys == ("a", "a\x00") and out.item_keys == ("x", "x\x00")
+        out, user_keys, item_keys = self.check(pairs, k_core)
+        assert user_keys == ("a", "a\x00") and item_keys == ("x", "x\x00")
         assert out.n_pairs == 4
 
     def test_errors(self):
@@ -343,9 +343,17 @@ class TestSplit:
             assert n_val == c // 10 and n_test == c // 10
         assert ds.train.user_pop.min() >= 1
 
-    def test_bad_ratios(self, two_cluster):
-        with pytest.raises(ValueError):
-            split(two_cluster, ratios=(0.8, 0.1, 0.2), seed=0)
+    def test_shares_for_every_count_up_to_1000(self):
+        # user u has p = u + 1 pairs
+        counts = np.arange(1, 1001)
+        users = np.repeat(np.arange(counts.size), counts)
+        items = np.arange(users.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ds = split(InteractionSet.from_pairs(users, items), seed=0)
+        held = np.floor(0.1 * counts).astype(np.int64)
+        assert np.array_equal(np.diff(ds.validation.indptr), held)
+        assert np.array_equal(np.diff(ds.test.indptr), held)
+        train = np.diff(ds.train_index.indptr)
+        assert np.array_equal(train, counts - 2 * held) and train.min() >= 1
 
     @staticmethod
     def profile(seed):
@@ -358,9 +366,8 @@ class TestSplit:
         order = rng.permutation(users.size)
         return InteractionSet.from_pairs(users[order], items[order], counts.size + 2, 50)
 
-    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2)])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_per_user_loop(self, monkeypatch, ratios, seed):
+    def test_matches_per_user_loop(self, monkeypatch, seed):
         data = self.profile(seed)
         streams = []
 
@@ -369,8 +376,8 @@ class TestSplit:
             return streams[-1]
 
         monkeypatch.setattr(data_mod, "substream", recorded)
-        got = split(data, ratios, seed=seed)
-        want = naive_split(data, ratios, seed=seed)
+        got = split(data, seed=seed)
+        want = naive_split(data, (0.8, 0.1, 0.1), seed=seed)
         assert np.array_equal(got.train.users, want.train.users)
         assert np.array_equal(got.train.items, want.train.items)
         for part in ("train_index", "validation", "test"):
@@ -380,22 +387,6 @@ class TestSplit:
         for u in range(data.n_users):
             reference.permutation(int(data.user_pop[u]))
         assert streams[0].integers(2**62, size=4).tolist() == reference.integers(2**62, size=4).tolist()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_short_train_share_names_the_same_user(self, seed):
-        data = self.profile(seed)
-        ratios = (1e-12, 0.5, 0.5)
-        with pytest.raises(DataError) as want:
-            naive_split(data, ratios, seed=seed)
-        with pytest.raises(DataError) as got:
-            split(data, ratios, seed=seed)
-        assert str(got.value) == str(want.value)
-
-    def test_train_share_within_sum_tolerance_is_data_error(self):
-        # the ratios pass the sum check, but a user with two interactions
-        # would give one to validation and one to test
-        with pytest.raises(DataError, match="without training pairs"):
-            split(self.make([3, 2]), ratios=(1e-12, 0.5, 0.5), seed=0)
 
 
 class TestUserIndex:
@@ -545,7 +536,7 @@ class TestIterBatches:
 
     def test_partition_sizes(self):
         data = InteractionSet.from_pairs(list(range(10)), [0] * 10, 10, 1)
-        tiny = split(data, ratios=(1.0, 0.0, 0.0), seed=0)
+        tiny = split(data, seed=0)  # one pair per user: every pair trains
         sizes = [b.size for b in _training_batches(tiny, batch_cfg(batch_size=4), epoch=1)]
         assert sizes == [4, 4, 2]
 
@@ -648,7 +639,7 @@ class TestReadersMatchNaiveOracles:
         keys = load_interactions(generated_log)
         assert keys == naive_load_interactions(generated_log)
         clean = tmp_path / "clean.txt"
-        write_interactions(preprocess(*keys), clean)
+        write_interactions(preprocess(*keys)[0], clean)
         assert same_interactions(read_id_pairs(clean), naive_read_id_pairs(clean))
 
     @pytest.mark.parametrize("text", [

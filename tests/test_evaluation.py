@@ -12,7 +12,6 @@ from directau import (
     bpr_loss,
     geometry_report,
     rank_eval,
-    split,
 )
 from directau.encoders import normalize_rows
 from directau.errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
@@ -21,6 +20,7 @@ from helpers import (
     bpr_bound_harness,
     naive_alignment,
     naive_rank_eval,
+    naive_split,
     naive_uniformity,
     random_interaction_set,
     sphere_sample,
@@ -121,7 +121,7 @@ class TestRankEval:
         rng = np.random.default_rng(4)
         for _ in range(10):
             data = random_interaction_set(rng, max_users=7, max_items=9, max_pairs=40)
-            ds = split(data, ratios=(0.6, 0.2, 0.2), seed=2)
+            ds = naive_split(data, (0.6, 0.2, 0.2), seed=2)
             if ds.validation.nnz == 0:
                 continue
             t = EmbeddingTable.from_parts(
@@ -149,7 +149,7 @@ class TestRankEvalMatchesOracle:
     def random_split(rng, n_users, n_items, density):
         users, items = np.nonzero(rng.random((n_users, n_items)) < density)
         data = InteractionSet.from_pairs(users, items, n_users, n_items)
-        return split(data, ratios=(0.6, 0.2, 0.2), seed=int(rng.integers(1000)))
+        return naive_split(data, (0.6, 0.2, 0.2), seed=int(rng.integers(1000)))
 
     @staticmethod
     def integer_table(rng, n_users, n_items):

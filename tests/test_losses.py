@@ -13,7 +13,6 @@ from directau import (
     bpr_loss,
     direct_au_loss,
     sample_negatives,
-    split,
 )
 from directau import losses
 from directau.errors import InsufficientBatch, NoNegativeAvailable
@@ -22,6 +21,7 @@ from helpers import (
     finite_difference_gradients,
     naive_direct_au_loss,
     naive_sample_negatives,
+    naive_split,
     naive_uniform_loss,
     per_user_negatives,
     relative_gradient_error,
@@ -296,7 +296,7 @@ class TestInvariances:
 class TestSampleNegatives:
     def make_split(self, users, items, n_users, n_items):
         data = InteractionSet.from_pairs(users, items, n_users, n_items)
-        return split(data, ratios=(1.0, 0.0, 0.0), seed=0)
+        return naive_split(data, (1.0, 0.0, 0.0), seed=0)
 
     def test_forced_choice(self):
         # the user interacted with every item but the last one
@@ -330,7 +330,7 @@ class TestSampleNegatives:
         )
         batch_users = rng.integers(0, n_users, size=500)
         for strategy in ("uniform", "dynamic"):
-            negs = sample_negatives(ds, batch_users, strategy, table, 8, rng)
+            negs = sample_negatives(ds, batch_users, strategy, table, 8, rng=rng)
             assert negs.shape == batch_users.shape
             assert not dense[batch_users, negs].any()
 
@@ -359,7 +359,7 @@ class TestSampleNegatives:
         draws, candidates = 6000, 3
         users = np.zeros(draws, dtype=np.int64)
         got = sample_negatives(
-            ds, users, "dynamic", table, candidates, np.random.default_rng(6)
+            ds, users, "dynamic", table, candidates, rng=np.random.default_rng(6)
         )
         want = per_user_negatives(
             ds, users, "dynamic", table, candidates, np.random.default_rng(7)
@@ -390,7 +390,7 @@ class TestSampleNegatives:
         # misses the pool with probability (5/6)^64 ~ 1e-5
         picks = np.concatenate(
             [
-                sample_negatives(ds, np.array([0]), "dynamic", table, 64, rng)
+                sample_negatives(ds, np.array([0]), "dynamic", table, 64, rng=rng)
                 for _ in range(1000)
             ]
         )
@@ -424,7 +424,7 @@ def sampler_split(rng, n_users, n_items, free):
         dense[u, rng.choice(n_items, size=free, replace=False)] = False
     users, items = np.nonzero(dense)
     data = InteractionSet.from_pairs(users, items, n_users, n_items)
-    return split(data, ratios=(1.0, 0.0, 0.0), seed=0)
+    return naive_split(data, (1.0, 0.0, 0.0), seed=0)
 
 
 def random_table(rng, n_users, n_items, d=5):
@@ -441,8 +441,8 @@ class TestSamplerMatchesNaiveOracle:
     @staticmethod
     def assert_same(ds, users, strategy, table, candidates, seed):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_negatives(ds, users, strategy, table, candidates, rng_got)
-        want = naive_sample_negatives(ds, users, strategy, table, candidates, rng_want)
+        got = sample_negatives(ds, users, strategy, table, candidates, rng=rng_got)
+        want = naive_sample_negatives(ds, users, strategy, table, candidates, rng=rng_want)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 

@@ -11,6 +11,7 @@ import pytest
 
 import directau.training as training_mod
 from directau import (
+    EmbeddingTable,
     EpochTrace,
     TrainConfig,
     direct_au_loss,
@@ -22,13 +23,14 @@ from directau import (
     save_checkpoint,
     split,
     train,
+    write_embeddings,
 )
 from directau.data import file_sha256
 from directau.errors import ConfigError, DegenerateEmbedding
 from directau.evaluation import GeometryReport
 from directau.losses import LossOutput
 from directau.training import _training_batches, read_key_values, split_key_value
-from helpers import naive_read_config_file, read_trace
+from helpers import naive_read_config_file, naive_split, read_trace
 
 
 # every field away from its default
@@ -193,10 +195,9 @@ class TestTrain:
     @pytest.mark.parametrize("encoder, layers", [("mf", 0), ("lgcn", 2)])
     def test_epoch_k_table_is_a_k_epoch_runs_table(self, two_cluster, encoder, layers):
         # without validation a k-epoch run keeps its last table
-        ds = split(two_cluster, ratios=(1, 0, 0), seed=5)
+        ds = naive_split(two_cluster, (1, 0, 0), seed=5)
         cfg = small_cfg(encoder=encoder, layers=layers)
-        # the mf table is the live one, updated in place by the next pull
-        pulled = [(epoch, loss, table.emb.copy())
+        pulled = [(epoch, loss, table.emb)
                   for epoch, loss, table in islice(training_mod._epochs(ds, cfg), 4)]
         _, traces = train(ds, replace(cfg, max_epochs=3))
         assert [epoch for epoch, _, _ in pulled] == [0, 1, 2, 3] and math.isnan(pulled[0][1])
@@ -204,6 +205,51 @@ class TestTrain:
         for k in (0, 1, 3):
             best, _ = train(ds, replace(cfg, max_epochs=k))
             assert best.table.emb.tobytes() == pulled[k][2].tobytes()
+
+    def test_a_yielded_mf_table_is_the_callers(self, two_cluster, monkeypatch, tmp_path):
+        # writing to epoch k's table changes neither epoch k + 1's table nor
+        # the dump of a (k + 1)-epoch run, which without validation is k + 1's
+        ds = naive_split(two_cluster, (1, 0, 0), seed=5)
+        k, cfg = 2, small_cfg(max_epochs=3)
+        want = [table.emb.copy() for _, _, table in islice(training_mod._epochs(ds, cfg), k + 2)]
+        epochs = training_mod._epochs(ds, cfg)
+        table = next(islice(epochs, k, None))[2]
+        table.emb *= -1.0
+        assert next(epochs)[2].emb.tobytes() == want[k + 1].tobytes()
+
+        real = training_mod._epochs
+
+        def writing(split_, cfg_):
+            for epoch, loss, table in real(split_, cfg_):
+                yield epoch, loss, table
+                if epoch == k:
+                    table.emb *= -1.0
+
+        dumps = []
+        for epochs_fn in (real, writing):
+            monkeypatch.setattr(training_mod, "_epochs", epochs_fn)
+            best, _ = train(ds, cfg)
+            dumps.append(tmp_path / f"{len(dumps)}.npz")
+            write_embeddings(best.table, dumps[-1])
+        assert best.epoch == k + 1
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+
+    def test_only_mf_copies_its_table(self, two_cluster, monkeypatch):
+        # mf copies each table it yields; lgcn's propagated outputs are fresh
+        calls = []
+        real_copy = EmbeddingTable.copy
+
+        def counting(self):
+            calls.append(self.emb.shape)
+            return real_copy(self)
+
+        monkeypatch.setattr(EmbeddingTable, "copy", counting)
+        ds = split(two_cluster, seed=5)
+        _, traces = train(ds, small_cfg(max_epochs=3))
+        assert len(calls) == len(traces) + 1
+        calls.clear()
+        train(ds, small_cfg(encoder="lgcn", layers=2, max_epochs=3))
+        assert calls == []
 
     def test_determinism_identical_traces(self, two_cluster):
         ds = split(two_cluster, seed=1)
@@ -590,7 +636,7 @@ class TestTrain:
 
         # 9 users x 1 interaction -> 9 train pairs; batch 4 leaves a singleton
         data = InteractionSet.from_pairs(list(range(9)), list(range(9)), 9, 9)
-        ds = split(data, ratios=(1.0, 0.0, 0.0), seed=0)
+        ds = split(data, seed=0)
         cfg = small_cfg(batch_size=4, max_epochs=1)
         batches = _training_batches(ds, cfg, epoch=1)
         assert [len(b) for b in batches] == [4, 5]
