@@ -9,10 +9,10 @@ substreams.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .data import (
     file_sha256,
@@ -23,19 +23,39 @@ from .data import (
     write_id_map,
     write_interactions,
 )
-from .encoders import read_embeddings
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import RankingMetrics, geometry_report, rank_eval
-from .training import (
-    TrainConfig,
-    load_checkpoint,
-    read_key_values,
-    save_checkpoint,
-    split_key_value,
-    train,
-)
+
+if TYPE_CHECKING:
+    from .data import DatasetSplit, InteractionSet
+    from .encoders import EmbeddingTable
+    from .evaluation import GeometryReport, RankingMetrics
+    from .training import EpochTrace, Snapshot, TrainConfig
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
+
+
+# The layers past data load on a command's first call into them, so that
+# preprocess loads only the data layer. These three keep the parameter
+# names of the functions they call, so that a wrapper which binds its
+# arguments by name (perfbench/tracing.py) can replace them here.
+def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTrace]]:
+    from .training import train as run
+
+    return run(split, cfg)
+
+
+def rank_eval(
+    table: EmbeddingTable, split: DatasetSplit, target: str, ks: tuple[int, ...]
+) -> RankingMetrics:
+    from .evaluation import rank_eval as run
+
+    return run(table, split, target, ks)
+
+
+def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> GeometryReport:
+    from .evaluation import geometry_report as run
+
+    return run(table, interactions)
 
 
 def _ranking_json(ranked: RankingMetrics) -> dict[str, dict[str, float]]:
@@ -69,6 +89,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .training import TrainConfig, read_key_values, save_checkpoint, split_key_value
+
     raw_cfg = read_key_values(args.config)
     raw_cfg.update(split_key_value(override, "--set") for override in args.set or [])
     cfg = TrainConfig.from_mapping(raw_cfg)
@@ -105,6 +127,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    import json
+
+    from .training import load_checkpoint
+
     try:
         ks = tuple(int(k) for k in args.ks.split(","))
     except ValueError as exc:
@@ -130,6 +156,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    import json
+
+    from .encoders import read_embeddings
+
     table = read_embeddings(Path(args.embeddings))
     delim = _DELIMITERS[args.delimiter]
     data = read_id_pairs(
@@ -179,8 +209,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ImportError) as exc:
-        # ImportError: encoder = lgcn where scipy's sparse kernel is missing
+    except ConfigError as exc:
+        # MissingKernel among them: encoder = lgcn where scipy's sparse kernel is missing
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

@@ -12,7 +12,6 @@ ConfigError (exit 2) for a config file.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -351,6 +350,8 @@ def open_atomic(path: str | Path, newline: str | None = None, binary: bool = Fal
 
 def file_sha256(path: str | Path) -> str:
     """Hex SHA-256 of the bytes of the file at `path`."""
+    import hashlib  # here, so that preprocess does not load OpenSSL
+
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -360,10 +361,23 @@ def file_sha256(path: str | Path) -> str:
 
 def write_interactions(data: InteractionSet, path: str | Path) -> None:
     """Serialize remapped integer-ID pairs tab-separated, one per line,
-    input order, replacing the file at `path` whole."""
+    input order, replacing the file at `path` whole.
+
+    The text is built in numpy as the inverse of `_id_columns`: each
+    non-negative ID's decimal digits, then TAB after a user and LF after
+    an item, as `f"{u}\\t{i}\\n"` would write them."""
+    values = np.column_stack((data.users, data.items)).reshape(-1)
+    widths = np.searchsorted(10 ** np.arange(1, 19), values, side="right") + 1
+    ends = np.cumsum(widths + 1) - 1  # the byte after each field
+    text = np.empty(widths.sum() + widths.size, dtype=np.uint8)
+    text[ends[0::2]] = ord("\t")
+    text[ends[1::2]] = ord("\n")
+    for k in range(int(widths.max(initial=0))):
+        # the k-th digit from the right of every field longer than k
+        live = np.flatnonzero(widths > k)
+        text[ends[live] - 1 - k] = values[live] // 10**k % 10 + ord("0")
     with open_atomic(path) as fh:
-        for u, i in zip(data.users.tolist(), data.items.tolist()):
-            fh.write(f"{u}\t{i}\n")
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import InteractionSet, UserIndex, Workspace, open_atomic
-from .errors import DataError, DegenerateEmbedding
+from .errors import DataError, DegenerateEmbedding, MissingKernel
 from .rng import substream
 
 DUMP_MEMBERS = ("user_emb", "item_emb")  # the dump's .npz members, in row order
@@ -83,7 +83,7 @@ def _sparsetools():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
-    raise ImportError("the graph encoder needs scipy: scipy/sparse/_sparsetools not found")
+    raise MissingKernel("the graph encoder needs scipy: scipy/sparse/_sparsetools not found")
 
 
 def _spmm_into(fmt: str, shape: tuple, arrays: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:

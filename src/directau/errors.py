@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Grouped by how the CLI maps them to exit codes: DataError -> 3,
-NumericError -> 4, ConfigError -> 2 (usage).
+NumericError -> 4, ConfigError -> 2 (usage). MissingKernel is also an
+ImportError; the CLI maps no other ImportError.
 """
 
 
@@ -56,3 +57,7 @@ class DivergedGradient(NumericError):
 
 class ConfigError(Exception):
     """A config file or flag combination is invalid (usage error)."""
+
+
+class MissingKernel(ConfigError, ImportError):
+    """The graph encoder is configured where scipy's sparse kernel cannot be found."""

@@ -7,8 +7,6 @@ reordering draws in one consumer never perturbs the others.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -18,6 +16,8 @@ def substream(seed: int, name: str, *extra: int) -> np.random.Generator:
     The name is folded into the seed material via a stable hash, so the
     mapping is identical across platforms and interpreter runs.
     """
+    import hashlib  # here, so that preprocess does not load OpenSSL
+
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     tag = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")

@@ -233,6 +233,14 @@ def naive_read_id_pairs(path, delimiter="\t", n_users=None, n_items=None):
     return InteractionSet.from_pairs(users, items, n_users, n_items)
 
 
+def naive_write_interactions(data, path):
+    """Reference clean-file writer: one f-string line per pair, written
+    line by line in text mode."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for u, i in zip(data.users.tolist(), data.items.tolist()):
+            fh.write(f"{u}\t{i}\n")
+
+
 def naive_split_labels(data, ratios=(0.8, 0.1, 0.1), seed=0):
     """Reference per-user split: one permutation per user, in user order,
     from the split substream, each user's parts labelled in the loop; the

@@ -214,6 +214,14 @@ class TestTrainCommand:
         assert err.startswith("config error:") and "scipy" in err and err.count("\n") == 1
         assert not (tmp_path / "run" / "manifest.json").exists()
 
+    def test_other_import_errors_are_not_config_errors(self, tmp_path, data_file, monkeypatch):
+        # only a missing sparse kernel is a config error; a module that
+        # cannot be imported is a fault of the installation, and raises
+        monkeypatch.setitem(sys.modules, "directau.training", None)
+        with pytest.raises(ImportError, match="directau.training"):
+            main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                  "--out-dir", str(tmp_path / "run")])
+
     def test_artifacts_and_manifest(self, tmp_path, data_file):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -937,19 +945,24 @@ class TestManifestGeometry:
         assert manifest["metrics"]["geometry"] == self.checkpoint_geometry(out, data_file)
 
 
+def _python(tmp_path, *args):
+    """Run a fresh interpreter with `args` in `tmp_path`, the package on its path."""
+    src = str(Path(directau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def _modules_after(tmp_path, script, prefix="scipy"):
     """Run `script` in a fresh interpreter; the modules named `prefix...`
     that it left loaded."""
-    src = str(Path(directau.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = script + (
         "\nimport json, sys\n"
         f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(_python(tmp_path, "-c", code).stdout.strip().splitlines()[-1])
 
 
 class TestStartup:
@@ -959,6 +972,16 @@ class TestStartup:
 
     def test_import_loads_no_scipy(self, tmp_path):
         assert _modules_after(tmp_path, "import directau.cli") == []
+
+    def test_preprocess_command_loads_only_the_data_layer(self, tmp_path):
+        # the command as the benchmark runs it; -X importtime lists each module it loads
+        (tmp_path / "raw.txt").write_text("".join(f"u{u}\ti{u % 7}\n" for u in range(40)))
+        done = _python(tmp_path, "-X", "importtime", "-m", "directau.cli", "preprocess",
+                       "--input", "raw.txt", "--output", "clean.txt", "--k-core", "1")
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert {"directau", "directau.data", "directau.errors", "directau.rng"} <= loaded
+        later = {"training", "evaluation", "encoders", "losses", "optim"}
+        assert loaded.isdisjoint(f"directau.{m}" for m in later)
 
     def test_mf_pipeline_loads_no_scipy(self, tmp_path):
         raw = tmp_path / "raw.txt"
@@ -1009,3 +1032,28 @@ from directau.encoders import _sparsetools
 assert _sparsetools.cache_info().currsize == 1
 """
         assert _modules_after(tmp_path, script) == []
+
+
+class TestPackageNames:
+    """The package's public names load their modules on first use."""
+
+    @pytest.mark.parametrize("name", directau.__all__)
+    def test_name_is_the_object_its_module_defines(self, name):
+        value = getattr(directau, name)
+        assert value.__module__.startswith("directau.")
+        assert value is getattr(sys.modules[value.__module__], name)
+
+    def test_dir_lists_every_name(self):
+        assert set(directau.__all__) <= set(dir(directau))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            directau.no_such_name
+
+    @pytest.mark.parametrize("script, loaded", [
+        ("import directau", []),
+        ("import directau\ndirectau.split", ["directau.data", "directau.errors", "directau.rng"]),
+        ("from directau import data", ["directau.data", "directau.errors", "directau.rng"]),
+    ])
+    def test_a_name_or_submodule_loads_only_its_module(self, tmp_path, script, loaded):
+        assert _modules_after(tmp_path, script, "directau.") == loaded

@@ -41,6 +41,7 @@ from helpers import (
     naive_read_id_pairs,
     naive_split,
     naive_split_labels,
+    naive_write_interactions,
 )
 
 
@@ -584,6 +585,35 @@ class TestSerialization:
         back = read_id_pairs(p)
         assert np.array_equal(back.users, two_cluster.users)
         assert np.array_equal(back.items, two_cluster.items)
+
+    def test_writer_matches_naive_oracle_on_a_generated_log(self, tmp_path, generated_log):
+        data = preprocess(*load_interactions(generated_log))[0]
+        got, want = tmp_path / "clean.txt", tmp_path / "want.txt"
+        write_interactions(data, got)
+        naive_write_interactions(data, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert same_interactions(read_id_pairs(got), data)
+
+    # up to 18 digits read_id_pairs parses the file in numpy, past them line by line
+    @pytest.mark.parametrize("widest", [18, 19])
+    def test_writer_matches_naive_oracle_at_every_digit_count(self, tmp_path, monkeypatch, widest):
+        edges = [0, 9, 10, *(v for k in range(2, 19) for v in (10**k - 1, 10**k)), 2**63 - 1]
+        edges = [v for v in edges if len(str(v)) <= widest]
+        users = np.array(edges, dtype=np.int64)
+        items = users[::-1].copy()
+        # pairs this wide fit no popularity count, so only the ID columns are set
+        data = InteractionSet(0, 0, users, items, np.zeros(0), np.zeros(0))
+        got, want = tmp_path / "clean.txt", tmp_path / "want.txt"
+        write_interactions(data, got)
+        naive_write_interactions(data, want)
+        assert got.read_bytes() == want.read_bytes()
+        # read_id_pairs parses them back exactly, up to the count it builds
+        columns = {}
+        monkeypatch.setattr(InteractionSet, "from_pairs", classmethod(
+            lambda cls, users, items, n_users, n_items: columns.update(users=users, items=items)
+        ))
+        read_id_pairs(got)
+        assert columns["users"].tolist() == edges and columns["items"].tolist() == edges[::-1]
 
     def test_id_map_format(self, tmp_path):
         p = tmp_path / "m.map"
