@@ -71,8 +71,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if args.k_core < 1:
         raise ConfigError(f"--k-core must be >= 1, got {args.k_core}")
     delim = _DELIMITERS[args.delimiter]
-    user_keys, item_keys = load_interactions(args.input, delim)
-    data, user_keys, item_keys = preprocess(user_keys, item_keys, k_core=args.k_core)
+    data, user_keys, item_keys = preprocess(*load_interactions(args.input, delim), args.k_core)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the clean file is tab-separated, as train and eval read it; a key

@@ -106,16 +106,10 @@ class InteractionSet:
         """Check the full invariants (every ID used, popularity sums)."""
         if not self.user_pop.sum() == self.n_pairs == self.item_pop.sum():
             raise DataError("popularity counts do not sum to the number of pairs")
-        if _distinct_count(self.users) != self.n_users:
+        if np.count_nonzero(np.bincount(self.users)) != self.n_users:
             raise DataError("some user IDs in [0, n_users) never appear")
-        if _distinct_count(self.items) != self.n_items:
+        if np.count_nonzero(np.bincount(self.items)) != self.n_items:
             raise DataError("some item IDs in [0, n_items) never appear")
-
-
-def _distinct_count(values: np.ndarray) -> int:
-    """np.unique(values).size, without the numpy.ma import a bare np.unique makes."""
-    ordered = np.sort(values, axis=None)
-    return int(ordered.size > 0) + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 class UserIndex(NamedTuple):
@@ -195,17 +189,30 @@ class DatasetSplit:
     test: UserIndex
 
 
-def load_interactions(path: str | Path, delimiter: str = "\t") -> tuple[list[str], list[str]]:
-    """Parse an interaction file into its user keys and item keys, aligned
-    and in file order.
+# the bytes of a plain line besides its delimiter: printable ASCII but space and '#', and LF
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b"#", b"") + b"\n"
 
-    Duplicate lines survive here; deduplication belongs to preprocess().
-    Raises MalformedLine with the offending line number, EmptyInput when
-    nothing parses, DataError naming the file when it is not UTF-8.
-    """
+
+def load_interactions(
+    path: str | Path, delimiter: str = "\t"
+) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
+    """Interned columns `(users, items, user_keys, item_keys)` of an
+    interaction file: line n is (user_keys[users[n]], item_keys[items[n]]),
+    codes in order of first appearance, duplicate lines kept. Plain lines
+    (`_two_fields`, `_PLAIN_BYTES`) after one UTF-8 BOM, with a one-byte
+    ASCII delimiter but CR and keys of at most 64 bytes, are interned in
+    numpy; any other file by the line loop and `_intern`, to the same
+    result. Raises MalformedLine with the offending line number, EmptyInput
+    when nothing parses, DataError naming the file when it is not UTF-8."""
     path = Path(path)
-    user_keys: list[str] = []
-    item_keys: list[str] = []
+    body = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+    plain = len(delimiter) == 1 and delimiter.isascii() and delimiter not in "\r\n"
+    spans = _two_fields(body, ord(delimiter), _PLAIN_BYTES) if plain else None
+    # a key's padded width bounds each line's memory, as the line loop's strings do
+    if spans is not None and max((ends - starts).max() for starts, ends in spans) <= 64:
+        (users, user_keys), (items, item_keys) = (_intern_spans(body, *span) for span in spans)
+        return users, items, user_keys, item_keys
+    user_keys, item_keys = [], []
     with path.open("r", encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -225,7 +232,43 @@ def load_interactions(path: str | Path, delimiter: str = "\t") -> tuple[list[str
             raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     if not user_keys:
         raise EmptyInput(f"no interactions in {path}")
-    return user_keys, item_keys
+    (users, user_keys), (items, item_keys) = _intern(user_keys), _intern(item_keys)
+    return users, items, user_keys, item_keys
+
+
+def _two_fields(raw: bytes, delim: int, other: bytes) -> tuple[tuple[np.ndarray, ...], ...] | None:
+    """The (starts, ends) of the first two fields of every line of `raw`, a
+    second field ending at the next `delim` or LF; None unless `raw` is
+    lines that each end in LF (the last may not), hold only `delim` and
+    bytes in `other`, and start with two non-empty fields."""
+    if not raw or raw.translate(None, other + bytes([delim])):
+        return None
+    codes = np.frombuffer(raw if raw[-1] == 10 else raw + b"\n", dtype=np.uint8)
+    cuts = np.flatnonzero((codes == 10) | (codes == delim))  # the byte after each field
+    lasts = np.flatnonzero(codes[cuts] == 10)  # each line's last cut, its LF
+    heads = np.concatenate(([0], lasts[:-1] + 1))  # each line's first cut
+    if not (heads < lasts).all():  # a line without a delimiter
+        return None
+    starts = np.concatenate(([0], cuts[lasts[:-1]] + 1))
+    first, second = cuts[heads], cuts[heads + 1]
+    if not ((starts < first) & (first + 1 < second)).all():
+        return None
+    return (starts, first), (first + 1, second)
+
+
+def _intern_spans(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """`_intern` of the ASCII keys raw[starts[n]:ends[n]], which hold no
+    NUL: the keys, NUL-padded to whole uint64 words, are sorted as rows of
+    words, and only the distinct keys are decoded."""
+    codes, lengths = np.frombuffer(raw, dtype=np.uint8), ends - starts
+    width = -(-int(lengths.max()) // 8) * 8
+    if starts[-1] + width > codes.size:  # the last key's row runs past the bytes
+        codes = np.concatenate((codes, np.zeros(width, dtype=np.uint8)))
+    rows = np.lib.stride_tricks.sliding_window_view(codes, width)[starts]
+    if lengths.min() < width:
+        rows *= np.arange(width) < lengths[:, None]
+    coded, first = _first_seen_ids(rows.view(np.uint64))
+    return coded, [raw[a:b].decode() for a, b in zip(starts[first].tolist(), ends[first].tolist())]
 
 
 def _intern(keys: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -233,52 +276,56 @@ def _intern(keys: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     distinct keys by code. Keys stay Python strings: numpy's fixed-width
     string dtype drops trailing NULs and would merge "a\x00" with "a"."""
     codes: dict[str, int] = {}
-    coded = np.fromiter(
-        (codes.setdefault(k, len(codes)) for k in keys), dtype=np.int64, count=len(keys)
-    )
+    coded = np.fromiter((codes.setdefault(k, len(codes)) for k in keys), np.int64, len(keys))
     return coded, list(codes)
 
 
-def _first_seen_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous IDs numbering the distinct codes in order of first
-    position, and those codes by ID."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    return rank[inverse], distinct[order]
+def _first_seen_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous IDs numbering the distinct rows of the 2-D `rows` in
+    order of first position, and the first position of each ID."""
+    # one column sorts fastest unstably; a row's first position is the least of its run
+    order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T)
+    ordered = rows[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[by_first] = np.arange(first.size)
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, first[by_first]
 
 
 def preprocess(
-    user_keys: Sequence[str], item_keys: Sequence[str], k_core: int = 5
+    users: np.ndarray, items: np.ndarray, user_keys: Sequence[str], item_keys: Sequence[str],
+    k_core: int = 5,
 ) -> tuple[InteractionSet, tuple[str, ...], tuple[str, ...]]:
     """Dedup, k-core filter to a fixpoint, remap keys to contiguous IDs.
 
-    `user_keys[n]` and `item_keys[n]` form the n-th interaction. The keys
-    are interned to integer codes and all the work runs on the codes.
-    Deduplication keeps the first occurrence. Filtering repeatedly removes
-    users/items with fewer than k_core interactions until none remain (a
-    single pass is not enough: dropping a user can push an item below the
-    threshold). Surviving keys get IDs in first-seen input order.
-    Returns the remapped pairs and the user and item keys by ID.
+    Interaction n is (user_keys[users[n]], item_keys[items[n]]), as
+    `load_interactions` returns them. Deduplication keeps the first
+    occurrence. Filtering repeatedly removes users/items with fewer than
+    k_core interactions until none remain (a single pass is not enough:
+    dropping a user can push an item below the threshold). Surviving keys
+    get IDs in first-seen input order. Returns the remapped pairs and the
+    user and item keys by ID.
     """
-    if len(user_keys) != len(item_keys):
-        raise ValueError("user_keys and item_keys must have equal length")
-    if not user_keys:
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
+    if users.shape != items.shape:
+        raise ValueError("users and items must have equal length")
+    if not users.size:
         raise EmptyInput("no interactions to preprocess")
     if k_core < 1:
         raise ValueError(f"k_core must be >= 1, got {k_core}")
 
-    users, user_names = _intern(user_keys)
-    items, item_names = _intern(item_keys)
     # the first occurrence of every distinct pair, kept in input order
-    _, first = np.unique(users * len(item_names) + items, return_index=True)
-    kept = np.sort(first)
+    _, kept = _first_seen_ids((users * len(item_keys) + items)[:, None])
     users, items = users[kept], items[kept]
 
     while True:
-        user_cnt = np.bincount(users, minlength=len(user_names))
-        item_cnt = np.bincount(items, minlength=len(item_names))
+        user_cnt = np.bincount(users, minlength=len(user_keys))
+        item_cnt = np.bincount(items, minlength=len(item_keys))
         keep = (user_cnt[users] >= k_core) & (item_cnt[items] >= k_core)
         if keep.all():
             break
@@ -286,14 +333,14 @@ def preprocess(
         if users.size == 0:
             raise EmptyAfterFiltering(f"no interactions survive {k_core}-core filtering")
 
-    users, user_codes = _first_seen_ids(users)
-    items, item_codes = _first_seen_ids(items)
-    out = InteractionSet.from_pairs(users, items, user_codes.size, item_codes.size)
+    user_ids, user_first = _first_seen_ids(users[:, None])
+    item_ids, item_first = _first_seen_ids(items[:, None])
+    out = InteractionSet.from_pairs(user_ids, item_ids, user_first.size, item_first.size)
     out.validate()
     return (
         out,
-        tuple(user_names[c] for c in user_codes.tolist()),
-        tuple(item_names[c] for c in item_codes.tolist()),
+        tuple(user_keys[c] for c in users[user_first].tolist()),
+        tuple(item_keys[c] for c in items[item_first].tolist()),
     )
 
 
@@ -376,23 +423,19 @@ def write_interactions(data: InteractionSet, path: str | Path) -> None:
         # the k-th digit from the right of every field longer than k
         live = np.flatnonzero(widths > k)
         text[ends[live] - 1 - k] = values[live] // 10**k % 10 + ord("0")
-    with open_atomic(path) as fh:
-        fh.write(text.tobytes().decode("ascii"))
+    with open_atomic(path, binary=True) as fh:
+        fh.write(text.tobytes())
 
 
 def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -> None:
     """Two-column sidecar: original key, remapped contiguous ID, replacing
     the file at `path` whole."""
     with open_atomic(path) as fh:
-        for new_id, key in enumerate(keys):
-            fh.write(f"{key}{delimiter}{new_id}\n")
+        fh.write("".join(f"{key}{delimiter}{new_id}\n" for new_id, key in enumerate(keys)))
 
 
 def read_id_pairs(
-    path: str | Path,
-    delimiter: str = "\t",
-    n_users: int | None = None,
-    n_items: int | None = None,
+    path: str | Path, delimiter: str = "\t", n_users: int | None = None, n_items: int | None = None
 ) -> InteractionSet:
     """Load a preprocessed integer-ID interaction file.
 
@@ -404,11 +447,12 @@ def read_id_pairs(
     """
     columns = _id_columns(Path(path).read_bytes()) if delimiter == "\t" else None
     if columns is None:
-        user_keys, item_keys = load_interactions(path, delimiter)
+        users, items, user_keys, item_keys = load_interactions(path, delimiter)
         try:
-            columns = np.array(user_keys, dtype=np.int64), np.array(item_keys, dtype=np.int64)
+            user_ids, item_ids = (np.array(k, dtype=np.int64) for k in (user_keys, item_keys))
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}: expected integer IDs ({exc})") from exc
+        columns = user_ids[users], item_ids[items]
     return InteractionSet.from_pairs(*columns, n_users, n_items)
 
 
@@ -417,22 +461,20 @@ def _id_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     of 1-18 ASCII digits, TAB, 1-18 ASCII digits, LF; None for any other
     bytes. On that form int() reads each field as its decimal digits, and
     18 digits fit in int64, so the values are int()'s."""
+    spans = _two_fields(raw, ord("\t"), b"0123456789\n")
     codes = np.frombuffer(raw, dtype=np.uint8)
-    digits = codes - np.uint8(ord("0"))  # every other byte wraps past 9
-    ends = np.flatnonzero(digits > 9)  # the byte after each field
-    if ends.size == 0 or ends.size % 2 or ends[-1] != codes.size - 1:
+    # a final LF, and every item field ending at LF: no line has a third field
+    if spans is None or raw[-1] != 10 or (codes[spans[1][1]] != 10).any():
         return None
-    delims = codes[ends]
-    if not ((delims[0::2] == ord("\t")).all() and (delims[1::2] == ord("\n")).all()):
-        return None
-    lengths = np.diff(ends, prepend=-1) - 1
-    if lengths.min() < 1 or lengths.max() > 18:
-        return None
-    values = np.zeros(ends.size, dtype=np.int64)
-    for k in range(int(lengths.max())):
-        # the k-th digit from the right of every field longer than k; for a
-        # shorter field the position lies before it (or wraps round to the
-        # buffer's end) and is masked
-        digit = np.where(lengths > k, digits[ends - 1 - k], np.uint8(0))
-        values += digit.astype(np.int64) * 10**k
-    return values[0::2].copy(), values[1::2].copy()
+    values = np.zeros((2, spans[0][0].size), dtype=np.int64)
+    for row, (starts, ends) in zip(values, spans):  # ends: the byte after each field
+        lengths = ends - starts
+        if lengths.max() > 18:
+            return None
+        for k in range(int(lengths.max())):
+            # the k-th digit from the right of every field longer than k; for
+            # a shorter field the position lies before it (or wraps round to
+            # the buffer's end) and is masked
+            digit = np.where(lengths > k, codes[ends - 1 - k] - np.uint8(ord("0")), np.uint8(0))
+            row += digit.astype(np.int64) * 10**k
+    return values[0], values[1]

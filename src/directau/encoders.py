@@ -131,10 +131,7 @@ class GraphPropagator:
 
     @classmethod
     def build(
-        cls,
-        base: EmbeddingTable,
-        interactions: InteractionSet,
-        n_layers: int,
+        cls, base: EmbeddingTable, interactions: InteractionSet, n_layers: int,
         work: Workspace | None = None,
     ) -> "GraphPropagator":
         if n_layers < 0:

@@ -76,11 +76,7 @@ def _align(xn: np.ndarray, xnorm: np.ndarray, yn: np.ndarray, ynorm: np.ndarray)
     diff = xn - yn
     value = float(np.mean(np.sum(diff * diff, axis=1)))
     g = (2.0 / n) * diff
-    return LossOutput(
-        value=value,
-        grad_user=_chain(g, xn, xnorm),
-        grad_item=_chain(-g, yn, ynorm),
-    )
+    return LossOutput(value=value, grad_user=_chain(g, xn, xnorm), grad_item=_chain(-g, yn, ynorm))
 
 
 def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[float, np.ndarray]:
@@ -158,13 +154,8 @@ def bpr_loss(u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray)
 
 
 def sample_negatives(
-    split: DatasetSplit,
-    users: np.ndarray,
-    strategy: str,
-    table: EmbeddingTable | None = None,
-    candidates: int = 32,
-    *,
-    rng: np.random.Generator,
+    split: DatasetSplit, users: np.ndarray, strategy: str, table: EmbeddingTable | None = None,
+    candidates: int = 32, *, rng: np.random.Generator,
 ) -> np.ndarray:
     """One negative item per user, drawn outside the user's training items.
 
@@ -202,12 +193,8 @@ def sample_negatives(
     n_rows = max(1, _POOL_BLOCK // (candidates * table.d * 8))
     for start in range(0, users.size, n_rows):
         block = slice(start, start + n_rows)
-        np.einsum(
-            "bd,bcd->bc",
-            table.user_emb[users[block]],
-            table.item_emb[pool[block]],
-            out=scores[block],
-        )
+        np.einsum("bd,bcd->bc", table.user_emb[users[block]], table.item_emb[pool[block]],
+                  out=scores[block])
     # Gumbel-max: argmax of the scores plus i.i.d. Gumbel noise is an exact softmax draw
     pick = np.argmax(scores + rng.gumbel(size=scores.shape), axis=1)
     return pool[np.arange(users.size), pick]

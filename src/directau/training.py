@@ -68,8 +68,10 @@ class TrainConfig:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.encoder not in ENCODERS:
             raise ConfigError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-        if self.layers < 0:
-            raise ConfigError(f"layers must be >= 0, got {self.layers}")
+        for name, least in (("layers", 0), ("d", 1), ("batch_size", 1), ("max_epochs", 0),
+                            ("patience", 1), ("seed", 0), ("ds_candidates", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.encoder == "lgcn" and self.layers < 1:
             raise ConfigError("encoder=lgcn requires layers >= 1")
         if self.objective == "direct_au":
@@ -79,24 +81,12 @@ class TrainConfig:
                 raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         elif self.gamma is not None:
             raise ConfigError("gamma is only valid with objective=direct_au")
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
         if not 0 < self.lr < inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.objective == "direct_au" and self.batch_size < 2:
             raise ConfigError("objective=direct_au requires batch_size >= 2")
         if not 0 <= self.weight_decay < inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.ds_candidates < 1:
-            raise ConfigError(f"ds_candidates must be >= 1, got {self.ds_candidates}")
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "TrainConfig":
@@ -278,14 +268,8 @@ def _sum_rows(inv: np.ndarray, grads: np.ndarray, out: np.ndarray, at: np.ndarra
 
 
 def _batch_loss_and_grads(
-    bu: np.ndarray,
-    bi: np.ndarray,
-    table: EmbeddingTable,
-    propagator: GraphPropagator | None,
-    work: Workspace,
-    split: DatasetSplit,
-    cfg: TrainConfig,
-    neg_rng: np.random.Generator,
+    bu: np.ndarray, bi: np.ndarray, table: EmbeddingTable, propagator: GraphPropagator | None,
+    work: Workspace, split: DatasetSplit, cfg: TrainConfig, neg_rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss of the batch of positive pairs (bu[k], bi[k]) and its gradients
     w.r.t. the stacked base parameter rows.

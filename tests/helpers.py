@@ -190,35 +190,42 @@ def naive_direct_au_loss(u_reps, i_reps, gamma):
 
 def naive_key_pairs(path, delimiter):
     """Reference interaction parser: (user key, item key) of every line, in
-    file order, from a generator; MalformedLine and EmptyInput as the
-    library raises them."""
+    file order, from a generator; MalformedLine, EmptyInput and DataError
+    (not UTF-8) as the library raises them."""
     path = Path(path)
     found = False
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.removeprefix("\ufeff") if lineno == 1 else line
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(delimiter)
-            if len(fields) < 2:
-                raise MalformedLine(str(path), lineno, f"expected >=2 fields, got {len(fields)}")
-            user_key, item_key = fields[0].strip(), fields[1].strip()
-            if not user_key or not item_key:
-                raise MalformedLine(str(path), lineno, "empty user or item field")
-            found = True
-            yield user_key, item_key
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.removeprefix("\ufeff") if lineno == 1 else line
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split(delimiter)
+                if len(fields) < 2:
+                    detail = f"expected >=2 fields, got {len(fields)}"
+                    raise MalformedLine(str(path), lineno, detail)
+                user_key, item_key = fields[0].strip(), fields[1].strip()
+                if not user_key or not item_key:
+                    raise MalformedLine(str(path), lineno, "empty user or item field")
+                found = True
+                yield user_key, item_key
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     if not found:
         raise EmptyInput(f"no interactions in {path}")
 
 
 def naive_load_interactions(path, delimiter="\t"):
-    """Reference key lists: naive_key_pairs unzipped."""
-    user_keys, item_keys = [], []
+    """Reference interned columns, as load_interactions returns them: each
+    line's user and item code, and the distinct keys by code, numbered in
+    order of first appearance by a dict."""
+    users, items, user_ids, item_ids = [], [], {}, {}
     for u, i in naive_key_pairs(path, delimiter):
-        user_keys.append(u)
-        item_keys.append(i)
-    return user_keys, item_keys
+        users.append(user_ids.setdefault(u, len(user_ids)))
+        items.append(item_ids.setdefault(i, len(item_ids)))
+    users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    return users, items, list(user_ids), list(item_ids)
 
 
 def naive_read_id_pairs(path, delimiter="\t", n_users=None, n_items=None):

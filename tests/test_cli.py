@@ -145,8 +145,8 @@ class TestPreprocessCommand:
                 raise OSError("disk full")
 
         @contextmanager
-        def open_failing(path, newline=None):
-            with real(path, newline) as fh:
+        def open_failing(path, newline=None, binary=False):
+            with real(path, newline, binary) as fh:
                 yield FailsPartway(fh)
 
         inp.write_text("".join(f"v{u}\tj{i}\n" for u in range(5) for i in range(7)))
@@ -999,7 +999,10 @@ assert main(["probe", "--embeddings", "run/embeddings.npz", "--interactions", "c
     def test_preprocess_loads_no_numpy_random(self, tmp_path):
         if _modules_after(tmp_path, "import numpy", "numpy.random"):
             pytest.skip("this numpy loads numpy.random with numpy itself")
-        (tmp_path / "raw.txt").write_text("".join(f"u{u}\ti{u % 7}\n" for u in range(40)))
+        # keys wider than one 8-byte word, interned in numpy as rows of words
+        (tmp_path / "raw.txt").write_text(
+            "".join(f"user-{u:05d}\titem-{u % 7:05d}\n" for u in range(40))
+        )
         script = """
 from directau.cli import main
 assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt", "--k-core", "1"]) == 0
@@ -1011,7 +1014,10 @@ assert main(["preprocess", "--input", "raw.txt", "--output", "clean.txt", "--k-c
         if _modules_after(tmp_path, "import numpy", "numpy.ma."):
             pytest.skip("this numpy loads numpy.ma with numpy itself")
         raw = tmp_path / "raw.txt"
-        raw.write_text("".join(f"u{u}\ti{(u + t) % 40}\n" for u in range(60) for t in range(10)))
+        # keys wider than one 8-byte word, interned in numpy as rows of words
+        raw.write_text("".join(
+            f"user-{u:05d}\titem-{(u + t) % 40:05d}\n" for u in range(60) for t in range(10)
+        ))
         write_config(tmp_path, BASE_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
         script = """
 from directau.cli import main

@@ -21,7 +21,6 @@ from directau import data as data_mod
 from directau.data import (
     UserIndex,
     Workspace,
-    _distinct_count,
     read_id_pairs,
     write_id_map,
     write_interactions,
@@ -45,9 +44,21 @@ from helpers import (
 )
 
 
+def interned(user_keys, item_keys):
+    """Aligned key lists in the form load_interactions returns and
+    preprocess takes, interned by the line reader's `_intern`."""
+    (users, user_keys), (items, item_keys) = map(data_mod._intern, (user_keys, item_keys))
+    return users, items, user_keys, item_keys
+
+
 def keys(*pairs):
-    """The user keys and the item keys of (user, item) pairs."""
-    return [u for u, _ in pairs], [i for _, i in pairs]
+    """preprocess's arguments for the (user, item) pairs."""
+    return interned([u for u, _ in pairs], [i for _, i in pairs])
+
+
+def key_lists(users, items, user_keys, item_keys):
+    """Each line's user key and item key, from interned columns."""
+    return [user_keys[c] for c in users.tolist()], [item_keys[c] for c in items.tolist()]
 
 
 def same_index(a, b):
@@ -65,12 +76,12 @@ class TestLoadInteractions:
     def test_basic_tab_parse(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("u1\ti1\nu1\ti2\n")
-        assert load_interactions(p) == (["u1", "u1"], ["i1", "i2"])
+        assert key_lists(*load_interactions(p)) == (["u1", "u1"], ["i1", "i2"])
 
     def test_duplicates_survive_parsing(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("u1\ti1\nu1\ti1\n")
-        assert load_interactions(p) == (["u1", "u1"], ["i1", "i1"])
+        assert key_lists(*load_interactions(p)) == (["u1", "u1"], ["i1", "i1"])
 
     def test_empty_file_raises(self, tmp_path):
         p = tmp_path / "a.txt"
@@ -81,7 +92,7 @@ class TestLoadInteractions:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("# header\n\nu1\ti1\n   \nu2\ti2\n")
-        assert load_interactions(p) == (["u1", "u2"], ["i1", "i2"])
+        assert key_lists(*load_interactions(p)) == (["u1", "u2"], ["i1", "i2"])
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "a.txt"
@@ -94,7 +105,7 @@ class TestLoadInteractions:
         p = tmp_path / "a.csv"
         p.write_text("u1,i1,5.0,1234\nu2,i2,3.0,5678\n")
         # columns past the second are ignored
-        assert load_interactions(p, delimiter=",") == (["u1", "u2"], ["i1", "i2"])
+        assert key_lists(*load_interactions(p, delimiter=",")) == (["u1", "u2"], ["i1", "i2"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -104,9 +115,9 @@ class TestLoadInteractions:
         p = tmp_path / "a.txt"
         bom = b"\xef\xbb\xbf"
         p.write_bytes(bom + b"u1\ti1\n" + bom + b"u2\ti2\n")
-        assert load_interactions(p) == (["u1", "\ufeffu2"], ["i1", "i2"])
+        assert key_lists(*load_interactions(p)) == (["u1", "\ufeffu2"], ["i1", "i2"])
         p.write_bytes(bom + bom + b"u1\ti1\n")
-        assert load_interactions(p) == (["\ufeffu1"], ["i1"])
+        assert key_lists(*load_interactions(p)) == (["\ufeffu1"], ["i1"])
 
 
 def brute_force_k_core(pairs, k):
@@ -180,8 +191,7 @@ class TestPreprocess:
         pairs = [(f"u{rng.integers(0, 8)}", f"i{rng.integers(0, 8)}") for _ in range(80)]
         once, _, _ = preprocess(*keys(*pairs), k_core=3)
         again, _, _ = preprocess(
-            [str(u) for u in once.users.tolist()],
-            [str(i) for i in once.items.tolist()],
+            *interned([str(u) for u in once.users.tolist()], [str(i) for i in once.items.tolist()]),
             k_core=3,
         )
         assert np.array_equal(once.users, again.users)
@@ -203,12 +213,6 @@ class TestPreprocess:
         with pytest.raises(DataError, match=f"some {side} IDs"):
             data.validate()
 
-    def test_distinct_count_matches_unique(self):
-        rng = np.random.default_rng(3)
-        for size in [0, 1, 2, 5, 40, 300]:
-            values = rng.integers(0, max(1, size // 3), size)
-            assert _distinct_count(values) == np.unique(values).size
-
 
 def k_core_rounds(pairs, k):
     """Removal rounds the k-core fixpoint of the deduplicated pairs takes."""
@@ -227,9 +231,8 @@ class TestPreprocessMatchesNaive:
 
     @staticmethod
     def check(pairs, k_core):
-        user_keys, item_keys = keys(*pairs)
-        want, want_users, want_items = naive_preprocess(user_keys, item_keys, k_core=k_core)
-        got, got_users, got_items = preprocess(user_keys, item_keys, k_core=k_core)
+        want, want_users, want_items = naive_preprocess(*zip(*pairs), k_core=k_core)
+        got, got_users, got_items = preprocess(*keys(*pairs), k_core=k_core)
         assert np.array_equal(got.users, want.users)
         assert np.array_equal(got.items, want.items)
         assert got_users == want_users
@@ -284,13 +287,13 @@ class TestPreprocessMatchesNaive:
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
-            preprocess([], [])
+            preprocess([], [], [], [])
         with pytest.raises(EmptyAfterFiltering):
             preprocess(*keys(("u1", "i1"), ("u1", "i2"), ("u2", "i1")), k_core=2)
         with pytest.raises(ValueError):
-            preprocess(["u1"], ["i1"], k_core=0)
+            preprocess(*keys(("u1", "i1")), k_core=0)
         with pytest.raises(ValueError):
-            preprocess(["u1", "u2"], ["i1"])
+            preprocess([0, 1], [0], ["u1", "u2"], ["i1"])
 
 
 class TestSplit:
@@ -634,11 +637,19 @@ class TestSerialization:
 
 
 def outcome(fn, *args):
-    """What `fn(*args)` returns, or the type and line number it raises."""
+    """What `fn(*args)` returns, with the arrays of a returned tuple as
+    lists, or the type and line number it raises."""
     try:
-        return fn(*args)
+        got = fn(*args)
     except Exception as exc:  # the oracle's exception is the expectation
         return type(exc), getattr(exc, "lineno", None)
+    if isinstance(got, tuple):
+        return tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in got)
+    return got
+
+
+def refuse(*args):
+    raise AssertionError("the line reader was called")
 
 
 def same_interactions(a, b):
@@ -665,11 +676,14 @@ def generated_log(tmp_path_factory):
 class TestReadersMatchNaiveOracles:
     """The one-loop readers parse every file as the two-pass ones did."""
 
-    def test_generated_log(self, generated_log, tmp_path):
-        keys = load_interactions(generated_log)
-        assert keys == naive_load_interactions(generated_log)
+    def test_generated_log(self, generated_log, tmp_path, monkeypatch):
+        want = outcome(naive_load_interactions, generated_log)
+        # the generated log is plain, so the line reader's interning never runs
+        with monkeypatch.context() as patched:
+            patched.setattr(data_mod, "_intern", refuse)
+            assert outcome(load_interactions, generated_log) == want
         clean = tmp_path / "clean.txt"
-        write_interactions(preprocess(*keys)[0], clean)
+        write_interactions(preprocess(*load_interactions(generated_log))[0], clean)
         assert same_interactions(read_id_pairs(clean), naive_read_id_pairs(clean))
 
     @pytest.mark.parametrize("text", [
@@ -683,12 +697,60 @@ class TestReadersMatchNaiveOracles:
         "u1\ti1\n#\n \tx\n",
         "",
         "# nothing\n\n  \n",
+        # the edges of the plain form, which is split and interned in numpy
+        "\ufeffu1\ti1\nu2\ti2\n",
+        "\ufeff\ufeffu1\ti1\nu2\ti2\n",
+        "u1\ti1\nu2\ti1\nu1\ti2",
+        "u1\ti1\n\nu2\ti2\n",
+        "u1\ti1\n# note\nu2\ti2\n",
+        "u1\ti1\n#u2\ti2\n",
+        "u#1\ti1\nu2\ti#2\n",
+        "u1\ti1\r\nu2\ti2\n",
+        "u1\ti1\ru2\ti2\n",
+        "u1\ri1\nu2\ri2\n",
+        "u 1\ti1\nu2\t i2\n",
+        " u1\ti1\nu2\ti2 \n",
+        "u1\ti1\t\nu2\ti2\t\n",
+        "u1\ti1\t5\nu2\ti2\tx\ty\n",
+        "u1\ti1\nu2\n",
+        "u1\ti1\n\ti2\n",
+        "u1\t\ti1\n",
+        "u1,i1\nu2,i\t2\n",
+        "u1\ti1\nu\x002\ti2\n",
+        "u1\ti1\nu2\t\u00ef2\n",
+        b"u1\ti1\nu2\t\xff\n",
+        b"u1\ti1\n\xef\xbb\n",
+        "a\tb\n12345678\t123456789\n1234567890123456\t12345678901234567\n"
+        "12345678\tb\na\t123456789\n12345678901234567\t1234567890123456\n",
+        "a\tx\na\x00\tx\na\tx\x00\na\x00\tx\x00\n",
+        "abcdefgh\tx\nabcdefgh\x00\tx\n",
     ])
     def test_line_forms(self, tmp_path, text):
         p = tmp_path / "a.txt"
-        p.write_bytes(text.encode())
-        assert outcome(load_interactions, p) == outcome(naive_load_interactions, p)
-        assert outcome(load_interactions, p, ",") == outcome(naive_load_interactions, p, ",")
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        for delimiter in ("\t", ",", "\r"):
+            got = outcome(load_interactions, p, delimiter)
+            assert got == outcome(naive_load_interactions, p, delimiter)
+
+    def test_wide_keys_take_the_numpy_path(self, tmp_path, monkeypatch):
+        # shaped like the Amazon Beauty ratings file: comma-separated 14-byte
+        # user and 10-byte item IDs, then a rating and a timestamp
+        rng = np.random.default_rng(4)
+        alphabet = np.array(list("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+        users = ["A" + "".join(rng.choice(alphabet, 13)) for _ in range(300)]
+        items = ["B" + "".join(rng.choice(alphabet, 9)) for _ in range(200)]
+        rows = zip(
+            rng.integers(0, 300, 3000).tolist(),
+            (rng.zipf(1.5, 3000).clip(max=200) - 1).tolist(),
+            rng.integers(1, 6, 3000).tolist(),
+            rng.integers(10**9, 2 * 10**9, 3000).tolist(),
+        )
+        p = tmp_path / "ratings.csv"
+        p.write_text("".join(f"{users[u]},{items[i]},{r}.0,{t}\n" for u, i, r, t in rows))
+        want = outcome(naive_load_interactions, p, ",")
+        monkeypatch.setattr(data_mod, "_intern", refuse)
+        assert outcome(load_interactions, p, ",") == want
+        assert len(want[2]) > 250 and len(want[3]) > 50
 
     @pytest.mark.parametrize("text", [
         "+4\t 5\n1_0\t7\n٣\t+0\n",
@@ -714,6 +776,7 @@ class TestReadersMatchNaiveOracles:
         "0\t1\t2\n",
         "\ufeff0\t1\n",
         "\n",
+        "0,1\n2,3\n",
     ])
     def test_integer_ids(self, tmp_path, text):
         p = tmp_path / "ids.txt"
@@ -772,10 +835,6 @@ class TestReadersMatchNaiveOracles:
         canonical.write_bytes(b"0\t0\n1\t2\n")
         other.write_bytes(b"0\t0\r\n1\t2\r\n")
         want = naive_read_id_pairs(canonical)
-
-        def refuse(*args):
-            raise AssertionError("the line reader was called")
-
         monkeypatch.setattr(data_mod, "load_interactions", refuse)
         assert same_interactions(read_id_pairs(canonical), want)
         with pytest.raises(AssertionError, match="line reader"):
