@@ -24,8 +24,9 @@ import numpy as np
 from .errors import DataError, EmptyAfterFiltering, EmptyInput, MalformedLine
 from .rng import substream
 
-# bytes of one work block: user x item scores or a gram row block in
-# evaluation, the membership marks of UserIndex.contains
+# bytes of one work block: rank_eval's user x item scores, a gram row block
+# of the uniformity and a block of alignment differences in geometry_report,
+# and the membership marks of UserIndex.contains
 BLOCK_BUDGET = 8 << 20
 # share of each user's pairs that split() holds out for validation, and again for test
 HELD_OUT_SHARE = 0.1
@@ -54,17 +55,14 @@ class Workspace:
 
 @dataclass
 class InteractionSet:
-    """Deduplicated (user, item) pairs over contiguous integer IDs.
-
-    `user_pop[u]` / `item_pop[i]` count the interactions touching u / i.
-    """
+    """Deduplicated (user, item) pairs over integer IDs in [0, n_users) and
+    [0, n_items). A user's or item's popularity is its count in `users` or
+    `items`."""
 
     n_users: int
     n_items: int
     users: np.ndarray
     items: np.ndarray
-    user_pop: np.ndarray
-    item_pop: np.ndarray
 
     @classmethod
     def from_pairs(
@@ -89,23 +87,14 @@ class InteractionSet:
         key = np.sort(users * n_items + items)
         if (key[1:] == key[:-1]).any():
             raise DataError("duplicate (user, item) pairs")
-        return cls(
-            n_users=n_users,
-            n_items=n_items,
-            users=users,
-            items=items,
-            user_pop=np.bincount(users, minlength=n_users),
-            item_pop=np.bincount(items, minlength=n_items),
-        )
+        return cls(n_users, n_items, users, items)
 
     @property
     def n_pairs(self) -> int:
         return int(self.users.size)
 
     def validate(self) -> None:
-        """Check the full invariants (every ID used, popularity sums)."""
-        if not self.user_pop.sum() == self.n_pairs == self.item_pop.sum():
-            raise DataError("popularity counts do not sum to the number of pairs")
+        """Check that every ID in [0, n_users) and [0, n_items) is used."""
         if np.count_nonzero(np.bincount(self.users)) != self.n_users:
             raise DataError("some user IDs in [0, n_users) never appear")
         if np.count_nonzero(np.bincount(self.items)) != self.n_items:
@@ -380,15 +369,14 @@ def split(data: InteractionSet, seed: int = 0) -> DatasetSplit:
 
 
 @contextmanager
-def open_atomic(path: str | Path, newline: str | None = None, binary: bool = False) -> Iterator[IO]:
-    """Write UTF-8 text, or bytes when `binary`, to a temporary file beside
-    `path` that replaces `path` (os.replace) when the block exits cleanly;
-    if the block raises, the temporary file is removed and `path` keeps its
-    previous content."""
+def open_atomic(path: str | Path) -> Iterator[IO[bytes]]:
+    """Write bytes to a temporary file beside `path` that replaces `path`
+    (os.replace) when the block exits cleanly; if the block raises, the
+    temporary file is removed and `path` keeps its previous content."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline=newline) as fh:
+        with tmp.open("wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -423,15 +411,16 @@ def write_interactions(data: InteractionSet, path: str | Path) -> None:
         # the k-th digit from the right of every field longer than k
         live = np.flatnonzero(widths > k)
         text[ends[live] - 1 - k] = values[live] // 10**k % 10 + ord("0")
-    with open_atomic(path, binary=True) as fh:
+    with open_atomic(path) as fh:
         fh.write(text.tobytes())
 
 
 def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -> None:
-    """Two-column sidecar: original key, remapped contiguous ID, replacing
-    the file at `path` whole."""
+    """Two-column UTF-8 sidecar: original key, remapped contiguous ID, one
+    LF-ended line each, replacing the file at `path` whole."""
+    text = "".join(f"{key}{delimiter}{new_id}\n" for new_id, key in enumerate(keys))
     with open_atomic(path) as fh:
-        fh.write("".join(f"{key}{delimiter}{new_id}\n" for new_id, key in enumerate(keys)))
+        fh.write(text.encode())
 
 
 def read_id_pairs(

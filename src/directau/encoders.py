@@ -234,7 +234,7 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     written through an explicit `zipfile.ZipInfo`, whose timestamp is the
     fixed default, so equal tables give byte-identical files. The file at
     `path` is replaced whole when the dump is complete."""
-    with open_atomic(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as archive:
+    with open_atomic(path) as fh, zipfile.ZipFile(fh, "w") as archive:
         for name, part in zip(DUMP_MEMBERS, (table.user_emb, table.item_emb)):
             with archive.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, part, allow_pickle=False)

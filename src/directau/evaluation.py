@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_BUDGET as _SCORE_BUDGET
-from .data import DatasetSplit, InteractionSet
+from .data import BLOCK_BUDGET, DatasetSplit, InteractionSet
 from .encoders import EmbeddingTable, normalize_rows
 from .errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from .losses import UNIFORMITY_SCALE
@@ -55,7 +54,7 @@ def rank_eval(
     Users without target items are skipped. NDCG uses binary gains,
     discount 1/log2(rank + 1), and IDCG truncated at min(K, |targets|).
     Each target's 0-based rank is counted in score blocks of at most
-    _SCORE_BUDGET bytes: the items scoring higher, plus those scoring equal
+    BLOCK_BUDGET bytes: the items scoring higher, plus those scoring equal
     with a lower item ID. A masked (training) target is never a hit.
     """
     if target not in ("validation", "test"):
@@ -78,7 +77,7 @@ def rank_eval(
     discounts = 1.0 / np.log2(np.arange(1, kmax + 1) + 1.0)
     idcg_prefix = np.concatenate([[0.0], np.cumsum(discounts)])
 
-    n_rows = min(max(1, _SCORE_BUDGET // (8 * n_items)), eval_users.size)
+    n_rows = min(max(1, BLOCK_BUDGET // (8 * n_items)), eval_users.size)
     chunk = max(1, n_rows // 8)  # target score rows gathered at a time
     score_buf = np.empty((n_rows, n_items))
     item_ids = np.arange(n_items)
@@ -120,7 +119,7 @@ def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> f
     adds sum_a p(a)(p(a) - 1) for same-entity distinct interactions (the
     exact diagonal correction, computed in integers so no cancellation),
     and normalizes by |R| (|R| - 1). The potential is symmetric, so row
-    block [start, stop) of at most _SCORE_BUDGET bytes takes the gram only
+    block [start, stop) of at most BLOCK_BUDGET bytes takes the gram only
     against columns start: (an upper-triangle strip): its diagonal square,
     diagonal zeroed, counts once and the rest of the strip twice, about
     half the full gram's work. Scaling the block's rows by the power of two
@@ -129,7 +128,7 @@ def _weighted_potential_mean(xn: np.ndarray, pop: np.ndarray, n_pairs: int) -> f
     """
     p = pop.astype(np.float64)
     n = xn.shape[0]
-    n_rows = max(1, _SCORE_BUDGET // (8 * n))
+    n_rows = max(1, BLOCK_BUDGET // (8 * n))
     gram_buf = np.empty(min(n_rows, n) * n)
     off_diag = 0.0
     for start in range(0, n, n_rows):
@@ -152,22 +151,23 @@ def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> Geom
 
     Uniformity is the log Gaussian-potential mean per side (and their
     mean), equal to the O(|R|^2) mean over ordered pairs of distinct
-    interactions through the popularity-weighted form. Alignment is the
-    mean squared distance over all pairs in R, whose differences are taken
-    in row blocks of at most _SCORE_BUDGET bytes; each pair's squared
-    distance is one row sum, so the blocks do not change it, and the mean
-    runs once over all of them.
+    interactions through the popularity-weighted form, each side's
+    popularity counted from the pairs. Alignment is the mean squared
+    distance over all pairs in R, whose differences are taken in row blocks
+    of at most BLOCK_BUDGET bytes; each pair's squared distance is one row
+    sum, so the blocks do not change it, and the mean runs once over all of
+    them.
     """
     if interactions.n_pairs < 2:
         raise InsufficientData("uniformity needs at least two interactions")
     un = normalize_rows(table.user_emb)
     im = normalize_rows(table.item_emb)
-    lu = _weighted_potential_mean(un, interactions.user_pop, interactions.n_pairs)
-    li = _weighted_potential_mean(im, interactions.item_pop, interactions.n_pairs)
+    users, items, n = interactions.users, interactions.items, interactions.n_pairs
+    lu = _weighted_potential_mean(un, np.bincount(users, minlength=interactions.n_users), n)
+    li = _weighted_potential_mean(im, np.bincount(items, minlength=interactions.n_items), n)
 
-    users, items = interactions.users, interactions.items
     per_pair = np.empty(users.size)
-    n_rows = max(1, _SCORE_BUDGET // (8 * table.d))
+    n_rows = max(1, BLOCK_BUDGET // (8 * table.d))
     for start in range(0, users.size, n_rows):
         block = slice(start, start + n_rows)
         diff = un[users[block]]

@@ -62,10 +62,8 @@ def _chain(grad_xn: np.ndarray, xn: np.ndarray, norms: np.ndarray) -> np.ndarray
 def _unit_pairs(u_reps: np.ndarray, i_reps: np.ndarray) -> tuple[np.ndarray, ...]:
     """(xn, xnorm, yn, ynorm): both sides of a paired batch as unit rows and
     norms, checked to align."""
-    u_reps = np.atleast_2d(u_reps)
-    i_reps = np.atleast_2d(i_reps)
-    if u_reps.shape != i_reps.shape:
-        raise ValueError("paired batches must have identical shapes")
+    if u_reps.ndim != 2 or u_reps.shape != i_reps.shape:
+        raise ValueError("paired batches must be 2-D with identical shapes")
     if u_reps.shape[0] < 1:
         raise ValueError("alignment needs at least one pair")
     return *_unit_rows(u_reps), *_unit_rows(i_reps)
@@ -135,12 +133,9 @@ def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> Loss
 
 def bpr_loss(u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray) -> LossOutput:
     """Pairwise ranking loss: mean of -log sigmoid(s(u,i) - s(u,i-)) with
-    raw dot-product scores s."""
-    u_reps = np.atleast_2d(u_reps)
-    i_pos_reps = np.atleast_2d(i_pos_reps)
-    i_neg_reps = np.atleast_2d(i_neg_reps)
-    if not (u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
-        raise ValueError("user, positive, and negative batches must align")
+    raw dot-product scores s, over 2-D batches of one shape."""
+    if not (u_reps.ndim == 2 and u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
+        raise ValueError("user, positive, and negative batches must be 2-D and align")
     n = u_reps.shape[0]
     delta = np.sum(u_reps * (i_pos_reps - i_neg_reps), axis=1)
     value = float(np.mean(softplus(-delta)))

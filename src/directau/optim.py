@@ -60,27 +60,24 @@ def adam_step(
 ) -> np.ndarray:
     """Apply one Adam update to the given rows of `params`, in place.
 
-    `rows` must be unique and in [0, len(params)) (accumulate duplicate-row
-    gradients before calling); rows not listed are untouched, including
-    their moments. Strictly ascending rows (as `np.unique` returns them) are
-    known unique from one pass; other orders are checked by sorting.
-    When `rows` is every row in order, the update runs on views of the
-    arrays, with its temporaries in the state's workspace; otherwise the
-    rows are gathered into the workspace, updated there and written back
-    once.
+    `rows` must be strictly ascending, as `np.unique` returns them
+    (accumulate duplicate-row gradients before calling), and in
+    [0, len(params)); any other `rows` is a ValueError that writes nothing.
+    Rows not listed are untouched, including their moments. When `rows` is
+    every row, the update runs on views of the arrays, with its
+    temporaries in the state's workspace; otherwise the rows are gathered
+    into the workspace, updated there and written back once.
     """
     rows = np.asarray(rows, dtype=np.int64)
     grads = np.asarray(grads, dtype=np.float64)
     if rows.size == 0:
         return params
-    ascending = bool(np.all(rows[1:] > rows[:-1]))
-    ordered = rows if ascending else np.unique(rows)
-    if ordered.size != rows.size:
-        raise ValueError("duplicate rows in one adam_step call; pre-accumulate instead")
-    if ordered[0] < 0 or ordered[-1] >= len(params):
+    if not np.all(rows[1:] > rows[:-1]):
+        raise ValueError("rows must be strictly ascending, as np.unique returns them")
+    if rows[0] < 0 or rows[-1] >= len(params):
         raise ValueError(f"rows must lie in [0, {len(params)})")
     # strictly ascending, in bounds and len(params) of them: every row in order
-    every_row = ascending and rows.size == len(params)
+    every_row = rows.size == len(params)
     if not np.all(np.isfinite(grads)):
         raise DivergedGradient("non-finite gradient entries")
 

@@ -313,15 +313,13 @@ def _batch_loss_and_grads(
 
 
 def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:
-    """Write the per-epoch trace as CSV at 9 significant digits, replacing
-    the file at `path` whole."""
-    with open_atomic(path, newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for t in traces:
-            vals = [str(t.epoch)] + [
-                f"{getattr(t, col):.9g}" for col in TRACE_COLUMNS[1:]
-            ]
-            fh.write(",".join(vals) + "\n")
+    """Write the per-epoch trace as UTF-8 CSV with LF line ends at 9
+    significant digits, replacing the file at `path` whole."""
+    lines = [TRACE_COLUMNS] + [
+        [str(t.epoch)] + [f"{getattr(t, col):.9g}" for col in TRACE_COLUMNS[1:]] for t in traces
+    ]
+    with open_atomic(path) as fh:
+        fh.write("".join(",".join(vals) + "\n" for vals in lines).encode())
 
 
 def save_checkpoint(
@@ -337,9 +335,9 @@ def save_checkpoint(
     dump = out_dir / "embeddings.npz"
     write_embeddings(table, dump)
     emit_trace(traces, out_dir / "trace.csv")
+    text = json.dumps({**record, "embeddings_sha256": file_sha256(dump)}, indent=2) + "\n"
     with open_atomic(out_dir / "manifest.json") as fh:
-        json.dump({**record, "embeddings_sha256": file_sha256(dump)}, fh, indent=2)
-        fh.write("\n")
+        fh.write(text.encode())
 
 
 def split_key_value(text: str, where: str) -> tuple[str, str]:

@@ -17,8 +17,7 @@ from directau import (
     direct_au_loss,
     sample_negatives,
 )
-from directau.data import BLOCK_BUDGET as _SCORE_BUDGET
-from directau.data import DatasetSplit, UserIndex
+from directau.data import BLOCK_BUDGET, DatasetSplit, UserIndex
 from directau.encoders import _unit_rows, normalize_rows
 from directau.errors import (
     ConfigError,
@@ -52,9 +51,9 @@ def scipy_adjacency(interactions):
     n = interactions.n_users + interactions.n_items
     u = interactions.users
     i = interactions.items + interactions.n_users
-    w = 1.0 / np.sqrt(
-        interactions.user_pop[interactions.users] * interactions.item_pop[interactions.items]
-    )
+    user_pop = np.bincount(interactions.users, minlength=interactions.n_users)
+    item_pop = np.bincount(interactions.items, minlength=interactions.n_items)
+    w = 1.0 / np.sqrt(user_pop[interactions.users] * item_pop[interactions.items])
     rows = np.concatenate([u, i])
     cols = np.concatenate([i, u])
     return sp.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
@@ -132,11 +131,9 @@ def uniform_loss(reps):
 
 
 def naive_align_loss(u_reps, i_reps):
-    """Reference alignment: normalizes both sides itself."""
-    u_reps = np.atleast_2d(u_reps)
-    i_reps = np.atleast_2d(i_reps)
-    if u_reps.shape != i_reps.shape:
-        raise ValueError("paired batches must have identical shapes")
+    """Reference alignment over 2-D batches: normalizes both sides itself."""
+    if u_reps.ndim != 2 or u_reps.shape != i_reps.shape:
+        raise ValueError("paired batches must be 2-D with identical shapes")
     n = u_reps.shape[0]
     if n < 1:
         raise ValueError("alignment needs at least one pair")
@@ -525,11 +522,11 @@ def blocked_potential_mean(xn, pop, n_pairs):
     adds sum_a p(a)(p(a) - 1) for same-entity distinct interactions (the
     exact diagonal correction, computed in integers so no cancellation),
     and normalizes by |R| (|R| - 1). Gram row blocks of at most
-    _SCORE_BUDGET bytes set the summation grouping.
+    BLOCK_BUDGET bytes set the summation grouping.
     """
     p = pop.astype(np.float64)
     n = xn.shape[0]
-    n_rows = max(1, _SCORE_BUDGET // (8 * n))
+    n_rows = max(1, BLOCK_BUDGET // (8 * n))
     gram_buf = np.empty((min(n_rows, n), n))
     off_diag = 0.0
     for start in range(0, n, n_rows):

@@ -140,13 +140,13 @@ class TestPreprocessCommand:
             def __init__(self, fh):
                 self.fh = fh
 
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2 + 1])
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2 + 1])
                 raise OSError("disk full")
 
         @contextmanager
-        def open_failing(path, newline=None, binary=False):
-            with real(path, newline, binary) as fh:
+        def open_failing(path):
+            with real(path) as fh:
                 yield FailsPartway(fh)
 
         inp.write_text("".join(f"v{u}\tj{i}\n" for u in range(5) for i in range(7)))
@@ -668,6 +668,18 @@ class TestProbeCommand:
         inter.write_text("0\t0\n5\t1\n")
         rc = main(["probe", "--embeddings", str(emb), "--interactions", str(inter)])
         assert rc == 3
+
+    def test_comma_copy_reports_like_the_tab_file(self, trained, data_file, tmp_path, capsys):
+        probe = ["probe", "--embeddings", str(trained / "embeddings.npz"), "--interactions"]
+        comma = tmp_path / "interactions.csv"
+        comma.write_bytes(data_file.read_bytes().replace(b"\t", b","))
+        assert main([*probe, str(data_file)]) == 0
+        tab_report = capsys.readouterr().out
+        assert main([*probe, str(comma), "--delimiter", "comma"]) == 0
+        assert capsys.readouterr().out == tab_report
+        # read as tab-separated, each line is one field
+        assert main([*probe, str(comma)]) == 3
+        assert "expected >=2 fields" in capsys.readouterr().err
 
 
 def _malformed_dump(case, path):

@@ -177,7 +177,8 @@ class TestPreprocess:
         rng = np.random.default_rng(5)
         pairs = list({(f"u{rng.integers(0, 12)}", f"i{rng.integers(0, 12)}") for _ in range(120)})
         out, _, _ = preprocess(*keys(*pairs), k_core=3)
-        assert out.user_pop.min() >= 3 and out.item_pop.min() >= 3
+        assert np.bincount(out.users, minlength=out.n_users).min() >= 3
+        assert np.bincount(out.items, minlength=out.n_items).min() >= 3
 
     def test_dedup_keeps_first_and_first_seen_ids(self):
         pairs = [("b", "y"), ("a", "x"), ("b", "y"), ("a", "y"), ("b", "x"), ("a", "x")]
@@ -198,11 +199,10 @@ class TestPreprocess:
         assert np.array_equal(once.items, again.items)
         assert (once.n_users, once.n_items) == (again.n_users, again.n_items)
 
-    def test_validate_rejects_inconsistent_popularity(self):
-        data = InteractionSet.from_pairs([0, 1], [1, 0])
-        data.user_pop = np.array([2, 1])
-        with pytest.raises(DataError, match="popularity"):
-            data.validate()
+    def test_interaction_set_holds_only_the_pairs(self):
+        # popularity is counted from the pairs where it is read, not stored
+        names = [f.name for f in fields(InteractionSet)]
+        assert names == ["n_users", "n_items", "users", "items"]
 
     @pytest.mark.parametrize("side", ["user", "item"])
     def test_validate_rejects_an_unused_id(self, side):
@@ -345,7 +345,7 @@ class TestSplit:
             n_val = sum(1 for p in va if p[0] == u)
             n_test = sum(1 for p in te if p[0] == u)
             assert n_val == c // 10 and n_test == c // 10
-        assert ds.train.user_pop.min() >= 1
+        assert np.bincount(ds.train.users, minlength=ds.train.n_users).min() >= 1
 
     def test_shares_for_every_count_up_to_1000(self):
         # user u has p = u + 1 pairs
@@ -388,8 +388,8 @@ class TestSplit:
             assert same_index(getattr(got, part), getattr(want, part))
         # the split left its substream where the per-user permutations did
         reference = substream(seed, "split")
-        for u in range(data.n_users):
-            reference.permutation(int(data.user_pop[u]))
+        for count in np.bincount(data.users, minlength=data.n_users).tolist():
+            reference.permutation(count)
         assert streams[0].integers(2**62, size=4).tolist() == reference.integers(2**62, size=4).tolist()
 
 
@@ -604,8 +604,8 @@ class TestSerialization:
         edges = [v for v in edges if len(str(v)) <= widest]
         users = np.array(edges, dtype=np.int64)
         items = users[::-1].copy()
-        # pairs this wide fit no popularity count, so only the ID columns are set
-        data = InteractionSet(0, 0, users, items, np.zeros(0), np.zeros(0))
+        # IDs this wide overflow from_pairs' pair keys, so the set is built directly
+        data = InteractionSet(0, 0, users, items)
         got, want = tmp_path / "clean.txt", tmp_path / "want.txt"
         write_interactions(data, got)
         naive_write_interactions(data, want)
@@ -655,7 +655,7 @@ def refuse(*args):
 def same_interactions(a, b):
     return (a.n_users, a.n_items) == (b.n_users, b.n_items) and all(
         np.array_equal(getattr(a, f), getattr(b, f))
-        for f in ("users", "items", "user_pop", "item_pop")
+        for f in ("users", "items")
     )
 
 

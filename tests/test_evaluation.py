@@ -200,7 +200,7 @@ class TestRankEvalMatchesOracle:
         ds = self.random_split(rng, 300, 25, 0.3)
         # targets are ranked in chunks of block_rows // 8 (1 or 3), so one
         # user's targets straddle a chunk boundary
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", block_rows * 25 * 8)
+        monkeypatch.setattr(evaluation, "BLOCK_BUDGET", block_rows * 25 * 8)
         assert rank_eval(self.integer_table(rng, 300, 25), ds).n_users_evaluated > block_rows
         for t in (
             EmbeddingTable.from_parts(rng.standard_normal((300, 6)), rng.standard_normal((25, 6))),
@@ -210,7 +210,7 @@ class TestRankEvalMatchesOracle:
 
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
         budget = 1 << 20
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", budget)
+        monkeypatch.setattr(evaluation, "BLOCK_BUDGET", budget)
         rng = np.random.default_rng(2)
         n_users, n_items = 400, 4000  # the full score table is 12.2x the budget
         ds = self.random_split(rng, n_users, n_items, 0.004)
@@ -291,7 +291,7 @@ class TestMeasureAlignment:
     def test_row_blocks_equal_the_unblocked_expression(self, monkeypatch, block_rows):
         rng = np.random.default_rng(block_rows)
         for d in (1, 5, 33):
-            monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * d * block_rows)
+            monkeypatch.setattr(evaluation, "BLOCK_BUDGET", 8 * d * block_rows)
             data = random_interaction_set(rng, max_users=30, max_items=40, max_pairs=400)
             t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, d)), rng.standard_normal((data.n_items, d))
@@ -300,7 +300,7 @@ class TestMeasureAlignment:
 
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
         budget = 64 << 10
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", budget)
+        monkeypatch.setattr(evaluation, "BLOCK_BUDGET", budget)
         rng = np.random.default_rng(7)
         n_users, n_items, d = 400, 300, 32
         pairs = rng.choice(n_users * n_items, size=30000, replace=False)
@@ -358,7 +358,7 @@ class TestMeasureUniformity:
             data = random_interaction_set(rng, max_users=8, max_items=9, max_pairs=40)
             # budget_rows rows of the wider side's gram per block
             width = max(data.n_users, data.n_items)
-            monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * width * budget_rows)
+            monkeypatch.setattr(evaluation, "BLOCK_BUDGET", 8 * width * budget_rows)
             t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, 3)),
                 rng.standard_normal((data.n_items, 3)),
@@ -370,7 +370,7 @@ class TestMeasureUniformity:
     @pytest.mark.parametrize("n", [1, 2, 7, 11])
     def test_strips_match_the_blocked_oracle(self, monkeypatch, budget_rows, n):
         # 7 and 11 are not multiples of 2 or 5; n = 1 is a side with one entity
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * n * budget_rows)
+        monkeypatch.setattr(evaluation, "BLOCK_BUDGET", 8 * n * budget_rows)
         rng = np.random.default_rng(10 * n + budget_rows)
         for _ in range(10):
             xn = normalize_rows(rng.standard_normal((n, 4)))
@@ -390,7 +390,8 @@ class TestMeasureUniformity:
         )
         rep = geometry_report(t, inter)
         im = normalize_rows(t.item_emb)
-        want = blocked_potential_mean(im, inter.item_pop, inter.n_pairs)
+        item_pop = np.bincount(inter.items, minlength=inter.n_items)
+        want = blocked_potential_mean(im, item_pop, inter.n_pairs)
         assert rep.l_uniform_item == pytest.approx(want, abs=1e-12)
         assert rep.l_uniform_item == pytest.approx(naive_uniformity(t, inter)[1], abs=1e-10)
 
@@ -404,11 +405,11 @@ class TestMeasureUniformity:
         t = EmbeddingTable.from_parts(
             rng.standard_normal((n_users, 32)), rng.standard_normal((n_items, 32))
         )
-        assert n_users * n_users * 8 > evaluation._SCORE_BUDGET
+        assert n_users * n_users * 8 > evaluation.BLOCK_BUDGET
         rep = geometry_report(t, data)
         un, im = normalize_rows(t.user_emb), normalize_rows(t.item_emb)
-        lu = blocked_potential_mean(un, data.user_pop, data.n_pairs)
-        li = blocked_potential_mean(im, data.item_pop, data.n_pairs)
+        lu = blocked_potential_mean(un, np.bincount(data.users, minlength=n_users), data.n_pairs)
+        li = blocked_potential_mean(im, np.bincount(data.items, minlength=n_items), data.n_pairs)
         assert rep.l_uniform_user == pytest.approx(lu, abs=1e-12)
         assert rep.l_uniform_item == pytest.approx(li, abs=1e-12)
         assert rep.l_uniform == pytest.approx((lu + li) / 2.0, abs=1e-12)
@@ -416,7 +417,7 @@ class TestMeasureUniformity:
     @pytest.mark.parametrize("budget_rows", [1, 3, 1000])
     def test_permuting_the_entities(self, monkeypatch, budget_rows):
         n = 40
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", 8 * n * budget_rows)
+        monkeypatch.setattr(evaluation, "BLOCK_BUDGET", 8 * n * budget_rows)
         rng = np.random.default_rng(budget_rows)
         xn = normalize_rows(rng.standard_normal((n, 8)))
         pop = rng.integers(0, 6, n)
@@ -429,7 +430,7 @@ class TestMeasureUniformity:
 
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
         budget = 1 << 20
-        monkeypatch.setattr(evaluation, "_SCORE_BUDGET", budget)
+        monkeypatch.setattr(evaluation, "BLOCK_BUDGET", budget)
         rng = np.random.default_rng(4)
         n_users, n_items = 1500, 300  # the user gram is 17x the budget
         users = np.repeat(np.arange(n_users), 2)

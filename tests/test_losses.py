@@ -169,6 +169,9 @@ def raised(fn, *args):
 ORACLE_SIZES = [2, 24, 256, 257, 1024]
 BAD_BATCHES = {
     "shape_mismatch": (np.ones((3, 4)), np.ones((3, 5))),
+    "one_dimensional": (np.ones(4), np.ones(4)),
+    "one_dimensional_user": (np.ones(4), np.ones((1, 4))),
+    "one_dimensional_item": (np.ones((1, 4)), np.ones(4)),
     "empty": (np.empty((0, 4)), np.empty((0, 4))),
     "single_pair": (np.ones((1, 4)), np.ones((1, 4))),
     "zero_row": (np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]]), np.ones((3, 2))),
@@ -253,6 +256,13 @@ class TestBPRValues:
         for _ in range(20):
             u, i, j = (rng.standard_normal((4, 3)) for _ in range(3))
             assert bpr_loss(u, i, j).value > 0.0
+
+    @pytest.mark.parametrize("flat", [(0, 1, 2), (0,), (1,), (2,)])
+    def test_one_dimensional_batches_rejected(self, flat):
+        # each listed input is the 1-D row [1, 0]; the others are one 2-D row
+        reps = [np.array([1.0, 0.0]) if k in flat else np.array([[1.0, 0.0]]) for k in range(3)]
+        with pytest.raises(ValueError, match="2-D"):
+            bpr_loss(*reps)
 
 
 class TestInvariances:

@@ -122,6 +122,8 @@ def clone(state, params):
 
 
 def row_sets(rng, n):
+    """Row lists in the orders a caller may hold them; only `in_order` and
+    `ascending` are in the np.unique order that adam_step accepts."""
     permuted = rng.permutation(n)
     while np.array_equal(permuted, np.arange(n)):
         permuted = rng.permutation(n)
@@ -138,16 +140,25 @@ def row_sets(rng, n):
 ROW_KINDS = ["in_order", "permuted", "subset", "ascending", "unsorted"]
 
 
+def ascending(rows, grads):
+    """`rows` in np.unique order, each with its gradient row, as a caller
+    that holds them in another order passes them to adam_step."""
+    order = np.argsort(rows)
+    return rows[order], grads[order]
+
+
 class TestAdamStepMatchesGatherOracle:
     @pytest.mark.parametrize("wd", [0.0, 0.05])
     @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_bit_equal_to_oracle(self, wd, kind):
+        # the oracle takes the rows in the caller's order, adam_step in
+        # ascending order (the same rows for in_order and ascending)
         rng, state, params = warmed(wd)
         want_state, want = clone(state, params)
         for _ in range(3):
             rows = row_sets(rng, len(params))[kind]
             grads = rng.standard_normal((rows.size, params.shape[1]))
-            adam_step(state, params, rows, grads)
+            adam_step(state, params, *ascending(rows, grads))
             gather_adam_step(want_state, want, rows, grads)
         assert np.array_equal(params, want)
         for name in ("m", "v", "step"):
@@ -161,7 +172,7 @@ class TestAdamStepMatchesGatherOracle:
         grads = rng.standard_normal((rows.size, params.shape[1]))
         grads[-1, -1] = np.inf
         with pytest.raises(DivergedGradient):
-            adam_step(state, params, rows, grads)
+            adam_step(state, params, *ascending(rows, grads))
         assert np.array_equal(params, before)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(before_state, name))
@@ -172,6 +183,17 @@ class TestAdamStepMatchesGatherOracle:
         before_state, before = clone(state, params)
         with pytest.raises(ValueError):
             adam_step(state, params, np.array(rows), rng.standard_normal((3, params.shape[1])))
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 2, 1], [8, 5, 3, 0], [1, 4, 4, 6]])
+    def test_rows_not_in_unique_order_write_nothing(self, rows):
+        rng, state, params = warmed(0.05)
+        before_state, before = clone(state, params)
+        grads = rng.standard_normal((len(rows), params.shape[1]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            adam_step(state, params, np.array(rows), grads)
         assert np.array_equal(params, before)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(before_state, name))
@@ -192,7 +214,7 @@ class TestAdamStepMatchesGatherOracle:
         assert state.work.take("adam", (2, *params.shape)).base is held.base
         assert np.array_equal(grads, kept)
 
-    @pytest.mark.parametrize("rows", [[-1, 8], [-9, 0], [0, 9], [3, 12, 1]])
+    @pytest.mark.parametrize("rows", [[-1, 8], [-9, 0], [0, 9], [1, 3, 12]])
     def test_rows_outside_the_array_write_nothing(self, rows):
         # [-1, 8] is strictly ascending, but -1 names row 8 again
         rng, state, params = warmed(0.05)
@@ -211,7 +233,7 @@ class TestAdamStepMatchesGatherOracle:
         want_state, want = clone(state, params)
         held = []
         for size in (3, 2, 4, 7, 5, 16, 31, 9, 39, 12):
-            rows = rng.choice(len(params), size=size, replace=False)
+            rows = np.sort(rng.choice(len(params), size=size, replace=False))
             grads = rng.standard_normal((size, params.shape[1]))
             adam_step(state, params, rows, grads)
             gather_adam_step(want_state, want, rows, grads)
