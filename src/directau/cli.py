@@ -3,18 +3,22 @@
 Exit codes: 0 success, 2 usage/config error (a graph encoder without
 scipy among them), 3 data error, 4 numeric divergence. One command = one
 process; all randomness flows from the config's single seed through named
-substreams.
+substreams. BLAS runs on one thread, whatever the environment asks for.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .data import (
+# numpy reads these as it loads, below: OpenBLAS's thread count moves seeded bits
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+from .data import (  # noqa: E402
     file_sha256,
     load_interactions,
     preprocess,
@@ -23,7 +27,7 @@ from .data import (
     write_id_map,
     write_interactions,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError  # noqa: E402
 
 if TYPE_CHECKING:
     from .data import DatasetSplit, InteractionSet

@@ -24,10 +24,11 @@ import numpy as np
 from .errors import DataError, EmptyAfterFiltering, EmptyInput, MalformedLine
 from .rng import substream
 
-# bytes of one work block: rank_eval's user x item scores, a gram row block
-# of the uniformity and a block of alignment differences in geometry_report,
-# and the membership marks of UserIndex.contains
+# bytes of one work block: rank_eval's user x item scores, a uniformity gram
+# row block in geometry_report and the membership marks of UserIndex.contains
 BLOCK_BUDGET = 8 << 20
+# bytes of a block kept in cache: sampled candidates' rows, alignment differences
+CACHE_BUDGET = 512 << 10
 # share of each user's pairs that split() holds out for validation, and again for test
 HELD_OUT_SHARE = 0.1
 
@@ -72,6 +73,8 @@ class InteractionSet:
         n_users: int | None = None,
         n_items: int | None = None,
     ) -> "InteractionSet":
+        """Pairs read from outside, checked. A count left out is the largest
+        ID plus one, which may not exceed the number of pairs."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if users.shape != items.shape or users.ndim != 1:
@@ -80,12 +83,18 @@ class InteractionSet:
             raise DataError("interaction set has no pairs")
         if users.min() < 0 or items.min() < 0:
             raise DataError("negative IDs in interaction pairs")
+        if (n_users is None and users.max() >= users.size
+                or n_items is None and items.max() >= items.size):
+            raise DataError(f"IDs of undeclared counts must lie below the {users.size} pairs")
         n_users = int(users.max()) + 1 if n_users is None else int(n_users)
         n_items = int(items.max()) + 1 if n_items is None else int(n_items)
         if users.max() >= n_users or items.max() >= n_items:
             raise DataError("interaction IDs exceed declared user/item counts")
-        key = np.sort(users * n_items + items)
-        if (key[1:] == key[:-1]).any():
+        if n_users * n_items <= 2**63:  # a pair's key users * n_items + items fits in int64
+            pairs = np.sort(users * n_items + items)[:, None]
+        else:
+            pairs = np.column_stack((users, items))[np.lexsort((items, users))]
+        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
             raise DataError("duplicate (user, item) pairs")
         return cls(n_users, n_items, users, items)
 
@@ -297,8 +306,8 @@ def preprocess(
     occurrence. Filtering repeatedly removes users/items with fewer than
     k_core interactions until none remain (a single pass is not enough:
     dropping a user can push an item below the threshold). Surviving keys
-    get IDs in first-seen input order. Returns the remapped pairs and the
-    user and item keys by ID.
+    get IDs in first-seen input order. Returns the remapped pairs (built
+    here, so only `validate` checks them) and the user and item keys by ID.
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     if users.shape != items.shape:
@@ -324,7 +333,7 @@ def preprocess(
 
     user_ids, user_first = _first_seen_ids(users[:, None])
     item_ids, item_first = _first_seen_ids(items[:, None])
-    out = InteractionSet.from_pairs(user_ids, item_ids, user_first.size, item_first.size)
+    out = InteractionSet(user_first.size, item_first.size, user_ids, item_ids)
     out.validate()
     return (
         out,
@@ -340,8 +349,8 @@ def split(data: InteractionSet, seed: int = 0) -> DatasetSplit:
     are shuffled with the seeded split substream, which each user advances
     as `rng.permutation(p(u))` would; the first floor(0.1 * p(u)) go to
     validation, the next floor(0.1 * p(u)) to test and the rest, at least
-    one, to train. The training pairs keep their source order, and each
-    part's per-user index is built here, once.
+    one, to train. The training pairs, a part of the checked `data`, keep
+    their source order; each part's per-user index is built here, once.
     """
     by_user = UserIndex.build(data.users, np.arange(data.n_pairs, dtype=np.int64), data.n_users)
     counts = np.diff(by_user.indptr)
@@ -361,7 +370,7 @@ def split(data: InteractionSet, seed: int = 0) -> DatasetSplit:
     )
 
     tr, va, te = (np.flatnonzero(part == k) for k in range(3))
-    train = InteractionSet.from_pairs(data.users[tr], data.items[tr], data.n_users, data.n_items)
+    train = InteractionSet(data.n_users, data.n_items, data.users[tr], data.items[tr])
     train_index, validation, test = (
         UserIndex.build(data.users[at], data.items[at], data.n_users) for at in (tr, va, te)
     )
@@ -426,13 +435,13 @@ def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -
 def read_id_pairs(
     path: str | Path, delimiter: str = "\t", n_users: int | None = None, n_items: int | None = None
 ) -> InteractionSet:
-    """Load a preprocessed integer-ID interaction file.
-
-    IDs need not be contiguous (popularity is zero for unused IDs), but
-    duplicates and out-of-range IDs are rejected. Each ID parses as Python's
-    int() does, and must fit in int64. A tab-separated file in the form
-    `write_interactions` writes (see `_id_columns`) is parsed in numpy;
-    every other file goes through `load_interactions` and int().
+    """Load a preprocessed integer-ID interaction file, checked once by
+    `InteractionSet.from_pairs`: no pair twice, no ID at or past a declared
+    count or, where a count is inferred, the number of pairs. Below that,
+    IDs need not be contiguous. Each ID parses as Python's int() does, and
+    must fit in int64. A tab-separated file in the form `write_interactions`
+    writes (see `_id_columns`) is parsed in numpy; every other file goes
+    through `load_interactions` and int().
     """
     columns = _id_columns(Path(path).read_bytes()) if delimiter == "\t" else None
     if columns is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_BUDGET, DatasetSplit, InteractionSet
+from .data import BLOCK_BUDGET, CACHE_BUDGET, DatasetSplit, InteractionSet
 from .encoders import EmbeddingTable, normalize_rows
 from .errors import DegenerateEmbedding, InsufficientData, NothingToEvaluate
 from .losses import UNIFORMITY_SCALE
@@ -154,7 +154,7 @@ def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> Geom
     interactions through the popularity-weighted form, each side's
     popularity counted from the pairs. Alignment is the mean squared
     distance over all pairs in R, whose differences are taken in row blocks
-    of at most BLOCK_BUDGET bytes; each pair's squared distance is one row
+    of at most CACHE_BUDGET bytes; each pair's squared distance is one row
     sum, so the blocks do not change it, and the mean runs once over all of
     them.
     """
@@ -167,7 +167,7 @@ def geometry_report(table: EmbeddingTable, interactions: InteractionSet) -> Geom
     li = _weighted_potential_mean(im, np.bincount(items, minlength=interactions.n_items), n)
 
     per_pair = np.empty(users.size)
-    n_rows = max(1, BLOCK_BUDGET // (8 * table.d))
+    n_rows = max(1, CACHE_BUDGET // (8 * table.d))
     for start in range(0, users.size, n_rows):
         block = slice(start, start + n_rows)
         diff = un[users[block]]

@@ -4,9 +4,10 @@ All gradients are taken with respect to the *raw* (pre-normalization)
 representation rows; normalization is part of each loss, chained through
 the Jacobian d(x/||x||)/dx = (I - x_n x_n^T) / ||x||.
 
-Numerical conventions: -log(sigmoid(z)) is computed as softplus(-z);
-log-mean-exp uses max-subtraction. DirectAU normalizes each side once and
-runs both in-batch uniformities in one reused B x B buffer.
+Numerical conventions: BPR's -log(sigmoid(x)) and its gradient both come
+from one exp(-|x|), which cannot overflow; log-mean-exp uses
+max-subtraction. DirectAU normalizes each side once and runs both
+in-batch uniformities in one reused B x B buffer.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit
+from .data import CACHE_BUDGET, DatasetSplit
 from .encoders import EmbeddingTable, _unit_rows
 from .errors import InsufficientBatch, NoNegativeAvailable
 
 
 # scale t of the pairwise Gaussian potential exp(-t * dist^2)
 UNIFORMITY_SCALE = 2.0
-
-# bytes of gathered candidate rows that the dynamic sampler scores at once
-_POOL_BLOCK = 512 << 10
 
 
 @dataclass
@@ -36,21 +34,6 @@ class LossOutput:
     grad_user: np.ndarray | None = None
     grad_item: np.ndarray | None = None
     grad_neg: np.ndarray | None = None
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x), stable for large |x|."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _chain(grad_xn: np.ndarray, xn: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -137,12 +120,15 @@ def bpr_loss(u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray)
     if not (u_reps.ndim == 2 and u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
         raise ValueError("user, positive, and negative batches must be 2-D and align")
     n = u_reps.shape[0]
-    delta = np.sum(u_reps * (i_pos_reps - i_neg_reps), axis=1)
-    value = float(np.mean(softplus(-delta)))
-    c = (-_sigmoid(-delta) / n)[:, None]
+    gap = i_pos_reps - i_neg_reps
+    delta = np.sum(u_reps * gap, axis=1)
+    e = np.exp(-np.abs(delta))
+    value = float(np.mean(np.maximum(-delta, 0.0) + np.log1p(e)))
+    # sigmoid(-delta) is 1 / (1 + e) where delta <= 0, else e / (1 + e)
+    c = (-np.where(delta > 0, e, 1.0) / (1.0 + e) / n)[:, None]
     return LossOutput(
         value=value,
-        grad_user=c * (i_pos_reps - i_neg_reps),
+        grad_user=c * gap,
         grad_item=c * u_reps,
         grad_neg=-c * u_reps,
     )
@@ -185,7 +171,7 @@ def sample_negatives(
         return drawn
 
     scores = np.empty(pool.shape)
-    n_rows = max(1, _POOL_BLOCK // (candidates * table.d * 8))
+    n_rows = max(1, CACHE_BUDGET // (candidates * table.d * 8))
     for start in range(0, users.size, n_rows):
         block = slice(start, start + n_rows)
         np.einsum("bd,bcd->bc", table.user_emb[users[block]], table.item_emb[pool[block]],

@@ -38,10 +38,29 @@ from directau.losses import (
     _chain,
     _uniformity,
     _unit_pairs,
-    softplus,
 )
 from directau.rng import substream
 from directau.training import TRACE_COLUMNS, EpochTrace, _batch_loss_and_grads
+
+
+def softplus(x):
+    """log(1 + e^x), stable for large |x|."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def naive_bpr_loss(u, pos, neg):
+    """The ranking loss from a separate softplus and a masked two-branch
+    sigmoid, each with its own exponential."""
+    delta = np.sum(u * (pos - neg), axis=1)
+    x = -delta
+    sigmoid = np.empty_like(x)
+    up = x >= 0
+    sigmoid[up] = 1.0 / (1.0 + np.exp(-x[up]))
+    ex = np.exp(x[~up])
+    sigmoid[~up] = ex / (1.0 + ex)
+    c = (-sigmoid / u.shape[0])[:, None]
+    return LossOutput(float(np.mean(softplus(x))), c * (pos - neg), c * u, -c * u)
 
 
 def scipy_adjacency(interactions):

@@ -661,6 +661,16 @@ class TestProbeCommand:
         assert rep["l_uniform_user"] == pytest.approx(want[0], abs=1e-10)
         assert rep["l_uniform_item"] == pytest.approx(want[1], abs=1e-10)
 
+    def test_declared_counts_admit_ids_past_the_pair_count(self, tmp_path, capsys):
+        # probe takes its counts from the dump, so two pairs may use IDs 11 and 14
+        table = init_xavier(12, 15, 8, seed=3)
+        emb, inter = tmp_path / "emb.npz", tmp_path / "inter.txt"
+        write_embeddings(table, emb)
+        inter.write_text("11\t14\n0\t0\n")
+        assert main(["probe", "--embeddings", str(emb), "--interactions", str(inter)]) == 0
+        want = geometry_report(table, InteractionSet.from_pairs([11, 0], [14, 0], 12, 15))
+        assert json.loads(capsys.readouterr().out) == asdict(want)
+
     def test_row_count_mismatch(self, tmp_path, capsys):
         emb = tmp_path / "emb.npz"
         write_embeddings(init_xavier(2, 2, 3, seed=0), emb)
@@ -838,6 +848,16 @@ class TestUnreadableInputs:
         assert main([command, *self.args(command, tmp_path, trained, data)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(data) in err and "SHA-256" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_id_past_the_pair_count_is_data_error(self, command, tmp_path, trained, capsys):
+        # the counts train and eval infer are at most the number of pairs,
+        # so this ID is refused before a count-sized array is made
+        data = tmp_path / "sparse.txt"
+        data.write_text("0\t0\n0\t1\n1\t0\n1\t1\n100000000000000000\t1\n")
+        assert main([command, *self.args(command, tmp_path, trained, data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1 and "5 pairs" in err
 
     @pytest.mark.parametrize("command", ["preprocess", "train", "eval", "probe"])
     def test_interactions_not_utf8_is_data_error(self, command, tmp_path, trained, capsys):

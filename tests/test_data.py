@@ -214,6 +214,57 @@ class TestPreprocess:
             data.validate()
 
 
+class TestFromPairs:
+    """`from_pairs` checks pairs read from outside; the sets that split and
+    preprocess derive from checked pairs are built directly."""
+
+    def test_wide_ids_are_not_called_duplicates(self):
+        # (0, 5) and (2**31, 5) shared one int64 pair key once the key wrapped
+        with pytest.raises(DataError) as raised:
+            InteractionSet.from_pairs([0, 2**31, 1], [5, 5, 2**33 - 1])
+        assert "duplicate" not in str(raised.value) and "3 pairs" in str(raised.value)
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_undeclared_counts_stay_below_the_pair_count(self, side):
+        low, high = [0, 1, 2], [0, 1, 3]
+        users, items = (high, low) if side == "user" else (low, high)
+        with pytest.raises(DataError, match="3 pairs"):
+            InteractionSet.from_pairs(users, items)
+        counts = {"n_users": 4} if side == "user" else {"n_items": 4}
+        assert InteractionSet.from_pairs(users, items, **counts).n_pairs == 3
+        data = InteractionSet.from_pairs(low, low)
+        assert (data.n_users, data.n_items) == (3, 3)
+
+    def test_declared_counts_past_int64_keys(self):
+        users, items = [0, 2**31, 1], [5, 5, 2**33 - 1]
+        data = InteractionSet.from_pairs(users, items, 2**31 + 1, 2**33)
+        assert data.users.tolist() == users and data.items.tolist() == items
+        with pytest.raises(DataError, match="duplicate"):
+            InteractionSet.from_pairs([*users, 2**31], [*items, 5], 2**31 + 1, 2**33)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pair_sorts_agree_on_duplicates(self, seed):
+        # the same pairs under counts whose keys fit in int64 and counts whose keys do not
+        rng = np.random.default_rng(seed)
+        pairs = rng.choice(30, size=20, replace=seed % 2 == 1)  # odd seeds draw some twice
+        users, items = pairs // 5, pairs % 5
+        twice = np.unique(pairs).size < pairs.size
+        assert twice == (seed % 2 == 1)
+        for counts in ((6, 5), (2**32, 2**32)):
+            if twice:
+                with pytest.raises(DataError, match="duplicate"):
+                    InteractionSet.from_pairs(users, items, *counts)
+            else:
+                assert InteractionSet.from_pairs(users, items, *counts).n_pairs == 20
+
+    def test_split_and_preprocess_check_no_pairs_again(self, monkeypatch):
+        monkeypatch.setattr(InteractionSet, "from_pairs", classmethod(refuse))
+        pairs = [(f"u{u}", f"i{(u + t) % 9}") for u in range(12) for t in range(6)]
+        data, _, _ = preprocess(*keys(*pairs), k_core=2)
+        # six pairs a user hold nothing out, so every pair trains
+        assert split(data, seed=0).train.n_pairs == data.n_pairs == 72
+
+
 def k_core_rounds(pairs, k):
     """Removal rounds the k-core fixpoint of the deduplicated pairs takes."""
     pairs, rounds = list(dict.fromkeys(pairs)), 0
@@ -832,8 +883,8 @@ class TestReadersMatchNaiveOracles:
 
     def test_only_other_files_use_the_line_reader(self, tmp_path, monkeypatch):
         canonical, other = tmp_path / "clean.txt", tmp_path / "other.txt"
-        canonical.write_bytes(b"0\t0\n1\t2\n")
-        other.write_bytes(b"0\t0\r\n1\t2\r\n")
+        canonical.write_bytes(b"0\t0\n1\t1\n")
+        other.write_bytes(b"0\t0\r\n1\t1\r\n")
         want = naive_read_id_pairs(canonical)
         monkeypatch.setattr(data_mod, "load_interactions", refuse)
         assert same_interactions(read_id_pairs(canonical), want)

@@ -291,7 +291,7 @@ class TestMeasureAlignment:
     def test_row_blocks_equal_the_unblocked_expression(self, monkeypatch, block_rows):
         rng = np.random.default_rng(block_rows)
         for d in (1, 5, 33):
-            monkeypatch.setattr(evaluation, "BLOCK_BUDGET", 8 * d * block_rows)
+            monkeypatch.setattr(evaluation, "CACHE_BUDGET", 8 * d * block_rows)
             data = random_interaction_set(rng, max_users=30, max_items=40, max_pairs=400)
             t = EmbeddingTable.from_parts(
                 rng.standard_normal((data.n_users, d)), rng.standard_normal((data.n_items, d))
@@ -301,6 +301,7 @@ class TestMeasureAlignment:
     def test_peak_allocation_follows_the_budget(self, monkeypatch):
         budget = 64 << 10
         monkeypatch.setattr(evaluation, "BLOCK_BUDGET", budget)
+        monkeypatch.setattr(evaluation, "CACHE_BUDGET", budget)
         rng = np.random.default_rng(7)
         n_users, n_items, d = 400, 300, 32
         pairs = rng.choice(n_users * n_items, size=30000, replace=False)

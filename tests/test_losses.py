@@ -19,6 +19,7 @@ from directau.errors import InsufficientBatch, NoNegativeAvailable
 from helpers import (
     align_loss,
     finite_difference_gradients,
+    naive_bpr_loss,
     naive_direct_au_loss,
     naive_sample_negatives,
     naive_split,
@@ -251,6 +252,21 @@ class TestBPRValues:
         assert bpr_loss(u, pos, neg).value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.474077, abs=1e-6)
 
+    def test_one_exponential_matches_softplus_and_sigmoid_bit_for_bit(self):
+        # margins where a one-sided exp would overflow or underflow, and signed zeros
+        margins = np.array([-800.0, -40.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 40.0, 800.0])
+        rng = np.random.default_rng(5)
+        cases = [
+            (np.ones((10, 1)), margins[:, None], np.zeros((10, 1))),
+            tuple(3.0 * rng.standard_normal((64, 8)) for _ in range(3)),
+        ]
+        for u, pos, neg in cases:
+            got, want = bpr_loss(u, pos, neg), naive_bpr_loss(u, pos, neg)
+            assert got.value == want.value
+            for name in ("grad_user", "grad_item", "grad_neg"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
     def test_always_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -462,7 +478,7 @@ class TestSamplerMatchesNaiveOracle:
         # every test batch; 1 scores one user at a time; the last, three
         # users at candidates=7, d=5, with a short last block
         if request.param is not None:
-            monkeypatch.setattr(losses, "_POOL_BLOCK", request.param)
+            monkeypatch.setattr(losses, "CACHE_BUDGET", request.param)
 
     @pytest.mark.parametrize("strategy", ["uniform", "dynamic"])
     @pytest.mark.parametrize("seed", range(6))

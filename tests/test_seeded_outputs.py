@@ -6,7 +6,9 @@ log this module builds. The preprocessed file and its two key maps are
 hashed, and so are each run's outputs: train's stdout, embeddings.npz,
 manifest.json, the eval JSON and trace.csv with `wall_seconds` blanked.
 The digests hold for one machine and one set of libraries, so the check
-skips where the fingerprint they were written with differs.
+skips where the fingerprint they were written with differs. Whatever the
+fingerprint, a CLI run writes the same bytes under any BLAS thread count
+the environment asks for.
 
 Regenerate the digests with `python tests/test_seeded_outputs.py --write`.
 """
@@ -153,6 +155,45 @@ def test_seeded_runs_match_committed_digests(tmp_path):
         if here.get(field) != recorded:
             pytest.skip(f"digests were written with {field} {recorded!r}, here {here.get(field)!r}")
     assert run_digests(tmp_path) == committed["digests"]
+
+
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    # OpenBLAS at 2 threads gives this shape's short last batch other last
+    # bits than at 1 thread; the CLI runs BLAS on one thread whatever the
+    # environment asks for, so both runs write the same directory
+    from directau.data import (
+        load_interactions, preprocess, read_id_pairs, split, write_interactions,
+    )
+
+    raw, clean, conf = tmp_path / "raw.txt", tmp_path / "clean.txt", tmp_path / "run.conf"
+    raw.write_text(seeded_log(), encoding="utf-8")
+    write_interactions(preprocess(*load_interactions(raw))[0], clean)
+    cfg = {**BASE, "objective": "direct_au", "gamma": "1", "d": "64", "max_epochs": "1"}
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
+    assert split(read_id_pairs(clean), int(cfg["seed"])).train.n_pairs % int(cfg["batch_size"])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "directau.cli", "train", "--data", str(clean),
+             "--config", str(conf), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append({
+            path.name: trace_without_wall_seconds(path) if path.name == "trace.csv"
+            else path.read_bytes()
+            for path in sorted(out.iterdir())
+        })
+    assert sorted(runs[0]) == ["embeddings.npz", "manifest.json", "trace.csv"]
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":

@@ -569,7 +569,7 @@ class TestTrain:
         # blocks: a step's peak stays under two pool blocks, where the rows
         # of the whole pool would take four
         from directau import AdamState, InteractionSet
-        from directau.losses import _POOL_BLOCK
+        from directau.data import CACHE_BUDGET
         from helpers import train_step
 
         rng = np.random.default_rng(0)
@@ -578,7 +578,7 @@ class TestTrain:
         ds = split(InteractionSet.from_pairs(pairs // n_items, pairs % n_items, n_users, n_items),
                    seed=0)
         cfg = small_cfg(objective="bpr_ds", gamma=None, d=32, batch_size=64, ds_candidates=128)
-        assert cfg.batch_size * cfg.ds_candidates * cfg.d * 8 == 4 * _POOL_BLOCK
+        assert cfg.batch_size * cfg.ds_candidates * cfg.d * 8 == 4 * CACHE_BUDGET
         table = init_xavier(ds.train.n_users, ds.train.n_items, cfg.d, cfg.seed)
         state = AdamState.for_params(table.emb, cfg.lr)
         neg_rng = np.random.default_rng(1)
@@ -591,7 +591,7 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * _POOL_BLOCK
+        assert peak < 2 * CACHE_BUDGET
 
     @pytest.mark.parametrize("objective, encoder, layers",
                              [("direct_au", "mf", 0), ("bpr", "lgcn", 2)])
