@@ -15,8 +15,10 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# numpy reads these as it loads, below: OpenBLAS's thread count moves seeded bits
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+# numpy reads these as it loads, below: OpenBLAS's thread count moves seeded
+# bits. Where numpy is loaded already they would reach only child processes.
+if "numpy" not in sys.modules:
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .data import (  # noqa: E402
     file_sha256,

@@ -73,8 +73,8 @@ class InteractionSet:
         n_users: int | None = None,
         n_items: int | None = None,
     ) -> "InteractionSet":
-        """Pairs read from outside, checked. A count left out is the largest
-        ID plus one, which may not exceed the number of pairs."""
+        """Pairs read from outside, checked. A count left out (largest ID + 1)
+        may not exceed the pair count, and each key users * n_items + items fits int64."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if users.shape != items.shape or users.ndim != 1:
@@ -90,11 +90,10 @@ class InteractionSet:
         n_items = int(items.max()) + 1 if n_items is None else int(n_items)
         if users.max() >= n_users or items.max() >= n_items:
             raise DataError("interaction IDs exceed declared user/item counts")
-        if n_users * n_items <= 2**63:  # a pair's key users * n_items + items fits in int64
-            pairs = np.sort(users * n_items + items)[:, None]
-        else:
-            pairs = np.column_stack((users, items))[np.lexsort((items, users))]
-        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
+        if n_users * n_items > 2**63:
+            raise DataError("declared user/item counts too large for int64 pair keys")
+        key = np.sort(users * n_items + items)
+        if (key[1:] == key[:-1]).any():
             raise DataError("duplicate (user, item) pairs")
         return cls(n_users, n_items, users, items)
 

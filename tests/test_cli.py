@@ -1005,6 +1005,13 @@ class TestStartup:
     def test_import_loads_no_scipy(self, tmp_path):
         assert _modules_after(tmp_path, "import directau.cli") == []
 
+    @pytest.mark.parametrize("first, threads", [("", "1"), ("import numpy", "2")])
+    def test_blas_pin_only_before_numpy_loads(self, tmp_path, first, threads):
+        # once numpy is loaded, a pin would reach only the caller's child processes
+        script = f"import os\nos.environ['OPENBLAS_NUM_THREADS'] = '2'\n{first}\nimport directau.cli\n"
+        done = _python(tmp_path, "-c", script + "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert done.stdout.split() == [threads]
+
     def test_preprocess_command_loads_only_the_data_layer(self, tmp_path):
         # the command as the benchmark runs it; -X importtime lists each module it loads
         (tmp_path / "raw.txt").write_text("".join(f"u{u}\ti{u % 7}\n" for u in range(40)))

@@ -236,26 +236,20 @@ class TestFromPairs:
         assert (data.n_users, data.n_items) == (3, 3)
 
     def test_declared_counts_past_int64_keys(self):
-        users, items = [0, 2**31, 1], [5, 5, 2**33 - 1]
-        data = InteractionSet.from_pairs(users, items, 2**31 + 1, 2**33)
+        # (0, 5) and (2**31, 5) would share one wrapped key under these counts
+        with pytest.raises(DataError) as raised:
+            InteractionSet.from_pairs([0, 2**31, 1], [5, 5, 2**33 - 1], 2**31 + 1, 2**33)
+        assert "duplicate" not in str(raised.value) and "too large" in str(raised.value)
+
+    def test_largest_int64_key_still_finds_duplicates(self):
+        # n_users * n_items == 2**63: the last pair's key is 2**63 - 1
+        users, items, counts = [2**32 - 1, 0], [2**31 - 1, 0], (2**32, 2**31)
+        data = InteractionSet.from_pairs(users, items, *counts)
         assert data.users.tolist() == users and data.items.tolist() == items
         with pytest.raises(DataError, match="duplicate"):
-            InteractionSet.from_pairs([*users, 2**31], [*items, 5], 2**31 + 1, 2**33)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_pair_sorts_agree_on_duplicates(self, seed):
-        # the same pairs under counts whose keys fit in int64 and counts whose keys do not
-        rng = np.random.default_rng(seed)
-        pairs = rng.choice(30, size=20, replace=seed % 2 == 1)  # odd seeds draw some twice
-        users, items = pairs // 5, pairs % 5
-        twice = np.unique(pairs).size < pairs.size
-        assert twice == (seed % 2 == 1)
-        for counts in ((6, 5), (2**32, 2**32)):
-            if twice:
-                with pytest.raises(DataError, match="duplicate"):
-                    InteractionSet.from_pairs(users, items, *counts)
-            else:
-                assert InteractionSet.from_pairs(users, items, *counts).n_pairs == 20
+            InteractionSet.from_pairs([*users, 2**32 - 1], [*items, 2**31 - 1], *counts)
+        with pytest.raises(DataError, match="too large"):
+            InteractionSet.from_pairs(users, items, 2**32, 2**31 + 1)
 
     def test_split_and_preprocess_check_no_pairs_again(self, monkeypatch):
         monkeypatch.setattr(InteractionSet, "from_pairs", classmethod(refuse))
