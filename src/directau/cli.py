@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         # MissingKernel among them: encoder = lgcn where scipy's sparse kernel is missing
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (DataError, MemoryError, OSError) as exc:  # MemoryError: an array too large to make
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import prod
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -31,27 +30,6 @@ BLOCK_BUDGET = 8 << 20
 CACHE_BUDGET = 512 << 10
 # share of each user's pairs that split() holds out for validation, and again for test
 HELD_OUT_SHARE = 0.1
-
-
-class Workspace:
-    """Named work arrays that a run reuses from call to call. Distinct
-    names never share memory; a name's contents are what its last user
-    left there."""
-
-    def __init__(self) -> None:
-        self._flat: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A C-contiguous `shape` view of the array held as `name`. That
-        array is replaced only when the request needs more elements or
-        another dtype, and then by one of at least twice the old size, so a
-        run touches fresh pages a few times, not at each new largest step."""
-        size = prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size or flat.dtype != dtype:
-            held = 0 if flat is None else flat.size
-            flat = self._flat[name] = np.empty(max(size, 2 * held), dtype)
-        return flat[:size].reshape(shape)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """ID-to-representation encoders: embedding table and linear graph propagation.
 
-Ranking scores use raw dot products, so normalization is NOT applied here;
-it lives in the loss/metric path (normalize_rows). The graph is a UserIndex
-over users and items plus entry weights derived from its row lengths; of
-scipy, only the compiled kernel extension of its sparse products is loaded.
+Ranking scores use raw dot products, so outputs stay unnormalized here;
+the losses and metrics apply normalize_rows (defined below). The graph is
+a UserIndex over users and items plus entry weights from its row lengths;
+of scipy, only the compiled kernel extension of its sparse products is loaded.
 A table is dumped as an uncompressed .npz of its two float64 blocks.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import InteractionSet, UserIndex, Workspace, open_atomic
+from .data import InteractionSet, UserIndex, open_atomic
 from .errors import DataError, DegenerateEmbedding, MissingKernel
 from .rng import substream
 
@@ -118,22 +118,21 @@ class GraphPropagator:
     length. No self-loops and no feature transforms; layer outputs are
     combined by their mean. Products run in scipy's compiled kernel alone.
 
-    Its full-graph layers and the backward sum run in three (|U|+|I|) x d
-    arrays of the workspace `work`, so a training step takes no fresh
-    table-sized array.
+    Its full-graph layers and the backward sum run in the (3, |U|+|I|, d)
+    float64 `scratch` it owns, made on first use and again only when the
+    table's shape changes, so a training step takes no fresh table-sized
+    array.
     """
 
     base: EmbeddingTable
     n_layers: int
     adjacency: UserIndex
     weights: np.ndarray
-    work: Workspace = field(default_factory=Workspace, repr=False, compare=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
 
     @classmethod
-    def build(
-        cls, base: EmbeddingTable, interactions: InteractionSet, n_layers: int,
-        work: Workspace | None = None,
-    ) -> "GraphPropagator":
+    def build(cls, base: EmbeddingTable, interactions: InteractionSet,
+              n_layers: int) -> "GraphPropagator":
         if n_layers < 0:
             raise ValueError(f"n_layers must be >= 0, got {n_layers}")
         if interactions.n_users != base.n_users or interactions.n_items != base.n_items:
@@ -145,7 +144,7 @@ class GraphPropagator:
         degree = np.diff(adjacency.indptr)
         row = np.repeat(np.arange(n), degree)
         weights = 1.0 / np.sqrt(degree[row] * degree[adjacency.indices])
-        return cls(base, n_layers, adjacency, weights, work or Workspace())
+        return cls(base, n_layers, adjacency, weights)
 
     def _csr(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
         """CSR arrays of the adjacency's `rows`, an index array, in order;
@@ -155,11 +154,19 @@ class GraphPropagator:
         indptr, _, at = self.adjacency.entries(rows)
         return indptr, self.adjacency.indices[at], self.weights[at]
 
+    def _scratch(self, d: int) -> np.ndarray:
+        """`scratch` for width `d`: the backward sum, then two layer outputs
+        that the layers alternate between."""
+        shape = (3, self.base.emb.shape[0], d)
+        if self.scratch.shape != shape:
+            self.scratch = np.empty(shape)
+        return self.scratch
+
     def propagate(self, rows=slice(None)) -> np.ndarray:
         """Layer mean of the propagated representations at `rows`, an index
         array (every user and item by default), in the stacked row order,
         as a fresh array. `rows` selects at most |U|+|I| rows, since the
-        last layer is computed in a work buffer.
+        last layer is computed in the scratch.
 
         Layers before the last run on the whole graph; the last one is
         computed only at `rows`. Slicing CSR rows keeps each row's
@@ -168,8 +175,7 @@ class GraphPropagator:
         """
         x = self.base.emb
         n = x.shape[0]
-        # the backward sum, then two layer outputs that the layers alternate between
-        _, *layers = self.work.take("graph", (3, *x.shape))
+        _, *layers = self._scratch(x.shape[1])
         acc = x[rows].copy()
         cur = x
         for layer in range(self.n_layers - 1):
@@ -193,11 +199,11 @@ class GraphPropagator:
         CSC), which adds the same nonzero terms in the same order as the
         full product with the zero-padded gradient.
 
-        The result is the sum array of the propagator's workspace: it is
+        The result is the sum array of the propagator's scratch: it is
         valid until the next `backward` call, which overwrites it.
         """
         n = self.base.emb.shape[0]
-        acc, *layers = self.work.take("graph", (3, n, grad_rows.shape[1]))
+        acc, *layers = self._scratch(grad_rows.shape[1])
         acc.fill(0.0)
         acc[rows] = grad_rows
         if self.n_layers > 0:

@@ -9,10 +9,10 @@ L2-into-gradient, applied before the moment updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
-from .data import Workspace
 from .errors import DivergedGradient
 
 BETA1 = 0.9
@@ -24,10 +24,11 @@ EPS = 1e-8
 class AdamState:
     """Optimizer state of one parameter array; exclusively owned by one trainer.
 
-    A step computes its temporaries in the workspace `work`, which the
-    trainer shares with the rest of its step: an every-row step in two
-    arrays of the parameters' shape, a gathered-rows step in five arrays of
-    its rows.
+    A step computes its temporaries in the flat float64 `scratch`: an
+    every-row step in two arrays of the parameters' shape, a gathered-rows
+    step in five arrays of its rows. `scratch` is replaced only when a step
+    needs more room, and then by one of at least twice its size, so a run
+    touches fresh pages a few times, not at each new largest step.
     """
 
     m: np.ndarray
@@ -35,12 +36,10 @@ class AdamState:
     step: np.ndarray
     lr: float
     weight_decay: float = 0.0
-    work: Workspace = field(default_factory=Workspace, repr=False, compare=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
 
     @classmethod
-    def for_params(
-        cls, params: np.ndarray, lr: float, weight_decay: float = 0.0, work: Workspace | None = None
-    ) -> "AdamState":
+    def for_params(cls, params: np.ndarray, lr: float, weight_decay: float = 0.0) -> "AdamState":
         if lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         if weight_decay < 0:
@@ -51,8 +50,14 @@ class AdamState:
             step=np.zeros(params.shape[0], dtype=np.int64),
             lr=lr,
             weight_decay=weight_decay,
-            work=work or Workspace(),
         )
+
+    def _take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous `shape` view of the front of `scratch`."""
+        size = prod(shape)
+        if self.scratch.size < size:
+            self.scratch = np.empty(max(size, 2 * self.scratch.size))
+        return self.scratch[:size].reshape(shape)
 
 
 def adam_step(
@@ -65,8 +70,8 @@ def adam_step(
     [0, len(params)); any other `rows` is a ValueError that writes nothing.
     Rows not listed are untouched, including their moments. When `rows` is
     every row, the update runs on views of the arrays, with its
-    temporaries in the state's workspace; otherwise the rows are gathered
-    into the workspace, updated there and written back once.
+    temporaries in the state's scratch; otherwise the rows are gathered
+    into the scratch, updated there and written back once.
     """
     rows = np.asarray(rows, dtype=np.int64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -83,9 +88,9 @@ def adam_step(
 
     if every_row:
         p, m, v, step = params, state.m, state.v, state.step
-        tmp, v_hat = state.work.take("adam", (2, *params.shape))
+        tmp, v_hat = state._take((2, *params.shape))
     else:
-        p, m, v, tmp, v_hat = state.work.take("adam", (5, rows.size, params.shape[1]))
+        p, m, v, tmp, v_hat = state._take((5, rows.size, params.shape[1]))
         # the rows are in bounds, so mode="clip" never clips; unlike the
         # default mode="raise", it writes into `out` without a buffered copy
         for src, dst in ((params, p), (state.m, m), (state.v, v)):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, Workspace, file_sha256, open_atomic
+from .data import DatasetSplit, file_sha256, open_atomic
 from .encoders import (
     EmbeddingTable,
     GraphPropagator,
@@ -177,14 +177,8 @@ def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float,
     """
     n_users = split.train.n_users
     table = init_xavier(n_users, split.train.n_items, cfg.d, cfg.seed)
-    # the step's reused arrays: graph layers, row sums and Adam temporaries
-    work = Workspace()
-    propagator = (
-        GraphPropagator.build(table, split.train, cfg.layers, work)
-        if cfg.encoder == "lgcn"
-        else None
-    )
-    state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay, work)
+    propagator = GraphPropagator.build(table, split.train, cfg.layers) if cfg.encoder == "lgcn" else None
+    state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay)
     neg_rng = substream(cfg.seed, "negatives")
 
     def scoring_table() -> EmbeddingTable:
@@ -197,7 +191,7 @@ def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float,
         for sel in batches:
             value, rows, grads = _batch_loss_and_grads(
                 split.train.users[sel], split.train.items[sel],
-                table, propagator, work, split, cfg, neg_rng,
+                table, propagator, split, cfg, neg_rng,
             )
             adam_step(state, table.emb, rows, grads)
             loss_sum += value
@@ -254,35 +248,31 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
     return best, traces
 
 
-def _sum_rows(inv: np.ndarray, grads: np.ndarray, out: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Row k of `out` becomes the sum of the rows grads[inv == k], each
-    entry added in batch order onto 0.0, through one scatter on the flat
-    arrays; the flat index is written into the int64 `at`, shaped like
-    `grads`. `out` must be C-contiguous, so that the scatter writes through
-    its flat view."""
+def _sum_rows(inv: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """A fresh array whose row k is the sum of the rows grads[inv == k],
+    for k up to inv's largest value, each entry added in batch order onto
+    0.0 by one np.bincount over the flat entries."""
     d = grads.shape[1]
-    out.fill(0.0)
-    np.add(inv[:, None] * d, np.arange(d), out=at)
-    np.add.at(out.reshape(-1), at.reshape(-1), grads.reshape(-1))
-    return out
+    flat = (inv[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=grads.reshape(-1)).reshape(-1, d)
 
 
 def _batch_loss_and_grads(
     bu: np.ndarray, bi: np.ndarray, table: EmbeddingTable, propagator: GraphPropagator | None,
-    work: Workspace, split: DatasetSplit, cfg: TrainConfig, neg_rng: np.random.Generator,
+    split: DatasetSplit, cfg: TrainConfig, neg_rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss of the batch of positive pairs (bu[k], bi[k]) and its gradients
     w.r.t. the stacked base parameter rows.
 
     Returns (value, rows, grads) with rows indexing `table.emb` (items
-    offset by n_users); duplicate batch rows are pre-accumulated in
-    arrays of `work`, which the next batch overwrites, and for
-    the graph encoder the gradients are pulled back through the
-    propagation (every row). The negatives are drawn first; every
-    objective then reads its outputs only at the batch rows (users,
-    positives and negatives). Only `bpr_ds` on the graph encoder
-    propagates every row, because its sampler scores candidates drawn from
-    the whole catalog; uniform `bpr` never reads the table while sampling.
+    offset by n_users); duplicate batch rows are summed into a fresh array
+    by _sum_rows, and for the graph encoder the gradients are pulled back
+    through the propagation (every row) into the propagator's scratch. The
+    negatives are drawn first; every objective then reads its outputs only
+    at the batch rows (users, positives and negatives). Only `bpr_ds` on
+    the graph encoder propagates every row, because its sampler scores
+    candidates drawn from the whole catalog; uniform `bpr` never reads the
+    table while sampling.
     """
     n_users, b = table.n_users, bu.size
     out = table
@@ -304,9 +294,7 @@ def _batch_loss_and_grads(
         lo = bpr_loss(reps[:b], reps[b : 2 * b], reps[2 * b :])
         grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
 
-    # adam_step works in other arrays of `work`, so the sums may be its gradient
-    sums = work.take("sums", (rows.size, grads.shape[1]))
-    acc = _sum_rows(inv, grads, sums, work.take("sum_index", grads.shape, np.int64))
+    acc = _sum_rows(inv, grads)
     if propagator is None:
         return lo.value, rows, acc
     return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)

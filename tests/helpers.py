@@ -346,7 +346,7 @@ def train_step(sel, table, propagator, state, split, cfg, neg_rng):
     `sel` of split.train; returns the batch loss."""
     value, rows, grads = _batch_loss_and_grads(
         split.train.users[sel], split.train.items[sel],
-        table, propagator, state.work, split, cfg, neg_rng,
+        table, propagator, split, cfg, neg_rng,
     )
     adam_step(state, table.emb, rows, grads)
     return value

@@ -304,6 +304,22 @@ class TestTrainCommand:
         assert err.startswith("config error:") and override.split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, override",
+        # the first array each asks for is about an EiB, past any address
+        # space, so the allocation fails at once without touching memory
+        [(BASE_CONFIG, "d=1000000000000000"),
+         (BASE_CONFIG.replace("direct_au\ngamma = 1", "bpr_ds"), "ds_candidates=1000000000000000")],
+        ids=["d", "ds_candidates"],
+    )
+    def test_failed_allocation_is_data_error(self, tmp_path, data_file, capsys, text, override):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path, text)),
+                     "--out-dir", str(out), "--set", override]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: Unable to allocate") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
     def test_direct_au_batch_of_one_is_config_error(self, tmp_path, data_file, capsys):
         # every batch would be a singleton, with no pair for the uniformity
         out = tmp_path / "run"

@@ -1,7 +1,6 @@
 """Dataset ingestion, k-core filtering, splitting, and epoch batches."""
 
 import importlib.util
-import itertools
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -20,7 +19,6 @@ from directau import (
 from directau import data as data_mod
 from directau.data import (
     UserIndex,
-    Workspace,
     read_id_pairs,
     write_id_map,
     write_interactions,
@@ -535,39 +533,6 @@ class TestUserIndex:
         row_5 = set(ds.train.items[ds.train.users == 5].tolist())
         got = ds.train_index.contains(5, np.arange(n_items), n_items)
         assert got.tolist() == [i in row_5 for i in range(n_items)]
-
-
-class TestWorkspace:
-    def test_growth_rule(self):
-        work = Workspace()
-        first = work.take("a", (3, 4))
-        assert first.shape == (3, 4) and first.flags.c_contiguous and first.base.size == 12
-        # a request that fits is a view of the held array, whatever its shape
-        for shape in ((2, 5), (12,), (0,), (1, 2, 3)):
-            got = work.take("a", shape)
-            assert got.shape == shape and got.flags.c_contiguous and got.base is first.base
-        # more elements: at least twice the old size, or the request if larger
-        assert work.take("a", (13,)).base.size == 24
-        assert work.take("a", (5, 10)).base.size == 50
-        assert work.take("a", (100,)).base.size == 100
-
-    def test_another_dtype_reallocates(self):
-        work = Workspace()
-        floats = work.take("a", (4, 2))
-        ints = work.take("a", (3,), np.int64)
-        assert ints.dtype == np.int64 and ints.base.size == 16
-        assert work.take("a", (3,), np.int64).base is ints.base
-        again = work.take("a", (4, 2))
-        assert again.dtype == np.float64 and again.base is not floats.base
-
-    def test_distinct_names_never_share_memory(self):
-        work = Workspace()
-        taken = {}
-        for k, shape in enumerate([(5,), (2, 3), (7, 1), (40,), (3, 3), (1,)]):
-            name = "abc"[k % 3]
-            taken[name] = work.take(name, shape, np.int64 if k == 4 else np.float64)
-            for a, b in itertools.combinations(taken.values(), 2):
-                assert not np.shares_memory(a.base, b.base)
 
 
 def batch_cfg(**kw):

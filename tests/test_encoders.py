@@ -267,31 +267,32 @@ class TestBufferedGraphStepMatchesNaiveOracle:
         rows = np.array([1, 2, 3])
         first = g.backward(rows, rng.standard_normal((3, g.base.d)))
         second = g.backward(rows, rng.standard_normal((3, g.base.d)))
-        # the same sum array of the workspace, overwritten
+        # the same sum array of the propagator's scratch, overwritten
         assert first.ctypes.data == second.ctypes.data and first.base is second.base
         table = g.propagate()
-        assert first.base is g.work.take("graph", (3, *table.shape)).base
+        assert first.base is g.scratch and g.scratch.shape == (3, *table.shape)
         assert not np.shares_memory(table, first.base)
         assert not np.shares_memory(g.propagate(rows), table)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_another_dimension_reallocates_the_buffers(self, n_layers):
-        # the workspace serves d = 3 from the d = 5 arrays and reallocates
-        # for d = 8 only; stale values of another d must not leak
+        # the scratch is kept while d stays and made again at each new d;
+        # stale values of another d must not leak
         rng, g = self.random_graph(n_layers, seed=5, d=5)
         n = g.base.emb.shape[0]
         rows = np.unique(rng.integers(0, n, size=12))
         held = []
-        for d in (5, 3, 8, 5):
+        for d in (5, 5, 3, 8, 5):
             g.base = EmbeddingTable(rng.standard_normal((n, d)), g.base.n_users)
             assert_same_bits(g.propagate(), naive_propagate(g))
             assert_same_bits(g.propagate(rows), naive_propagate(g, rows))
             grad_rows = rng.standard_normal((rows.size, d))
             got = g.backward(rows, grad_rows)
             assert_same_bits(got, naive_backward(g, rows, grad_rows))
-            assert got.shape == (n, d) and got.base is g.work.take("graph", (1,)).base
+            assert got.shape == (n, d) and got.base is g.scratch
             held.append(got.base)
-        assert held[0] is held[1] and held[2] is held[3] and held[1] is not held[2]
+        assert held[0] is held[1]
+        assert all(a is not b for a, b in zip(held[1:], held[2:]))
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_spmm_into_matches_the_sparse_product(self, d):

@@ -200,18 +200,18 @@ class TestAdamStepMatchesGatherOracle:
 
     def test_every_row_steps_reuse_two_scratch_arrays(self):
         # the step's temporaries are two parameter-shaped arrays of the
-        # workspace; the second holds sqrt(v_hat) + EPS when the step ends
+        # state's scratch; the second holds sqrt(v_hat) + EPS when the step ends
         rng, state, params = warmed(0.05)
         rows = np.arange(len(params))
         grads = rng.standard_normal(params.shape)
         kept = grads.copy()
         adam_step(state, params, rows, grads)
-        held = state.work.take("adam", (2, *params.shape))
+        held = state.scratch[: 2 * params.size].reshape(2, *params.shape)
         for _ in range(2):
             t = state.step[:, None].astype(np.float64)
             assert np.array_equal(held[1], np.sqrt(state.v / (1.0 - BETA2**t)) + EPS)
             adam_step(state, params, rows, grads)
-        assert state.work.take("adam", (2, *params.shape)).base is held.base
+        assert state.scratch is held.base
         assert np.array_equal(grads, kept)
 
     @pytest.mark.parametrize("rows", [[-1, 8], [-9, 0], [0, 9], [1, 3, 12]])
@@ -237,7 +237,7 @@ class TestAdamStepMatchesGatherOracle:
             grads = rng.standard_normal((size, params.shape[1]))
             adam_step(state, params, rows, grads)
             gather_adam_step(want_state, want, rows, grads)
-            held.append(state.work.take("adam", (1,)).base)
+            held.append(state.scratch)
         assert np.array_equal(params, want)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(want_state, name))

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import fields, replace
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -418,9 +418,8 @@ class TestTrain:
             ).value
 
         prop = GraphPropagator.build(table, inter, n_layers=2)
-        # the row sums share the propagator's workspace, as in train()
         _, rows, grads = _batch_loss_and_grads(
-            bu, bi, table, prop, prop.work, ds, cfg, np.random.default_rng(0)
+            bu, bi, table, prop, ds, cfg, np.random.default_rng(0)
         )
         (fd,) = finite_difference_gradients(loss_of, [table.emb])
         assert np.array_equal(rows, np.arange(6))
@@ -440,11 +439,8 @@ class TestTrain:
         grads[ids == 39] = -0.0  # a row summing -0.0 only
         want = np.zeros((rows.size, 16))
         np.add.at(want, inv, grads)
-        # NaN-filled sums and index: every entry must be written
-        out = np.full((rows.size, 16), np.nan)
-        got = _sum_rows(inv, grads, out, np.full(grads.shape, -1, dtype=np.int64))
-        assert got is out
-        assert np.array_equal(got, want)
+        got = _sum_rows(inv, grads)
+        assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize(
@@ -521,6 +517,29 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < bound * table.emb.nbytes
 
+    @pytest.mark.parametrize("objective", ["direct_au", "bpr_ds"])
+    def test_lgcn_step_arrays_never_alias(self, two_cluster, objective):
+        # Adam reads the propagator's sum array as its gradient and works in
+        # its own scratch: if any two of these arrays shared memory, a step
+        # would overwrite what it still reads
+        from directau import AdamState, GraphPropagator
+        from helpers import train_step
+
+        ds = split(two_cluster, seed=5)
+        cfg = small_cfg(objective=objective, gamma=1.0 if objective == "direct_au" else None,
+                        encoder="lgcn", layers=2, weight_decay=1e-3)
+        table = init_xavier(ds.train.n_users, ds.train.n_items, cfg.d, cfg.seed)
+        prop = GraphPropagator.build(table, ds.train, cfg.layers)
+        state = AdamState.for_params(table.emb, cfg.lr, cfg.weight_decay)
+        neg_rng = np.random.default_rng(1)
+        for batch in _training_batches(ds, cfg, epoch=1)[:2]:
+            train_step(batch, table, prop, state, ds, cfg, neg_rng)
+        assert state.scratch.size >= 2 * table.emb.size
+        assert prop.scratch.shape == (3, *table.emb.shape)
+        arrays = (state.scratch, prop.scratch, table.emb, state.m, state.v)
+        for a, b in combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
     @pytest.mark.parametrize("objective", ["direct_au", "bpr", "bpr_ds"])
     def test_lgcn_step_propagates_only_the_rows_it_reads(self, two_cluster, monkeypatch, objective):
         # every objective reads the outputs at the batch's unique rows (users,
@@ -564,10 +583,10 @@ class TestTrain:
             assert np.array_equal(rows, np.unique(ids))
 
     def test_mf_bpr_ds_step_gathers_no_whole_pool(self):
-        # after a warm-up epoch the optimizer state's scratch holds the rows
-        # of Adam and of the row sum, and the sampler scores its pool in
-        # blocks: a step's peak stays under two pool blocks, where the rows
-        # of the whole pool would take four
+        # after a warm-up epoch the optimizer state's scratch holds Adam's
+        # rows, the row sum has only the batch's rows, and the sampler
+        # scores its pool in blocks: a step's peak stays under two pool
+        # blocks, where the rows of the whole pool would take four
         from directau import AdamState, InteractionSet
         from directau.data import CACHE_BUDGET
         from helpers import train_step
@@ -592,35 +611,6 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 2 * CACHE_BUDGET
-
-    @pytest.mark.parametrize("objective, encoder, layers",
-                             [("direct_au", "mf", 0), ("bpr", "lgcn", 2)])
-    def test_one_workspace_per_run(self, two_cluster, monkeypatch, objective, encoder, layers):
-        # the propagator, the Adam state and the row sums all take their
-        # arrays from the one workspace that train() makes
-        from directau import training
-        from directau.data import Workspace
-
-        made = []
-
-        class Recording(Workspace):
-            def __init__(self):
-                super().__init__()
-                self.names = set()
-                made.append(self)
-
-            def take(self, name, shape, dtype=np.float64):
-                self.names.add(name)
-                return super().take(name, shape, dtype)
-
-        monkeypatch.setattr(training, "Workspace", Recording)
-        gamma = 1.0 if objective == "direct_au" else None
-        cfg = small_cfg(objective=objective, gamma=gamma, encoder=encoder, layers=layers,
-                        max_epochs=1)
-        train(split(two_cluster, seed=5), cfg)
-        (work,) = made
-        graph = {"graph"} if encoder == "lgcn" else set()
-        assert work.names == {"adam", "sums", "sum_index"} | graph
 
     def test_lgcn_smoke_and_determinism(self, two_cluster):
         ds = split(two_cluster, seed=6)
