@@ -382,23 +382,11 @@ def file_sha256(path: str | Path) -> str:
 
 def write_interactions(data: InteractionSet, path: str | Path) -> None:
     """Serialize remapped integer-ID pairs tab-separated, one per line,
-    input order, replacing the file at `path` whole.
-
-    The text is built in numpy as the inverse of `_id_columns`: each
-    non-negative ID's decimal digits, then TAB after a user and LF after
-    an item, as `f"{u}\\t{i}\\n"` would write them."""
-    values = np.column_stack((data.users, data.items)).reshape(-1)
-    widths = np.searchsorted(10 ** np.arange(1, 19), values, side="right") + 1
-    ends = np.cumsum(widths + 1) - 1  # the byte after each field
-    text = np.empty(widths.sum() + widths.size, dtype=np.uint8)
-    text[ends[0::2]] = ord("\t")
-    text[ends[1::2]] = ord("\n")
-    for k in range(int(widths.max(initial=0))):
-        # the k-th digit from the right of every field longer than k
-        live = np.flatnonzero(widths > k)
-        text[ends[live] - 1 - k] = values[live] // 10**k % 10 + ord("0")
+    input order, replacing the file at `path` whole. One %-format writes
+    the lines `f"{u}\\t{i}\\n"` would; `_id_columns` reads them back."""
+    pairs = np.column_stack((data.users, data.items)).reshape(-1).tolist()
     with open_atomic(path) as fh:
-        fh.write(text.tobytes())
+        fh.write(("%d\t%d\n" * data.n_pairs % tuple(pairs)).encode())
 
 
 def write_id_map(keys: Sequence[str], path: str | Path, delimiter: str = "\t") -> None:
@@ -417,8 +405,8 @@ def read_id_pairs(
     count or, where a count is inferred, the number of pairs. Below that,
     IDs need not be contiguous. Each ID parses as Python's int() does, and
     must fit in int64. A tab-separated file in the form `write_interactions`
-    writes (see `_id_columns`) is parsed in numpy; every other file goes
-    through `load_interactions` and int().
+    writes (see `_id_columns`) is parsed by numpy's text parser; every
+    other file goes through `load_interactions` and int().
     """
     columns = _id_columns(Path(path).read_bytes()) if delimiter == "\t" else None
     if columns is None:
@@ -435,21 +423,13 @@ def _id_columns(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The two int64 columns of `raw` when it is exactly one or more lines
     of 1-18 ASCII digits, TAB, 1-18 ASCII digits, LF; None for any other
     bytes. On that form int() reads each field as its decimal digits, and
-    18 digits fit in int64, so the values are int()'s."""
+    18 digits fit in int64, so numpy's text parser, whose " " separator
+    matches TAB and LF, reads int()'s values."""
     spans = _two_fields(raw, ord("\t"), b"0123456789\n")
     codes = np.frombuffer(raw, dtype=np.uint8)
     # a final LF, and every item field ending at LF: no line has a third field
-    if spans is None or raw[-1] != 10 or (codes[spans[1][1]] != 10).any():
+    if (spans is None or raw[-1] != 10 or (codes[spans[1][1]] != 10).any()
+            or max((ends - starts).max() for starts, ends in spans) > 18):
         return None
-    values = np.zeros((2, spans[0][0].size), dtype=np.int64)
-    for row, (starts, ends) in zip(values, spans):  # ends: the byte after each field
-        lengths = ends - starts
-        if lengths.max() > 18:
-            return None
-        for k in range(int(lengths.max())):
-            # the k-th digit from the right of every field longer than k; for
-            # a shorter field the position lies before it (or wraps round to
-            # the buffer's end) and is masked
-            digit = np.where(lengths > k, codes[ends - 1 - k] - np.uint8(ord("0")), np.uint8(0))
-            row += digit.astype(np.int64) * 10**k
-    return values[0], values[1]
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    return values[0::2], values[1::2]

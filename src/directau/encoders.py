@@ -116,25 +116,26 @@ class GraphPropagator:
     entry `weights` in its order. The entry for a training edge (u, i) is
     1/sqrt(p(u) * p(i)) with p(.) the training degree, the node's row
     length. No self-loops and no feature transforms; layer outputs are
-    combined by their mean. Products run in scipy's compiled kernel alone.
+    combined by their mean, over at least one layer. Products run in
+    scipy's compiled kernel alone.
 
     Its full-graph layers and the backward sum run in the (3, |U|+|I|, d)
-    float64 `scratch` it owns, made on first use and again only when the
-    table's shape changes, so a training step takes no fresh table-sized
-    array.
+    float64 `scratch` it owns: the backward sum, then two layer outputs
+    that the layers alternate between. `build` makes it in the base
+    table's shape, so a training step takes no fresh table-sized array.
     """
 
     base: EmbeddingTable
     n_layers: int
     adjacency: UserIndex
     weights: np.ndarray
-    scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
+    scratch: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, base: EmbeddingTable, interactions: InteractionSet,
               n_layers: int) -> "GraphPropagator":
-        if n_layers < 0:
-            raise ValueError(f"n_layers must be >= 0, got {n_layers}")
+        if n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {n_layers}")
         if interactions.n_users != base.n_users or interactions.n_items != base.n_items:
             raise DataError("interaction set and embedding table disagree on entity counts")
         n = interactions.n_users + interactions.n_items
@@ -144,7 +145,7 @@ class GraphPropagator:
         degree = np.diff(adjacency.indptr)
         row = np.repeat(np.arange(n), degree)
         weights = 1.0 / np.sqrt(degree[row] * degree[adjacency.indices])
-        return cls(base, n_layers, adjacency, weights)
+        return cls(base, n_layers, adjacency, weights, np.empty((3, *base.emb.shape)))
 
     def _csr(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
         """CSR arrays of the adjacency's `rows`, an index array, in order;
@@ -153,14 +154,6 @@ class GraphPropagator:
             return (*self.adjacency, self.weights)
         indptr, _, at = self.adjacency.entries(rows)
         return indptr, self.adjacency.indices[at], self.weights[at]
-
-    def _scratch(self, d: int) -> np.ndarray:
-        """`scratch` for width `d`: the backward sum, then two layer outputs
-        that the layers alternate between."""
-        shape = (3, self.base.emb.shape[0], d)
-        if self.scratch.shape != shape:
-            self.scratch = np.empty(shape)
-        return self.scratch
 
     def propagate(self, rows=slice(None)) -> np.ndarray:
         """Layer mean of the propagated representations at `rows`, an index
@@ -175,16 +168,15 @@ class GraphPropagator:
         """
         x = self.base.emb
         n = x.shape[0]
-        _, *layers = self._scratch(x.shape[1])
+        _, *layers = self.scratch
         acc = x[rows].copy()
         cur = x
         for layer in range(self.n_layers - 1):
             cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
             acc += cur[rows]
-        if self.n_layers > 0:
-            k = acc.shape[0]
-            out = layers[(self.n_layers - 1) % 2][:k]
-            acc += _spmm_into("csr", (k, n), self._csr(rows), cur, out)
+        k = acc.shape[0]
+        out = layers[(self.n_layers - 1) % 2][:k]
+        acc += _spmm_into("csr", (k, n), self._csr(rows), cur, out)
         acc /= self.n_layers + 1
         return acc
 
@@ -203,15 +195,14 @@ class GraphPropagator:
         valid until the next `backward` call, which overwrites it.
         """
         n = self.base.emb.shape[0]
-        acc, *layers = self._scratch(grad_rows.shape[1])
+        acc, *layers = self.scratch
         acc.fill(0.0)
         acc[rows] = grad_rows
-        if self.n_layers > 0:
-            cur = _spmm_into("csc", (n, rows.size), self._csr(rows), grad_rows, layers[0])
+        cur = _spmm_into("csc", (n, rows.size), self._csr(rows), grad_rows, layers[0])
+        acc += cur
+        for layer in range(1, self.n_layers):
+            cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
             acc += cur
-            for layer in range(1, self.n_layers):
-                cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
-                acc += cur
         acc /= self.n_layers + 1
         return acc
 

@@ -67,7 +67,9 @@ def adam_step(
 
     `rows` must be strictly ascending, as `np.unique` returns them
     (accumulate duplicate-row gradients before calling), and in
-    [0, len(params)); any other `rows` is a ValueError that writes nothing.
+    [0, len(params)), and `grads` must hold one row per entry of `rows`,
+    of the parameters' width; any other `rows` or `grads` shape is a
+    ValueError that writes nothing.
     Rows not listed are untouched, including their moments. When `rows` is
     every row, the update runs on views of the arrays, with its
     temporaries in the state's scratch; otherwise the rows are gathered
@@ -81,6 +83,8 @@ def adam_step(
         raise ValueError("rows must be strictly ascending, as np.unique returns them")
     if rows[0] < 0 or rows[-1] >= len(params):
         raise ValueError(f"rows must lie in [0, {len(params)})")
+    if grads.shape != (rows.size, params.shape[1]):
+        raise ValueError(f"grads must have shape {(rows.size, params.shape[1])}, got {grads.shape}")
     # strictly ascending, in bounds and len(params) of them: every row in order
     every_row = rows.size == len(params)
     if not np.all(np.isfinite(grads)):

@@ -106,8 +106,7 @@ def naive_propagate(prop, rows=slice(None)):
     for _ in range(prop.n_layers - 1):
         cur = adjacency @ cur
         acc += cur[rows]
-    if prop.n_layers > 0:
-        acc += adjacency[rows] @ cur
+    acc += adjacency[rows] @ cur
     return acc / (prop.n_layers + 1)
 
 
@@ -118,12 +117,11 @@ def naive_backward(prop, rows, grad_rows):
     adjacency = as_scipy(prop)
     acc = np.zeros((adjacency.shape[0], grad_rows.shape[1]))
     acc[rows] = grad_rows
-    if prop.n_layers > 0:
-        cur = adjacency[rows].T @ grad_rows
+    cur = adjacency[rows].T @ grad_rows
+    acc += cur
+    for _ in range(prop.n_layers - 1):
+        cur = adjacency @ cur
         acc += cur
-        for _ in range(prop.n_layers - 1):
-            cur = adjacency @ cur
-            acc += cur
     return acc / (prop.n_layers + 1)
 
 

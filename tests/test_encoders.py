@@ -86,7 +86,8 @@ class TestGraphPropagator:
         t = init_xavier(3, 2, 4, seed=2)
         none = np.empty(0, dtype=np.int64)
         g = GraphPropagator(
-            base=t, n_layers=2, adjacency=UserIndex.build(none, none, 5), weights=np.empty(0)
+            base=t, n_layers=2, adjacency=UserIndex.build(none, none, 5), weights=np.empty(0),
+            scratch=np.empty((3, *t.emb.shape)),
         )
         assert np.array_equal(g.propagate(), layer_mean(sp.csr_matrix((5, 5)), t.emb, 2))
         out = EmbeddingTable(g.propagate(), t.n_users)
@@ -120,12 +121,12 @@ class TestGraphPropagator:
         out = EmbeddingTable(g.propagate(), t.n_users)
         assert np.all(out.user_emb == 0) and np.all(out.item_emb == 0)
 
-    def test_zero_layers_degenerates_to_mf(self):
+    def test_building_with_zero_layers_is_a_value_error(self):
         t = init_xavier(4, 5, 3, seed=4)
         inter = InteractionSet.from_pairs([0, 1, 2, 3], [0, 1, 2, 3], 4, 5)
-        g = GraphPropagator.build(t, inter, n_layers=0)
-        out = EmbeddingTable(g.propagate(), t.n_users)
-        assert np.allclose(out.user_emb, t.user_emb) and np.allclose(out.item_emb, t.item_emb)
+        for n_layers in (0, -1):
+            with pytest.raises(ValueError, match="n_layers must be >= 1"):
+                GraphPropagator.build(t, inter, n_layers=n_layers)
 
     def test_finiteness_preserved(self):
         rng = np.random.default_rng(0)
@@ -181,7 +182,7 @@ class TestGraphPropagator:
         g = GraphPropagator.build(init_xavier(inter.n_users, inter.n_items, 2, 0), inter, 1)
         assert_graph_equals(g, scipy_adjacency(inter))
 
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_propagate_at_rows_equals_the_full_pass_rows(self, n_layers):
         rng, g = self.random_graph(n_layers)
         n = g.base.emb.shape[0]
@@ -196,7 +197,7 @@ class TestGraphPropagator:
                      rng.permutation(n)[:20]):
             assert np.array_equal(g.propagate(rows), full[rows])
 
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_backward_from_rows_equals_the_padded_full_layer_mean(self, n_layers):
         rng, g = self.random_graph(n_layers, seed=1)
         n = g.base.emb.shape[0]
@@ -235,7 +236,7 @@ class TestBufferedGraphStepMatchesNaiveOracle:
         return (np.unique(rng.integers(0, n, size=15)), np.arange(n), np.array([n - 1]),
                 np.unique(rng.integers(0, n, size=40)), np.array([0]))
 
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_consecutive_calls_on_one_propagator(self, n_layers):
         # each call sees the buffers the previous call left behind
         rng, g = self.random_graph(n_layers, seed=2)
@@ -250,7 +251,7 @@ class TestBufferedGraphStepMatchesNaiveOracle:
             g.base.emb[:] = rng.standard_normal(g.base.emb.shape)
         assert_same_bits(g.propagate(), naive_propagate(g))
 
-    @pytest.mark.parametrize("n_layers", [0, 2])
+    @pytest.mark.parametrize("n_layers", [1, 2])
     def test_negative_zero_gradient_entry(self, n_layers):
         rng, g = self.random_graph(n_layers, seed=3)
         rows = np.array([0, 7, 45])
@@ -259,8 +260,6 @@ class TestBufferedGraphStepMatchesNaiveOracle:
         g.backward(rows, -grad_rows)  # leaves the buffers holding other values
         got = g.backward(rows, grad_rows)
         assert_same_bits(got, naive_backward(g, rows, grad_rows))
-        if n_layers == 0:
-            assert np.all(np.signbit(got[45])) and np.all(got[45] == 0.0)
 
     def test_backward_result_is_reused_and_propagate_result_is_fresh(self):
         rng, g = self.random_graph(2, seed=4)
@@ -275,24 +274,19 @@ class TestBufferedGraphStepMatchesNaiveOracle:
         assert not np.shares_memory(g.propagate(rows), table)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_another_dimension_reallocates_the_buffers(self, n_layers):
-        # the scratch is kept while d stays and made again at each new d;
-        # stale values of another d must not leak
+    def test_a_base_of_another_width_is_a_value_error(self, n_layers):
+        # the scratch keeps the width `build` saw; a wider or narrower base
+        # raises instead of reading stale layers
         rng, g = self.random_graph(n_layers, seed=5, d=5)
-        n = g.base.emb.shape[0]
-        rows = np.unique(rng.integers(0, n, size=12))
-        held = []
-        for d in (5, 5, 3, 8, 5):
+        n, rows = g.base.emb.shape[0], np.array([1, 4, 9])
+        for d in (1, 3, 8):
             g.base = EmbeddingTable(rng.standard_normal((n, d)), g.base.n_users)
-            assert_same_bits(g.propagate(), naive_propagate(g))
-            assert_same_bits(g.propagate(rows), naive_propagate(g, rows))
-            grad_rows = rng.standard_normal((rows.size, d))
-            got = g.backward(rows, grad_rows)
-            assert_same_bits(got, naive_backward(g, rows, grad_rows))
-            assert got.shape == (n, d) and got.base is g.scratch
-            held.append(got.base)
-        assert held[0] is held[1]
-        assert all(a is not b for a, b in zip(held[1:], held[2:]))
+            with pytest.raises(ValueError):
+                g.propagate()
+            with pytest.raises(ValueError):
+                g.propagate(rows)
+            with pytest.raises(ValueError):
+                g.backward(rows, rng.standard_normal((rows.size, d)))
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     def test_spmm_into_matches_the_sparse_product(self, d):

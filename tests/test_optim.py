@@ -226,6 +226,20 @@ class TestAdamStepMatchesGatherOracle:
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(before_state, name))
 
+    @pytest.mark.parametrize("grads_shape", ["one_row", "one_vector"])
+    @pytest.mark.parametrize("kind", ["in_order", "ascending"])
+    def test_gradient_of_another_shape_writes_nothing(self, kind, grads_shape):
+        # numpy would broadcast a (1, d) or (d,) gradient onto every given row
+        rng, state, params = warmed(0.05)
+        before_state, before = clone(state, params)
+        rows = row_sets(rng, len(params))[kind]
+        grads = np.ones((1, params.shape[1]) if grads_shape == "one_row" else params.shape[1])
+        with pytest.raises(ValueError, match="grads must have shape"):
+            adam_step(state, params, rows, grads)
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
     @pytest.mark.parametrize("wd", [0.0, 0.05])
     def test_gathered_steps_in_growing_row_scratch(self, wd):
         # row counts that grow, shrink and grow past the held scratch

@@ -5,6 +5,8 @@ Four seeded `preprocess -> train -> eval --split test` runs go through
 log this module builds. The preprocessed file and its two key maps are
 hashed, and so are each run's outputs: train's stdout, embeddings.npz,
 manifest.json, the eval JSON and trace.csv with `wall_seconds` blanked.
+The same interpreter also preprocesses a benchmark log (GENERATED), whose
+clean file has 4-digit IDs, and its three files are hashed too.
 The digests hold for one machine and one set of libraries, so the check
 skips where the fingerprint they were written with differs. Whatever the
 fingerprint, a CLI run writes the same bytes under any BLAS thread count
@@ -20,6 +22,7 @@ import json
 import os
 import platform
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +31,8 @@ import numpy as np
 import pytest
 import scipy
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 DIGESTS = Path(__file__).with_name("seeded_outputs.json")
 
 BASE = {"seed": "3", "d": "32", "lr": "0.01", "batch_size": "100", "max_epochs": "3"}
@@ -42,6 +46,8 @@ RUNS = {
     },
 }
 PREPROCESSED = ("clean.txt", "clean.txt.users.map", "clean.txt.items.map")
+# users, items and seed of the log of perfbench/generate.py preprocessed under "generated"
+GENERATED = (1500, 1100, 7)
 OUTPUTS = ("train.stdout", "embeddings.npz", "manifest.json", "eval.json", "trace.csv")
 
 SCRIPT = """
@@ -57,6 +63,7 @@ def run(argv, stdout=None):
             fh.write(out.getvalue())
 
 run(["preprocess", "--input", "raw.txt", "--output", "clean.txt"])
+run(["preprocess", "--input", "generated.txt", "--output", "generated/clean.txt"])
 for name in sys.argv[1:]:
     run(["train", "--data", "clean.txt", "--config", name + ".conf", "--out-dir", name],
         stdout=name + "/train.stdout")
@@ -121,9 +128,12 @@ def trace_without_wall_seconds(path):
 
 def run_digests(work):
     """Run the seeded pipeline in the empty directory `work`; the digests
-    of the preprocessed files, under "preprocess", and of each run's
-    outputs."""
+    of the preprocessed files, under "preprocess" and "preprocess-generated",
+    and of each run's outputs."""
     (work / "raw.txt").write_text(seeded_log(), encoding="utf-8")
+    generate = runpy.run_path(str(ROOT / "perfbench" / "generate.py"))["generate"]
+    generate(*GENERATED, work / "generated.txt")
+    (work / "generated").mkdir()
     for name, overrides in RUNS.items():
         cfg = {**BASE, **overrides}
         (work / f"{name}.conf").write_text(
@@ -143,7 +153,10 @@ def run_digests(work):
         data = trace_without_wall_seconds(path) if path.name == "trace.csv" else path.read_bytes()
         return hashlib.sha256(data).hexdigest()
 
-    digests = {"preprocess": {out: digest(work / out) for out in PREPROCESSED}}
+    digests = {
+        "preprocess": {out: digest(work / out) for out in PREPROCESSED},
+        "preprocess-generated": {out: digest(work / "generated" / out) for out in PREPROCESSED},
+    }
     digests.update({name: {out: digest(work / name / out) for out in OUTPUTS} for name in RUNS})
     return digests
 
