@@ -6,7 +6,8 @@ log this module builds. The preprocessed file and its two key maps are
 hashed, and so are each run's outputs: train's stdout, embeddings.npz,
 manifest.json, the eval JSON and trace.csv with `wall_seconds` blanked.
 The same interpreter also preprocesses a benchmark log (GENERATED), whose
-clean file has 4-digit IDs, and its three files are hashed too.
+clean file has 4-digit IDs, hashes its three files, and runs four more
+seeded pipelines on it (GENERATED_RUNS), hashed the same way.
 The digests hold for one machine and one set of libraries, so the check
 skips where the fingerprint they were written with differs. Whatever the
 fingerprint, a CLI run writes the same bytes under any BLAS thread count
@@ -48,6 +49,15 @@ RUNS = {
 PREPROCESSED = ("clean.txt", "clean.txt.users.map", "clean.txt.items.map")
 # users, items and seed of the log of perfbench/generate.py preprocessed under "generated"
 GENERATED = (1500, 1100, 7)
+GENERATED_BASE = {**BASE, "seed": "7", "batch_size": "256"}
+GENERATED_RUNS = {
+    "generated-direct_au-mf": {"objective": "direct_au", "gamma": "1"},
+    "generated-bpr-mf": {"objective": "bpr"},
+    "generated-bpr_ds-lgcn2": {"objective": "bpr_ds", "encoder": "lgcn", "layers": "2"},
+    "generated-direct_au-early-stop": {
+        "objective": "direct_au", "gamma": "0.5", "lr": "0.05", "max_epochs": "30", "patience": "1",
+    },
+}
 OUTPUTS = ("train.stdout", "embeddings.npz", "manifest.json", "eval.json", "trace.csv")
 
 SCRIPT = """
@@ -65,9 +75,10 @@ def run(argv, stdout=None):
 run(["preprocess", "--input", "raw.txt", "--output", "clean.txt"])
 run(["preprocess", "--input", "generated.txt", "--output", "generated/clean.txt"])
 for name in sys.argv[1:]:
-    run(["train", "--data", "clean.txt", "--config", name + ".conf", "--out-dir", name],
+    data = "generated/clean.txt" if name.startswith("generated-") else "clean.txt"
+    run(["train", "--data", data, "--config", name + ".conf", "--out-dir", name],
         stdout=name + "/train.stdout")
-    run(["eval", "--checkpoint", name, "--data", "clean.txt", "--split", "test"],
+    run(["eval", "--checkpoint", name, "--data", data, "--split", "test"],
         stdout=name + "/eval.json")
 """
 
@@ -134,8 +145,9 @@ def run_digests(work):
     generate = runpy.run_path(str(ROOT / "perfbench" / "generate.py"))["generate"]
     generate(*GENERATED, work / "generated.txt")
     (work / "generated").mkdir()
-    for name, overrides in RUNS.items():
-        cfg = {**BASE, **overrides}
+    runs = {name: {**BASE, **overrides} for name, overrides in RUNS.items()}
+    runs.update({name: {**GENERATED_BASE, **o} for name, o in GENERATED_RUNS.items()})
+    for name, cfg in runs.items():
         (work / f"{name}.conf").write_text(
             "".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8"
         )
@@ -145,7 +157,7 @@ def run_digests(work):
         OMP_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
     )
-    done = subprocess.run([sys.executable, "-c", SCRIPT, *RUNS], cwd=work, env=env,
+    done = subprocess.run([sys.executable, "-c", SCRIPT, *runs], cwd=work, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 
@@ -157,7 +169,7 @@ def run_digests(work):
         "preprocess": {out: digest(work / out) for out in PREPROCESSED},
         "preprocess-generated": {out: digest(work / "generated" / out) for out in PREPROCESSED},
     }
-    digests.update({name: {out: digest(work / name / out) for out in OUTPUTS} for name in RUNS})
+    digests.update({name: {out: digest(work / name / out) for out in OUTPUTS} for name in runs})
     return digests
 
 
