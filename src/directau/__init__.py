@@ -18,7 +18,7 @@ _EXPORTS = {
     "encoders": "EmbeddingTable GraphPropagator init_xavier normalize_rows "
     "read_embeddings write_embeddings",
     "evaluation": "GeometryReport RankingMetrics geometry_report rank_eval",
-    "losses": "LossOutput bpr_loss direct_au_loss sample_negatives",
+    "losses": "bpr_loss direct_au_loss sample_negatives",
     "optim": "AdamState adam_step",
     "training": "EpochTrace Snapshot TrainConfig emit_trace load_checkpoint "
     "save_checkpoint train",

@@ -1,8 +1,9 @@
 """Training objectives: values plus analytic gradients w.r.t. raw inputs.
 
-All gradients are taken with respect to the *raw* (pre-normalization)
-representation rows; normalization is part of each loss, chained through
-the Jacobian d(x/||x||)/dx = (I - x_n x_n^T) / ||x||.
+Each loss returns (value, grad): grad is one fresh C-contiguous float64
+array, the gradients w.r.t. its arguments' *raw* (pre-normalization) rows
+stacked in argument order; normalization is part of each loss, chained
+through the Jacobian d(x/||x||)/dx = (I - x_n x_n^T) / ||x||.
 
 Numerical conventions: BPR's -log(sigmoid(x)) and its gradient both come
 from one exp(-|x|), which cannot overflow; log-mean-exp uses
@@ -11,8 +12,6 @@ in-batch uniformities in one reused B x B buffer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +22,6 @@ from .errors import InsufficientBatch, NoNegativeAvailable
 
 # scale t of the pairwise Gaussian potential exp(-t * dist^2)
 UNIFORMITY_SCALE = 2.0
-
-
-@dataclass
-class LossOutput:
-    """Loss value and gradients, shaped like the corresponding inputs;
-    grad_neg is populated only by bpr_loss."""
-
-    value: float
-    grad_user: np.ndarray | None = None
-    grad_item: np.ndarray | None = None
-    grad_neg: np.ndarray | None = None
 
 
 def _chain(grad_xn: np.ndarray, xn: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -52,12 +40,13 @@ def _unit_pairs(u_reps: np.ndarray, i_reps: np.ndarray) -> tuple[np.ndarray, ...
     return *_unit_rows(u_reps), *_unit_rows(i_reps)
 
 
-def _align(xn: np.ndarray, xnorm: np.ndarray, yn: np.ndarray, ynorm: np.ndarray) -> LossOutput:
+def _align(xn: np.ndarray, xnorm: np.ndarray, yn: np.ndarray, ynorm: np.ndarray) -> tuple:
+    """(value, grad_x, grad_y) of the alignment of unit rows xn and yn."""
     n = xn.shape[0]
     diff = xn - yn
     value = float(np.mean(np.sum(diff * diff, axis=1)))
     g = (2.0 / n) * diff
-    return LossOutput(value=value, grad_user=_chain(g, xn, xnorm), grad_item=_chain(-g, yn, ynorm))
+    return value, _chain(g, xn, xnorm), _chain(-g, yn, ynorm)
 
 
 def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[float, np.ndarray]:
@@ -91,7 +80,7 @@ def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[flo
     return value, _chain(g, xn, norms)
 
 
-def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> LossOutput:
+def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
     """Alignment plus gamma-weighted mean of the two in-batch uniformities.
 
     Each side is normalized once, and both uniformities run in turn in one
@@ -100,21 +89,22 @@ def direct_au_loss(u_reps: np.ndarray, i_reps: np.ndarray, gamma: float) -> Loss
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     xn, xnorm, yn, ynorm = _unit_pairs(u_reps, i_reps)
-    a = _align(xn, xnorm, yn, ynorm)
+    a_value, grad_u, grad_i = _align(xn, xnorm, yn, ynorm)
     n = xn.shape[0]
     if n < 2:
         raise InsufficientBatch("uniformity needs at least two rows")
     buf = np.empty((n, n))
     uu_value, uu_grad = _uniformity(xn, xnorm, buf)
     ui_value, ui_grad = _uniformity(yn, ynorm, buf)
-    return LossOutput(
-        value=a.value + gamma * (uu_value + ui_value) / 2.0,
-        grad_user=a.grad_user + (gamma / 2.0) * uu_grad,
-        grad_item=a.grad_item + (gamma / 2.0) * ui_grad,
-    )
+    grad = np.empty((2 * n, xn.shape[1]))
+    np.add(grad_u, (gamma / 2.0) * uu_grad, out=grad[:n])
+    np.add(grad_i, (gamma / 2.0) * ui_grad, out=grad[n:])
+    return a_value + gamma * (uu_value + ui_value) / 2.0, grad
 
 
-def bpr_loss(u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray) -> LossOutput:
+def bpr_loss(
+    u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Pairwise ranking loss: mean of -log sigmoid(s(u,i) - s(u,i-)) with
     raw dot-product scores s, over 2-D batches of one shape."""
     if not (u_reps.ndim == 2 and u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
@@ -126,12 +116,11 @@ def bpr_loss(u_reps: np.ndarray, i_pos_reps: np.ndarray, i_neg_reps: np.ndarray)
     value = float(np.mean(np.maximum(-delta, 0.0) + np.log1p(e)))
     # sigmoid(-delta) is 1 / (1 + e) where delta <= 0, else e / (1 + e)
     c = (-np.where(delta > 0, e, 1.0) / (1.0 + e) / n)[:, None]
-    return LossOutput(
-        value=value,
-        grad_user=c * gap,
-        grad_item=c * u_reps,
-        grad_neg=-c * u_reps,
-    )
+    grad = np.empty((3 * n, u_reps.shape[1]))
+    np.multiply(c, gap, out=grad[:n])
+    np.multiply(c, u_reps, out=grad[n : 2 * n])
+    np.multiply(-c, u_reps, out=grad[2 * n :])
+    return value, grad
 
 
 def sample_negatives(

@@ -265,14 +265,13 @@ def _batch_loss_and_grads(
     w.r.t. the stacked base parameter rows.
 
     Returns (value, rows, grads) with rows indexing `table.emb` (items
-    offset by n_users); duplicate batch rows are summed into a fresh array
-    by _sum_rows, and for the graph encoder the gradients are pulled back
+    offset by n_users). The loss's gradient comes stacked in the batch ids'
+    order [users; positives; negatives], and _sum_rows sums its duplicate
+    rows into a fresh array; for the graph encoder the sums are pulled back
     through the propagation (every row) into the propagator's scratch. The
-    negatives are drawn first; every objective then reads its outputs only
-    at the batch rows (users, positives and negatives). Only `bpr_ds` on
-    the graph encoder propagates every row, because its sampler scores
-    candidates drawn from the whole catalog; uniform `bpr` never reads the
-    table while sampling.
+    negatives are drawn first and the outputs read only at the batch rows;
+    only `bpr_ds` on the graph encoder propagates every row, to score its
+    candidates drawn from the whole catalog, and uniform `bpr` reads no table.
     """
     n_users, b = table.n_users, bu.size
     out = table
@@ -288,16 +287,13 @@ def _batch_loss_and_grads(
     rows, inv = np.unique(ids, return_inverse=True)
     reps = propagator.propagate(rows)[inv] if out is None else out.emb[ids]
     if cfg.objective == "direct_au":
-        lo = direct_au_loss(reps[:b], reps[b:], cfg.gamma)
-        grads = np.concatenate([lo.grad_user, lo.grad_item])
+        value, grads = direct_au_loss(reps[:b], reps[b:], cfg.gamma)
     else:
-        lo = bpr_loss(reps[:b], reps[b : 2 * b], reps[2 * b :])
-        grads = np.concatenate([lo.grad_user, lo.grad_item, lo.grad_neg])
-
+        value, grads = bpr_loss(reps[:b], reps[b : 2 * b], reps[2 * b :])
     acc = _sum_rows(inv, grads)
     if propagator is None:
-        return lo.value, rows, acc
-    return lo.value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)
+        return value, rows, acc
+    return value, np.arange(table.emb.shape[0]), propagator.backward(rows, acc)
 
 
 def emit_trace(traces: list[EpochTrace], path: str | Path) -> None:

@@ -33,7 +33,6 @@ from directau.errors import (
 from directau.evaluation import RankingMetrics
 from directau.losses import (
     UNIFORMITY_SCALE,
-    LossOutput,
     _align,
     _chain,
     _uniformity,
@@ -51,7 +50,8 @@ def softplus(x):
 
 def naive_bpr_loss(u, pos, neg):
     """The ranking loss from a separate softplus and a masked two-branch
-    sigmoid, each with its own exponential."""
+    sigmoid, each with its own exponential: (value, grad_u, grad_pos,
+    grad_neg)."""
     delta = np.sum(u * (pos - neg), axis=1)
     x = -delta
     sigmoid = np.empty_like(x)
@@ -60,7 +60,7 @@ def naive_bpr_loss(u, pos, neg):
     ex = np.exp(x[~up])
     sigmoid[~up] = ex / (1.0 + ex)
     c = (-sigmoid / u.shape[0])[:, None]
-    return LossOutput(float(np.mean(softplus(x))), c * (pos - neg), c * u, -c * u)
+    return float(np.mean(softplus(x))), c * (pos - neg), c * u, -c * u
 
 
 def scipy_adjacency(interactions):
@@ -127,7 +127,7 @@ def naive_backward(prop, rows, grad_rows):
 
 def align_loss(u_reps, i_reps):
     """Mean squared distance between normalized positive pairs; range [0, 4].
-    Runs the alignment kernel of direct_au_loss."""
+    Runs the alignment kernel of direct_au_loss: (value, grad_u, grad_i)."""
     return _align(*_unit_pairs(u_reps, i_reps))
 
 
@@ -135,20 +135,19 @@ def uniform_loss(reps):
     """log mean over distinct unordered row pairs of exp(-2 ||x_j - x_k||^2).
 
     Range [-8, 0]; 0 iff all normalized rows coincide. Runs the uniformity
-    kernel of direct_au_loss; the gradient of the single input matrix is
-    returned in grad_user.
+    kernel of direct_au_loss: (value, grad).
     """
     reps = np.atleast_2d(reps)
     n = reps.shape[0]
     if n < 2:
         raise InsufficientBatch("uniformity needs at least two rows")
     xn, norms = _unit_rows(reps)
-    value, grad = _uniformity(xn, norms, np.empty((n, n)))
-    return LossOutput(value=value, grad_user=grad)
+    return _uniformity(xn, norms, np.empty((n, n)))
 
 
 def naive_align_loss(u_reps, i_reps):
-    """Reference alignment over 2-D batches: normalizes both sides itself."""
+    """Reference alignment over 2-D batches: normalizes both sides itself;
+    (value, grad_u, grad_i)."""
     if u_reps.ndim != 2 or u_reps.shape != i_reps.shape:
         raise ValueError("paired batches must be 2-D with identical shapes")
     n = u_reps.shape[0]
@@ -159,16 +158,12 @@ def naive_align_loss(u_reps, i_reps):
     diff = xn - yn
     value = float(np.mean(np.sum(diff * diff, axis=1)))
     g = (2.0 / n) * diff
-    return LossOutput(
-        value=value,
-        grad_user=_chain(g, xn, xnorm),
-        grad_item=_chain(-g, yn, ynorm),
-    )
+    return value, _chain(g, xn, xnorm), _chain(-g, yn, ynorm)
 
 
 def naive_uniform_loss(reps):
     """Reference uniformity: out-of-place expressions, each step a fresh
-    (n, n) array."""
+    (n, n) array; (value, grad)."""
     reps = np.atleast_2d(reps)
     n = reps.shape[0]
     if n < 2:
@@ -185,20 +180,21 @@ def naive_uniform_loss(reps):
     value = m + float(np.log(total / n_pairs))
     row_sum = weights.sum(axis=1, keepdims=True)
     g = (-2.0 * UNIFORMITY_SCALE / total) * (xn * row_sum - weights @ xn)
-    return LossOutput(value=value, grad_user=_chain(g, xn, norms))
+    return value, _chain(g, xn, norms)
 
 
 def naive_direct_au_loss(u_reps, i_reps, gamma):
-    """Reference DirectAU: three separate losses, each side normalized twice."""
+    """Reference DirectAU: three separate losses, each side normalized
+    twice; (value, grad_u, grad_i)."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    a = naive_align_loss(u_reps, i_reps)
-    uu = naive_uniform_loss(u_reps)
-    ui = naive_uniform_loss(i_reps)
-    return LossOutput(
-        value=a.value + gamma * (uu.value + ui.value) / 2.0,
-        grad_user=a.grad_user + (gamma / 2.0) * uu.grad_user,
-        grad_item=a.grad_item + (gamma / 2.0) * ui.grad_user,
+    a_value, a_user, a_item = naive_align_loss(u_reps, i_reps)
+    uu_value, uu_grad = naive_uniform_loss(u_reps)
+    ui_value, ui_grad = naive_uniform_loss(i_reps)
+    return (
+        a_value + gamma * (uu_value + ui_value) / 2.0,
+        a_user + (gamma / 2.0) * uu_grad,
+        a_item + (gamma / 2.0) * ui_grad,
     )
 
 
@@ -372,35 +368,36 @@ def two_matrix_step(sel, user, item, user_state, item_state, split, cfg, neg_rng
 
     negs = None
     if cfg.objective == "direct_au":
-        lo = direct_au_loss(u_reps, i_reps, cfg.gamma)
+        value, grad = direct_au_loss(u_reps, i_reps, cfg.gamma)
     else:
         strategy = "dynamic" if cfg.objective == "bpr_ds" else "uniform"
         scoring = EmbeddingTable.from_parts(out_user, out_item)
         negs = sample_negatives(
             split, bu, strategy, table=scoring, candidates=cfg.ds_candidates, rng=neg_rng
         )
-        lo = bpr_loss(u_reps, i_reps, out_item[negs])
+        value, grad = bpr_loss(u_reps, i_reps, out_item[negs])
 
+    # the gradient stacks the users' rows, then the items' in item_ids' order
     item_ids = bi if negs is None else np.concatenate([bi, negs])
-    item_grads = lo.grad_item if negs is None else np.vstack([lo.grad_item, lo.grad_neg])
+    user_grads, item_grads = grad[: bu.size], grad[bu.size :]
     if adjacency is None:
         rows_u, inv_u = np.unique(bu, return_inverse=True)
         grad_u = np.zeros((rows_u.size, user.shape[1]))
-        np.add.at(grad_u, inv_u, lo.grad_user)
+        np.add.at(grad_u, inv_u, user_grads)
         rows_i, inv_i = np.unique(item_ids, return_inverse=True)
         grad_i = np.zeros((rows_i.size, item.shape[1]))
         np.add.at(grad_i, inv_i, item_grads)
     else:
         g_user = np.zeros_like(user)
         g_item = np.zeros_like(item)
-        np.add.at(g_user, bu, lo.grad_user)
+        np.add.at(g_user, bu, user_grads)
         np.add.at(g_item, item_ids, item_grads)
         g = layer_mean(adjacency, np.vstack([g_user, g_item]), cfg.layers)
         rows_u, grad_u = np.arange(nu), g[:nu]
         rows_i, grad_i = np.arange(item.shape[0]), g[nu:]
     gather_adam_step(user_state, user, rows_u, grad_u)
     gather_adam_step(item_state, item, rows_i, grad_i)
-    return lo.value
+    return value
 
 
 def per_user_negatives(split, users, strategy, table=None, candidates=32, rng=None):

@@ -61,33 +61,34 @@ def test_criterion_1_gradient_oracle():
                 neg = rng.standard_normal((n, d)) + 0.02
                 n_batches += 1
 
-                out = align_loss(u, i)
+                _, grad_u, grad_i = align_loss(u, i)
                 fu, fi = finite_difference_gradients(
-                    lambda a, b: align_loss(a, b).value, [u, i]
+                    lambda a, b: align_loss(a, b)[0], [u, i]
                 )
-                worst = max(worst, relative_gradient_error(out.grad_user, fu))
-                worst = max(worst, relative_gradient_error(out.grad_item, fi))
+                worst = max(worst, relative_gradient_error(grad_u, fu))
+                worst = max(worst, relative_gradient_error(grad_i, fi))
 
-                out = uniform_loss(u)
+                _, grad = uniform_loss(u)
                 (fx,) = finite_difference_gradients(
-                    lambda a: uniform_loss(a).value, [u]
+                    lambda a: uniform_loss(a)[0], [u]
                 )
-                worst = max(worst, relative_gradient_error(out.grad_user, fx))
+                worst = max(worst, relative_gradient_error(grad, fx))
 
-                out = direct_au_loss(u, i, 1.0)
+                # each loss stacks its arguments' gradients in argument order
+                _, grad = direct_au_loss(u, i, 1.0)
                 fu, fi = finite_difference_gradients(
-                    lambda a, b: direct_au_loss(a, b, 1.0).value, [u, i]
+                    lambda a, b: direct_au_loss(a, b, 1.0)[0], [u, i]
                 )
-                worst = max(worst, relative_gradient_error(out.grad_user, fu))
-                worst = max(worst, relative_gradient_error(out.grad_item, fi))
+                worst = max(worst, relative_gradient_error(grad[:n], fu))
+                worst = max(worst, relative_gradient_error(grad[n:], fi))
 
-                out = bpr_loss(u, i, neg)
+                _, grad = bpr_loss(u, i, neg)
                 fu, fi, fn = finite_difference_gradients(
-                    lambda a, b, c: bpr_loss(a, b, c).value, [u, i, neg]
+                    lambda a, b, c: bpr_loss(a, b, c)[0], [u, i, neg]
                 )
-                worst = max(worst, relative_gradient_error(out.grad_user, fu))
-                worst = max(worst, relative_gradient_error(out.grad_item, fi))
-                worst = max(worst, relative_gradient_error(out.grad_neg, fn))
+                worst = max(worst, relative_gradient_error(grad[:n], fu))
+                worst = max(worst, relative_gradient_error(grad[n : 2 * n], fi))
+                worst = max(worst, relative_gradient_error(grad[2 * n :], fn))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and n_batches >= 50 and elapsed < 10.0
     report(
@@ -123,11 +124,11 @@ def test_criterion_2_estimator_equivalence():
 
 def test_criterion_3_analytic_fixed_points():
     x = np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-    align0 = align_loss(x, 4.0 * x).value
-    uniform0 = uniform_loss(np.array([[1.0, 0.0], [3.0, 0.0]])).value
-    antipodal = uniform_loss(np.array([[1.0, 0.0], [-1.0, 0.0]])).value
+    align0 = align_loss(x, 4.0 * x)[0]
+    uniform0 = uniform_loss(np.array([[1.0, 0.0], [3.0, 0.0]]))[0]
+    antipodal = uniform_loss(np.array([[1.0, 0.0], [-1.0, 0.0]]))[0]
     u = np.array([[1.0, 0.0]])
-    ln2 = bpr_loss(u, u, u).value
+    ln2 = bpr_loss(u, u, u)[0]
     errors = {
         "align(identical)": abs(align0),
         "uniform(identical)": abs(uniform0),

@@ -494,7 +494,7 @@ class TestBoundHarness:
         n, d = 2_000, 8
         pts = sphere_sample(rng, n, d)
         negs = pts[rng.integers(0, n, size=n)]
-        direct = bpr_loss(pts, pts, negs).value
+        direct = bpr_loss(pts, pts, negs)[0]
         rng2 = np.random.default_rng(14)
         r = bpr_bound_harness(d, n, rng2)
         assert r.measured_bpr == pytest.approx(direct, abs=1e-12)

@@ -43,69 +43,69 @@ class TestGradients:
     def test_align(self, n, d):
         rng = np.random.default_rng(n * 100 + d)
         u, i = batch(rng, n, d), batch(rng, n, d)
-        out = align_loss(u, i)
-        fu, fi = finite_difference_gradients(lambda a, b: align_loss(a, b).value, [u, i])
-        assert relative_gradient_error(out.grad_user, fu) < 1e-4
-        assert relative_gradient_error(out.grad_item, fi) < 1e-4
+        _, grad_u, grad_i = align_loss(u, i)
+        fu, fi = finite_difference_gradients(lambda a, b: align_loss(a, b)[0], [u, i])
+        assert relative_gradient_error(grad_u, fu) < 1e-4
+        assert relative_gradient_error(grad_i, fi) < 1e-4
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_uniform(self, n, d):
         rng = np.random.default_rng(n * 200 + d)
         x = batch(rng, n, d)
-        out = uniform_loss(x)
-        (fx,) = finite_difference_gradients(lambda a: uniform_loss(a).value, [x])
-        assert relative_gradient_error(out.grad_user, fx) < 1e-4
+        _, grad = uniform_loss(x)
+        (fx,) = finite_difference_gradients(lambda a: uniform_loss(a)[0], [x])
+        assert relative_gradient_error(grad, fx) < 1e-4
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_direct_au(self, n, d):
         rng = np.random.default_rng(n * 300 + d)
         u, i = batch(rng, n, d), batch(rng, n, d)
-        out = direct_au_loss(u, i, gamma=2.0)
+        _, grad = direct_au_loss(u, i, gamma=2.0)
         fu, fi = finite_difference_gradients(
-            lambda a, b: direct_au_loss(a, b, gamma=2.0).value, [u, i]
+            lambda a, b: direct_au_loss(a, b, gamma=2.0)[0], [u, i]
         )
-        assert relative_gradient_error(out.grad_user, fu) < 1e-4
-        assert relative_gradient_error(out.grad_item, fi) < 1e-4
+        assert relative_gradient_error(grad[:n], fu) < 1e-4
+        assert relative_gradient_error(grad[n:], fi) < 1e-4
 
     # each id names the score: bpr_loss scores by dot product
     @pytest.mark.parametrize("n,d", SHAPES, ids=[f"{n}-{d}-dot" for n, d in SHAPES])
     def test_bpr(self, n, d):
         rng = np.random.default_rng(n * 400 + d)
         u, i, j = batch(rng, n, d), batch(rng, n, d), batch(rng, n, d)
-        out = bpr_loss(u, i, j)
+        _, grad = bpr_loss(u, i, j)
         fu, fi, fj = finite_difference_gradients(
-            lambda a, b, c: bpr_loss(a, b, c).value, [u, i, j]
+            lambda a, b, c: bpr_loss(a, b, c)[0], [u, i, j]
         )
-        assert relative_gradient_error(out.grad_user, fu) < 1e-4
-        assert relative_gradient_error(out.grad_item, fi) < 1e-4
-        assert relative_gradient_error(out.grad_neg, fj) < 1e-4
+        assert relative_gradient_error(grad[:n], fu) < 1e-4
+        assert relative_gradient_error(grad[n : 2 * n], fi) < 1e-4
+        assert relative_gradient_error(grad[2 * n :], fj) < 1e-4
 
 
 class TestAlignValues:
     def test_identical_pairs_zero(self):
         x = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert align_loss(x, 2.5 * x).value == pytest.approx(0.0, abs=1e-12)
+        assert align_loss(x, 2.5 * x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair(self):
-        assert align_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])).value == 2.0
+        assert align_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0] == 2.0
 
     def test_antipodal_pair(self):
-        assert align_loss(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]])).value == 4.0
+        assert align_loss(np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))[0] == 4.0
 
 
 class TestUniformValues:
     def test_identical_rows_zero(self):
         x = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
-        assert uniform_loss(x).value == pytest.approx(0.0, abs=1e-12)
+        assert uniform_loss(x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_rows(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert uniform_loss(x).value == pytest.approx(-8.0, abs=1e-12)
+        assert uniform_loss(x)[0] == pytest.approx(-8.0, abs=1e-12)
 
     def test_three_rows_at_120_degrees(self):
         angles = [0.0, 2 * np.pi / 3, 4 * np.pi / 3]
         x = np.array([[np.cos(a), np.sin(a)] for a in angles])
-        assert uniform_loss(x).value == pytest.approx(-6.0, abs=1e-12)
+        assert uniform_loss(x)[0] == pytest.approx(-6.0, abs=1e-12)
 
     def test_insufficient_batch(self):
         with pytest.raises(InsufficientBatch):
@@ -115,29 +115,29 @@ class TestUniformValues:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal((4, 3))
-            assert uniform_loss(x).value < 0.0
+            assert uniform_loss(x)[0] < 0.0
 
 
 class TestDirectAUValues:
     def test_gamma_zero_equals_align(self):
         rng = np.random.default_rng(1)
         u, i = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        au = direct_au_loss(u, i, gamma=0.0)
-        al = align_loss(u, i)
-        assert au.value == al.value
-        assert np.array_equal(au.grad_user, al.grad_user)
+        au_value, au_grad = direct_au_loss(u, i, gamma=0.0)
+        al_value, al_u, al_i = align_loss(u, i)
+        assert au_value == al_value
+        assert np.array_equal(au_grad, np.concatenate([al_u, al_i]))
 
     def test_identical_batch_is_zero(self):
         x = np.tile([[0.0, 2.0]], (4, 1))
-        assert direct_au_loss(x, x, gamma=3.0).value == pytest.approx(0.0, abs=1e-12)
+        assert direct_au_loss(x, x, gamma=3.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_composition_identity(self):
         rng = np.random.default_rng(2)
         u, i = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-        combined = direct_au_loss(u, i, gamma=1.0).value
+        combined = direct_au_loss(u, i, gamma=1.0)[0]
         parts = (
-            align_loss(u, i).value
-            + (uniform_loss(u).value + uniform_loss(i).value) / 2.0
+            align_loss(u, i)[0]
+            + (uniform_loss(u)[0] + uniform_loss(i)[0]) / 2.0
         )
         assert combined == pytest.approx(parts, abs=1e-12)
 
@@ -189,19 +189,18 @@ class TestMatchesNaiveOracle:
     def test_direct_au(self, n, gamma, duplicated):
         rng = np.random.default_rng(n)
         u, i = oracle_batch(rng, n, duplicated), oracle_batch(rng, n, duplicated)
-        got = direct_au_loss(u, i, gamma)
-        want = naive_direct_au_loss(u, i, gamma)
-        assert got.value == want.value
-        assert same_bits(got.grad_user, want.grad_user)
-        assert same_bits(got.grad_item, want.grad_item)
+        got_value, got_grad = direct_au_loss(u, i, gamma)
+        want_value, *want_grads = naive_direct_au_loss(u, i, gamma)
+        assert got_value == want_value
+        assert same_bits(got_grad, np.concatenate(want_grads))
 
     @pytest.mark.parametrize("duplicated", [False, True])
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_uniform(self, n, duplicated):
         x = oracle_batch(np.random.default_rng(n + 1), n, duplicated)
-        got, want = uniform_loss(x), naive_uniform_loss(x)
-        assert got.value == want.value
-        assert same_bits(got.grad_user, want.grad_user)
+        (got_value, got_grad), (want_value, want_grad) = uniform_loss(x), naive_uniform_loss(x)
+        assert got_value == want_value
+        assert same_bits(got_grad, want_grad)
 
     @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
     def test_direct_au_raises_like_oracle(self, case):
@@ -233,23 +232,65 @@ class TestMatchesNaiveOracle:
         assert peak <= 2.5 * n * n * 8
 
 
+class TestGradientLayout:
+    """Each loss returns (value, grad), where grad is one C-contiguous
+    float64 array holding the gradients of its arguments stacked in
+    argument order, each block bit for bit the oracle's."""
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("n", [2, 24, 257])
+    def test_direct_au(self, n, strided):
+        rng = np.random.default_rng(n + 2)
+        u, i = oracle_batch(rng, 2 * n, True, d=16), oracle_batch(rng, 2 * n, False, d=16)
+        u, i = (u[::2], i[::2]) if strided else (u[:n], i[:n])
+        value, grad = direct_au_loss(u, i, 1.0)
+        want_value, *want = naive_direct_au_loss(u, i, 1.0)
+        assert grad.dtype == np.float64 and grad.flags.c_contiguous
+        assert grad.shape == (2 * n, 16)
+        assert value == want_value and same_bits(grad, np.concatenate(want))
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_bpr_keeps_signed_zeros(self, strided):
+        rng = np.random.default_rng(9)
+        u, pos, neg = (rng.standard_normal((16, 4)) for _ in range(3))
+        u[:, 0], u[:, 1] = 0.0, -0.0  # c * u and -c * u hold zeros of both signs
+        pos[:8] = neg[:8]  # a zero gap on half the rows
+        u, pos, neg = (x[::2] if strided else x[:8] for x in (u, pos, neg))
+        value, grad = bpr_loss(u, pos, neg)
+        want_value, *want = naive_bpr_loss(u, pos, neg)
+        stacked = np.concatenate(want)
+        assert grad.dtype == np.float64 and grad.flags.c_contiguous
+        assert grad.shape == (24, 4)
+        zero_signs = np.signbit(stacked[stacked == 0])
+        assert zero_signs.any() and not zero_signs.all()
+        assert value == want_value and same_bits(grad, stacked)
+
+    def test_no_loss_output_type(self):
+        import directau
+
+        assert not hasattr(losses, "LossOutput")
+        assert "LossOutput" not in directau.__all__
+        with pytest.raises(AttributeError):
+            directau.LossOutput
+
+
 class TestBPRValues:
     def test_equal_scores_ln2(self):
         u = np.array([[1.0, 0.0]])
-        assert bpr_loss(u, u, u).value == pytest.approx(np.log(2.0), abs=1e-12)
+        assert bpr_loss(u, u, u)[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation(self):
         u = np.array([[1.0, 0.0]])
         pos = np.array([[20.5, 0.0]])
         neg = np.array([[0.5, 0.0]])
-        assert bpr_loss(u, pos, neg).value < 1e-8
+        assert bpr_loss(u, pos, neg)[0] < 1e-8
 
     def test_scalar_margin_half(self):
         u = np.array([[1.0, 0.0]])
         pos = np.array([[1.0, 0.0]])
         neg = np.array([[0.5, 0.0]])
         expected = np.log1p(np.exp(-0.5))  # -ln sigmoid(0.5) = 0.474077...
-        assert bpr_loss(u, pos, neg).value == pytest.approx(expected, abs=1e-12)
+        assert bpr_loss(u, pos, neg)[0] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.474077, abs=1e-6)
 
     def test_one_exponential_matches_softplus_and_sigmoid_bit_for_bit(self):
@@ -261,17 +302,17 @@ class TestBPRValues:
             tuple(3.0 * rng.standard_normal((64, 8)) for _ in range(3)),
         ]
         for u, pos, neg in cases:
-            got, want = bpr_loss(u, pos, neg), naive_bpr_loss(u, pos, neg)
-            assert got.value == want.value
-            for name in ("grad_user", "grad_item", "grad_neg"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+            (got_value, got_grad), (want_value, *want_grads) = (
+                bpr_loss(u, pos, neg), naive_bpr_loss(u, pos, neg)
+            )
+            assert got_value == want_value
+            assert same_bits(got_grad, np.concatenate(want_grads))
 
     def test_always_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             u, i, j = (rng.standard_normal((4, 3)) for _ in range(3))
-            assert bpr_loss(u, i, j).value > 0.0
+            assert bpr_loss(u, i, j)[0] > 0.0
 
     @pytest.mark.parametrize("flat", [(0, 1, 2), (0,), (1,), (2,)])
     def test_one_dimensional_batches_rejected(self, flat):
@@ -287,14 +328,14 @@ class TestInvariances:
         u, i = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
         cu = rng.uniform(0.2, 8.0, size=(6, 1))
         ci = rng.uniform(0.2, 8.0, size=(6, 1))
-        assert align_loss(cu * u, ci * i).value == pytest.approx(
-            align_loss(u, i).value, abs=1e-10
+        assert align_loss(cu * u, ci * i)[0] == pytest.approx(
+            align_loss(u, i)[0], abs=1e-10
         )
-        assert uniform_loss(cu * u).value == pytest.approx(
-            uniform_loss(u).value, abs=1e-10
+        assert uniform_loss(cu * u)[0] == pytest.approx(
+            uniform_loss(u)[0], abs=1e-10
         )
-        assert direct_au_loss(cu * u, ci * i, 1.5).value == pytest.approx(
-            direct_au_loss(u, i, 1.5).value, abs=1e-10
+        assert direct_au_loss(cu * u, ci * i, 1.5)[0] == pytest.approx(
+            direct_au_loss(u, i, 1.5)[0], abs=1e-10
         )
 
     def test_permutation_equivariance(self):
@@ -307,16 +348,18 @@ class TestInvariances:
         ):
             base = fn(u, i)
             permuted = fn(u[perm], i[perm])
-            assert permuted.value == pytest.approx(base.value, abs=1e-12)
-            assert np.allclose(permuted.grad_user, base.grad_user[perm], atol=1e-12)
-            assert np.allclose(permuted.grad_item, base.grad_item[perm], atol=1e-12)
+            assert permuted[0] == pytest.approx(base[0], abs=1e-12)
+            # both return their gradients in argument order: users' rows, then items'
+            grad, grad_permuted = np.concatenate(base[1:]), np.concatenate(permuted[1:])
+            assert np.allclose(grad_permuted[:7], grad[:7][perm], atol=1e-12)
+            assert np.allclose(grad_permuted[7:], grad[7:][perm], atol=1e-12)
 
     def test_value_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             u, i = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-            assert 0.0 <= align_loss(u, i).value <= 4.0
-            assert -8.0 <= uniform_loss(u).value <= 0.0
+            assert 0.0 <= align_loss(u, i)[0] <= 4.0
+            assert -8.0 <= uniform_loss(u)[0] <= 0.0
 
 
 class TestSampleNegatives:

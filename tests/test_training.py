@@ -28,7 +28,6 @@ from directau import (
 from directau.data import file_sha256
 from directau.errors import ConfigError, DegenerateEmbedding
 from directau.evaluation import GeometryReport
-from directau.losses import LossOutput
 from directau.training import _training_batches, read_key_values, split_key_value
 from helpers import naive_read_config_file, naive_split, read_trace
 
@@ -299,7 +298,7 @@ class TestTrain:
         (sel,) = _training_batches(ds, cfg, epoch=1)
         expected = direct_au_loss(
             init.user_emb[ds.train.users[sel]], init.item_emb[ds.train.items[sel]], cfg.gamma
-        ).value
+        )[0]
         assert traces[0].train_loss == pytest.approx(expected, abs=1e-9)
 
     def test_trace_geometry_bounds(self, two_cluster):
@@ -344,12 +343,10 @@ class TestTrain:
 
         def poisoned(u, i, gamma):
             calls["n"] += 1
-            out = real(u, i, gamma)
+            value, grad = real(u, i, gamma)
             if calls["n"] == n_batches + 2:  # epoch 2's second batch
-                bad = out.grad_user.copy()
-                bad[0, 0] = np.nan
-                return LossOutput(out.value, bad, out.grad_item)
-            return out
+                grad[0, 0] = np.nan
+            return value, grad
 
         monkeypatch.setattr(training_mod, "direct_au_loss", poisoned)
         best, traces = train(ds, cfg)
@@ -415,7 +412,7 @@ class TestTrain:
 
             return direct_au_loss(
                 out.user_emb[bu], out.item_emb[bi], 1.5
-            ).value
+            )[0]
 
         prop = GraphPropagator.build(table, inter, n_layers=2)
         _, rows, grads = _batch_loss_and_grads(
