@@ -18,6 +18,9 @@ from .errors import DivergedGradient
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# the largest (1 - BETA2) * g * g a step accepts, so that g * g stays finite,
+# and so does v_hat, a weighted mean of the g * g its row has taken
+_G2_LIMIT = (1.0 - BETA2) * np.finfo(np.float64).max
 
 
 @dataclass
@@ -69,7 +72,8 @@ def adam_step(
     (accumulate duplicate-row gradients before calling), and in
     [0, len(params)), and `grads` must hold one row per entry of `rows`,
     of the parameters' width; any other `rows` or `grads` shape is a
-    ValueError that writes nothing.
+    ValueError, and a non-finite gradient entry, or one whose square
+    overflows float64, a DivergedGradient, either writing nothing.
     Rows not listed are untouched, including their moments. When `rows` is
     every row, the update runs on views of the arrays, with its
     temporaries in the state's scratch; otherwise the rows are gathered
@@ -87,9 +91,6 @@ def adam_step(
         raise ValueError(f"grads must have shape {(rows.size, params.shape[1])}, got {grads.shape}")
     # strictly ascending, in bounds and len(params) of them: every row in order
     every_row = rows.size == len(params)
-    if not np.all(np.isfinite(grads)):
-        raise DivergedGradient("non-finite gradient entries")
-
     if every_row:
         p, m, v, step = params, state.m, state.v, state.step
         tmp, v_hat = state._take((2, *params.shape))
@@ -101,23 +102,27 @@ def adam_step(
             np.take(src, rows, axis=0, out=dst, mode="clip")
         step = state.step[rows]
     g = grads
-    if state.weight_decay > 0.0:
-        # v_hat is free until the last moment update has read g
-        g = np.multiply(state.weight_decay, p, out=v_hat)
-        np.add(grads, g, out=g)
+    # g (in v_hat, free until m has read it) and g2 are formed before any
+    # state is written, so that a diverged step writes nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        if state.weight_decay > 0.0:
+            g = np.multiply(state.weight_decay, p, out=v_hat)
+            np.add(grads, g, out=g)
+        g2 = np.multiply(1.0 - BETA2, g, out=tmp)
+        g2 *= g
+    if not np.all(g2 <= _G2_LIMIT):  # NaN compares False
+        raise DivergedGradient("non-finite gradient entries, or entries whose square overflows")
 
     # in place, in the operation order of grads + weight_decay * p,
-    # BETA1 * m + (1 - BETA1) * g, BETA2 * v + (1 - BETA2) * g * g and
+    # BETA2 * v + (1 - BETA2) * g * g, BETA1 * m + (1 - BETA1) * g and
     # lr * m_hat / (sqrt(v_hat) + EPS), so the results equal those
     # out-of-place formulas bit for bit
     step += 1
     t = step[:, None].astype(np.float64)
+    v *= BETA2
+    v += g2
     m *= BETA1
     m += np.multiply(1.0 - BETA1, g, out=tmp)
-    v *= BETA2
-    g2 = np.multiply(1.0 - BETA2, g, out=tmp)
-    g2 *= g
-    v += g2
     update = np.divide(m, 1.0 - BETA1**t, out=tmp)
     update *= state.lr
     v_hat = np.divide(v, 1.0 - BETA2**t, out=v_hat)

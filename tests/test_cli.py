@@ -387,6 +387,17 @@ class TestTrainCommand:
         monkeypatch.undo()
         assert main(["eval", "--checkpoint", str(out), "--data", str(data_file)]) == 0
 
+    def test_overflowing_gradient_is_a_diverged_run(self, tmp_path, data_file, capsys):
+        # gamma = 1e200 gives gradient entries whose squares overflow float64;
+        # the run stops at once, with one line on stderr and no warning
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out), "--set", "gamma=1e200"]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("training diverged: epoch 1: ") and "square overflows" in line
+        record = read_record(out)
+        assert (record["best_epoch"], record["epochs_run"], record["metrics"]) == (0, 0, None)
+
     def test_diverged_rerun_writes_its_own_record(self, tmp_path, data_file, monkeypatch):
         import directau.training as training_mod
         from directau.errors import DegenerateEmbedding

@@ -192,6 +192,8 @@ class TestMatchesNaiveOracle:
         got_value, got_grad = direct_au_loss(u, i, gamma)
         want_value, *want_grads = naive_direct_au_loss(u, i, gamma)
         assert got_value == want_value
+        # one C-contiguous array: the arguments' gradients in argument order
+        assert got_grad.flags.c_contiguous and got_grad.dtype == np.float64
         assert same_bits(got_grad, np.concatenate(want_grads))
 
     @pytest.mark.parametrize("duplicated", [False, True])
@@ -232,46 +234,13 @@ class TestMatchesNaiveOracle:
         assert peak <= 2.5 * n * n * 8
 
 
-class TestGradientLayout:
-    """Each loss returns (value, grad), where grad is one C-contiguous
-    float64 array holding the gradients of its arguments stacked in
-    argument order, each block bit for bit the oracle's."""
+def test_losses_return_no_loss_output_type():
+    import directau
 
-    @pytest.mark.parametrize("strided", [False, True])
-    @pytest.mark.parametrize("n", [2, 24, 257])
-    def test_direct_au(self, n, strided):
-        rng = np.random.default_rng(n + 2)
-        u, i = oracle_batch(rng, 2 * n, True, d=16), oracle_batch(rng, 2 * n, False, d=16)
-        u, i = (u[::2], i[::2]) if strided else (u[:n], i[:n])
-        value, grad = direct_au_loss(u, i, 1.0)
-        want_value, *want = naive_direct_au_loss(u, i, 1.0)
-        assert grad.dtype == np.float64 and grad.flags.c_contiguous
-        assert grad.shape == (2 * n, 16)
-        assert value == want_value and same_bits(grad, np.concatenate(want))
-
-    @pytest.mark.parametrize("strided", [False, True])
-    def test_bpr_keeps_signed_zeros(self, strided):
-        rng = np.random.default_rng(9)
-        u, pos, neg = (rng.standard_normal((16, 4)) for _ in range(3))
-        u[:, 0], u[:, 1] = 0.0, -0.0  # c * u and -c * u hold zeros of both signs
-        pos[:8] = neg[:8]  # a zero gap on half the rows
-        u, pos, neg = (x[::2] if strided else x[:8] for x in (u, pos, neg))
-        value, grad = bpr_loss(u, pos, neg)
-        want_value, *want = naive_bpr_loss(u, pos, neg)
-        stacked = np.concatenate(want)
-        assert grad.dtype == np.float64 and grad.flags.c_contiguous
-        assert grad.shape == (24, 4)
-        zero_signs = np.signbit(stacked[stacked == 0])
-        assert zero_signs.any() and not zero_signs.all()
-        assert value == want_value and same_bits(grad, stacked)
-
-    def test_no_loss_output_type(self):
-        import directau
-
-        assert not hasattr(losses, "LossOutput")
-        assert "LossOutput" not in directau.__all__
-        with pytest.raises(AttributeError):
-            directau.LossOutput
+    assert not hasattr(losses, "LossOutput")
+    assert "LossOutput" not in directau.__all__
+    with pytest.raises(AttributeError):
+        directau.LossOutput
 
 
 class TestBPRValues:
@@ -306,6 +275,8 @@ class TestBPRValues:
                 bpr_loss(u, pos, neg), naive_bpr_loss(u, pos, neg)
             )
             assert got_value == want_value
+            # one C-contiguous array: the arguments' gradients in argument order
+            assert got_grad.flags.c_contiguous and got_grad.dtype == np.float64
             assert same_bits(got_grad, np.concatenate(want_grads))
 
     def test_always_positive(self):

@@ -82,6 +82,17 @@ class TestAdamStep:
         with pytest.raises(DivergedGradient):
             adam_step(state, params, np.array([0]), np.array([[np.inf, 0.0, 0.0]]))
 
+    def test_square_at_the_float64_limit(self):
+        # (1.3e154)^2 = 1.69e308 is finite, so that step runs and v_hat
+        # stays finite; (1.35e154)^2 is past float64's largest value
+        state, params = fresh(shape=(1, 2))
+        adam_step(state, params, np.array([0]), np.array([[1.3e154, -1.3e154]]))
+        assert np.all(np.isfinite(state.v))
+        assert params[0] == pytest.approx([-1e-3, 1e-3], rel=1e-6)
+        with pytest.raises(DivergedGradient):
+            adam_step(state, params, np.array([0]), np.array([[1.35e154, 0.0]]))
+        assert state.step.tolist() == [1]
+
     def test_duplicate_rows_rejected(self):
         state, params = fresh()
         with pytest.raises(ValueError):
@@ -173,6 +184,34 @@ class TestAdamStepMatchesGatherOracle:
         grads[-1, -1] = np.inf
         with pytest.raises(DivergedGradient):
             adam_step(state, params, *ascending(rows, grads))
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["in_order", "ascending"])
+    def test_overflowing_square_writes_nothing(self, kind, wd):
+        # 1e160 is finite but its square is not: v would turn infinite and
+        # every later update of the entry 0, on the every-row and gathered paths
+        rng, state, params = warmed(wd)
+        before_state, before = clone(state, params)
+        rows = row_sets(rng, len(params))[kind]
+        grads = rng.standard_normal((rows.size, params.shape[1]))
+        grads[-1, -1] = 1e160
+        with pytest.raises(DivergedGradient, match="square overflows"):
+            adam_step(state, params, rows, grads)
+        assert np.array_equal(params, before)
+        for name in ("m", "v", "step"):
+            assert np.array_equal(getattr(state, name), getattr(before_state, name))
+
+    @pytest.mark.parametrize("kind", ["in_order", "ascending"])
+    def test_overflowing_weight_decay_writes_nothing(self, kind):
+        rng, state, params = warmed(0.05)
+        state.weight_decay = 1e308
+        before_state, before = clone(state, params)
+        rows = row_sets(rng, len(params))[kind]
+        with pytest.raises(DivergedGradient, match="square overflows"):
+            adam_step(state, params, rows, rng.standard_normal((rows.size, params.shape[1])))
         assert np.array_equal(params, before)
         for name in ("m", "v", "step"):
             assert np.array_equal(getattr(state, name), getattr(before_state, name))
