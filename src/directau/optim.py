@@ -72,8 +72,8 @@ def adam_step(
     (accumulate duplicate-row gradients before calling), and in
     [0, len(params)), and `grads` must hold one row per entry of `rows`,
     of the parameters' width; any other `rows` or `grads` shape is a
-    ValueError, and a non-finite gradient entry, or one whose square
-    overflows float64, a DivergedGradient, either writing nothing.
+    ValueError, and an entry that is not finite or whose square overflows
+    float64 a DivergedGradient; neither writes anything.
     Rows not listed are untouched, including their moments. When `rows` is
     every row, the update runs on views of the arrays, with its
     temporaries in the state's scratch; otherwise the rows are gathered
