@@ -86,27 +86,6 @@ def _sparsetools():
     raise MissingKernel("the graph encoder needs scipy: scipy/sparse/_sparsetools not found")
 
 
-def _spmm_into(fmt: str, shape: tuple, arrays: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`A @ x` for the sparse matrix A of the given shape, stored as the
-    (indptr, indices, data) `arrays` of its `fmt` ("csr" or "csc") form,
-    and a C-contiguous float64 `x`, written into the C-contiguous float64
-    `out` and returned.
-
-    This calls the kernel that scipy's `A @ x` reaches through
-    `_matmul_multivector` on a zeroed `out`, so every sum runs in scipy's
-    order and the result equals `A @ x` bit for bit.
-    """
-    (n_out, n_in), d = shape, x.shape[1]
-    n_major = n_out if fmt == "csr" else n_in
-    if (arrays[0].size != n_major + 1 or x.shape[0] != n_in or out.shape != (n_out, d)
-            or not out.flags.c_contiguous):
-        raise ValueError(f"spmm shapes: {shape} @ {x.shape} into {out.shape}")
-    out.fill(0.0)
-    kernel = getattr(_sparsetools(), fmt + "_matvecs")
-    kernel(n_out, n_in, d, *arrays, x.ravel(), out.ravel())
-    return out
-
-
 @dataclass
 class GraphPropagator:
     """Linear propagation over the symmetrically normalized bipartite graph.
@@ -147,13 +126,30 @@ class GraphPropagator:
         weights = 1.0 / np.sqrt(degree[row] * degree[adjacency.indices])
         return cls(base, n_layers, adjacency, weights, np.empty((3, *base.emb.shape)))
 
-    def _csr(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
-        """CSR arrays of the adjacency's `rows`, an index array, in order;
-        of the whole adjacency by default."""
+    def _product(self, x: np.ndarray, out: np.ndarray, rows=slice(None),
+                 transpose: bool = False) -> np.ndarray:
+        """`A[rows] @ x`, or `A[rows].T @ x` with `transpose`, for the
+        adjacency A (`rows` an index array, every row by default) and a
+        float64 `x`, written into the C-contiguous float64 `out` and returned.
+
+        This calls the kernel that scipy's product reaches through
+        `_matmul_multivector` on a zeroed `out` (the slice's CSR arrays read
+        as CSC for the transpose), so every sum runs in scipy's order and
+        the result equals scipy's product bit for bit.
+        """
         if isinstance(rows, slice):
-            return (*self.adjacency, self.weights)
-        indptr, _, at = self.adjacency.entries(rows)
-        return indptr, self.adjacency.indices[at], self.weights[at]
+            indptr, indices, weights = *self.adjacency, self.weights
+        else:
+            indptr, _, at = self.adjacency.entries(rows)
+            indices, weights = self.adjacency.indices[at], self.weights[at]
+        n, k, d = self.adjacency.indptr.size - 1, indptr.size - 1, x.shape[1]
+        n_out, n_in = (n, k) if transpose else (k, n)
+        if x.shape[0] != n_in or out.shape != (n_out, d) or not out.flags.c_contiguous:
+            raise ValueError(f"graph product: ({n_out}, {n_in}) @ {x.shape} into {out.shape}")
+        out.fill(0.0)
+        kernel = _sparsetools().csc_matvecs if transpose else _sparsetools().csr_matvecs
+        kernel(n_out, n_in, d, indptr, indices, weights, x.ravel(), out.ravel())
+        return out
 
     def propagate(self, rows=slice(None)) -> np.ndarray:
         """Layer mean of the propagated representations at `rows`, an index
@@ -167,16 +163,15 @@ class GraphPropagator:
         bit.
         """
         x = self.base.emb
-        n = x.shape[0]
         _, *layers = self.scratch
         acc = x[rows].copy()
         cur = x
         for layer in range(self.n_layers - 1):
-            cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
+            cur = self._product(cur, layers[layer % 2])
             acc += cur[rows]
         k = acc.shape[0]
         out = layers[(self.n_layers - 1) % 2][:k]
-        acc += _spmm_into("csr", (k, n), self._csr(rows), cur, out)
+        acc += self._product(cur, out, rows)
         acc /= self.n_layers + 1
         return acc
 
@@ -194,14 +189,13 @@ class GraphPropagator:
         The result is the sum array of the propagator's scratch: it is
         valid until the next `backward` call, which overwrites it.
         """
-        n = self.base.emb.shape[0]
         acc, *layers = self.scratch
         acc.fill(0.0)
         acc[rows] = grad_rows
-        cur = _spmm_into("csc", (n, rows.size), self._csr(rows), grad_rows, layers[0])
+        cur = self._product(grad_rows, layers[0], rows, transpose=True)
         acc += cur
         for layer in range(1, self.n_layers):
-            cur = _spmm_into("csr", (n, n), self._csr(), cur, layers[layer % 2])
+            cur = self._product(cur, layers[layer % 2])
             acc += cur
         acc /= self.n_layers + 1
         return acc
@@ -210,7 +204,9 @@ class GraphPropagator:
 def _unit_rows(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit Euclidean norm, and the norms as (n, 1)."""
     reps = np.asarray(reps, dtype=np.float64)
-    norms = np.linalg.norm(reps, axis=-1, keepdims=True)
+    # np.linalg.norm's expression without its reps.conj() copy; overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce(reps * reps, axis=-1, keepdims=True))
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise DegenerateEmbedding("row with zero or non-finite norm")
     return reps / norms, norms

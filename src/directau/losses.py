@@ -110,16 +110,18 @@ def bpr_loss(
     if not (u_reps.ndim == 2 and u_reps.shape == i_pos_reps.shape == i_neg_reps.shape):
         raise ValueError("user, positive, and negative batches must be 2-D and align")
     n = u_reps.shape[0]
-    gap = i_pos_reps - i_neg_reps
-    delta = np.sum(u_reps * gap, axis=1)
-    e = np.exp(-np.abs(delta))
-    value = float(np.mean(np.maximum(-delta, 0.0) + np.log1p(e)))
-    # sigmoid(-delta) is 1 / (1 + e) where delta <= 0, else e / (1 + e)
-    c = (-np.where(delta > 0, e, 1.0) / (1.0 + e) / n)[:, None]
-    grad = np.empty((3 * n, u_reps.shape[1]))
-    np.multiply(c, gap, out=grad[:n])
-    np.multiply(c, u_reps, out=grad[n : 2 * n])
-    np.multiply(-c, u_reps, out=grad[2 * n :])
+    # a diverged run's scores overflow here; adam_step reports its non-finite gradient
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = i_pos_reps - i_neg_reps
+        delta = np.sum(u_reps * gap, axis=1)
+        e = np.exp(-np.abs(delta))
+        value = float(np.mean(np.maximum(-delta, 0.0) + np.log1p(e)))
+        # sigmoid(-delta) is 1 / (1 + e) where delta <= 0, else e / (1 + e)
+        c = (-np.where(delta > 0, e, 1.0) / (1.0 + e) / n)[:, None]
+        grad = np.empty((3 * n, u_reps.shape[1]))
+        np.multiply(c, gap, out=grad[:n])
+        np.multiply(c, u_reps, out=grad[n : 2 * n])
+        np.multiply(-c, u_reps, out=grad[2 * n :])
     return value, grad
 
 

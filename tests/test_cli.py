@@ -398,6 +398,21 @@ class TestTrainCommand:
         record = read_record(out)
         assert (record["best_epoch"], record["epochs_run"], record["metrics"]) == (0, 0, None)
 
+    @pytest.mark.parametrize("objective, encoder", [
+        ("direct_au", "mf"), ("bpr", "mf"), ("bpr_ds", "mf"), ("direct_au", "lgcn"),
+    ])
+    def test_overflowing_step_writes_one_stderr_line(self, tmp_path, data_file, capsys,
+                                                     objective, encoder):
+        # lr = 1e200 overflows the next batch's row norms (DirectAU) or
+        # scores (BPR); numpy's overflow warnings are errors under pytest
+        text = BASE_CONFIG if objective == "direct_au" else BASE_CONFIG.replace("gamma = 1\n", "")
+        assert main(["train", "--data", str(data_file), "--config", str(write_config(tmp_path, text)),
+                     "--out-dir", str(tmp_path / "run"), "--set", "lr=1e200",
+                     "--set", f"objective={objective}", "--set", f"encoder={encoder}",
+                     "--set", "layers=2"]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("training diverged: epoch 1: ")
+
     def test_diverged_rerun_writes_its_own_record(self, tmp_path, data_file, monkeypatch):
         import directau.training as training_mod
         from directau.errors import DegenerateEmbedding

@@ -19,7 +19,7 @@ from directau import (
 )
 from directau.data import UserIndex
 from directau.errors import DegenerateEmbedding
-from directau.encoders import _sparsetools, _spmm_into
+from directau.encoders import _sparsetools
 from helpers import (
     as_scipy,
     layer_mean,
@@ -289,7 +289,7 @@ class TestBufferedGraphStepMatchesNaiveOracle:
                 g.backward(rows, rng.standard_normal((rows.size, d)))
 
     @pytest.mark.parametrize("d", [1, 2, 7])
-    def test_spmm_into_matches_the_sparse_product(self, d):
+    def test_product_matches_the_sparse_product(self, d):
         # the whole adjacency, a row slice, and the slice's transpose (its
         # CSR arrays read as CSC) against scipy's products on the oracle
         rng = np.random.default_rng(6)
@@ -298,32 +298,29 @@ class TestBufferedGraphStepMatchesNaiveOracle:
         a = scipy_adjacency(inter)
         n = a.shape[0]
         for rows in (np.unique(rng.integers(0, n, size=20)), rng.permutation(n)[:9], np.array([4])):
-            k = rows.size
-            cases = (("csr", (n, n), g._csr(), a), ("csr", (k, n), g._csr(rows), a[rows]),
-                     ("csc", (n, k), g._csr(rows), a[rows].T))
-            for fmt, shape, arrays, matrix in cases:
-                x = rng.standard_normal((shape[1], d))
+            for matrix, args in ((a, ()), (a[rows], (rows,)), (a[rows].T, (rows, True))):
+                x = rng.standard_normal((matrix.shape[1], d))
                 x[rng.random(x.shape) < 0.2] = -0.0
-                out = np.full((shape[0], d), np.nan)  # stale values must not leak
-                got = _spmm_into(fmt, shape, arrays, x, out)
+                out = np.full((matrix.shape[0], d), np.nan)  # stale values must not leak
+                got = g._product(x, out, *args)
                 assert got is out
                 assert_same_bits(got, matrix @ x)
 
-    def test_spmm_into_rejects_a_wrong_output_shape(self):
+    def test_product_rejects_a_wrong_shape(self):
+        # the kernel would read past x or write past out
         _, g = self.random_graph(1, seed=7)
-        n = g.base.emb.shape[0]
-        with pytest.raises(ValueError):
-            _spmm_into("csr", (n, n), g._csr(), np.ones((n, 3)), np.empty((n, 4)))
-
-    def test_spmm_into_rejects_a_shape_that_disagrees_with_indptr(self):
-        # the kernel would read past the pointer array
-        _, g = self.random_graph(1, seed=7)
-        n = g.base.emb.shape[0]
-        rows = np.array([0, 3, 5])
-        for fmt, shape, arrays in (("csr", (n + 1, n), g._csr()), ("csc", (n, 4), g._csr(rows))):
-            x, out = np.ones((shape[1], 2)), np.empty((shape[0], 2))
+        n, rows = g.base.emb.shape[0], np.array([0, 3, 5])
+        cases = (
+            (np.ones((n + 1, 2)), np.empty((n, 2)), ()),  # x rows
+            (np.ones((n - 1, 2)), np.empty((rows.size, 2)), (rows,)),  # a slice's x rows
+            (np.ones((n, 3)), np.empty((n, 4)), ()),  # out width
+            (np.ones((n, 2)), np.empty((n + 1, 2)), ()),  # out rows
+            (np.ones((n, 2)), np.empty((n, 4))[:, ::2], ()),  # out not C-contiguous
+            (np.ones((n, 2)), np.empty((n, 2)), (rows, True)),  # transposed x rows
+        )
+        for x, out, args in cases:
             with pytest.raises(ValueError):
-                _spmm_into(fmt, shape, arrays, x, out)
+                g._product(x, out, *args)
 
 
 class TestSparseKernel:
