@@ -289,9 +289,10 @@ class TestBufferedGraphStepMatchesNaiveOracle:
                 g.backward(rows, rng.standard_normal((rows.size, d)))
 
     @pytest.mark.parametrize("d", [1, 2, 7])
-    def test_product_matches_the_sparse_product(self, d):
-        # the whole adjacency, a row slice, and the slice's transpose (its
-        # CSR arrays read as CSC) against scipy's products on the oracle
+    def test_spmm_into_matches_the_sparse_product(self, d):
+        # _product, the sparse-dense product into `out`: the whole adjacency,
+        # a row slice, and the slice's transpose (its CSR arrays read as CSC)
+        # against scipy's products on the oracle
         rng = np.random.default_rng(6)
         inter = TestGraphPropagator.random_interactions(rng)
         g = GraphPropagator.build(init_xavier(inter.n_users, inter.n_items, d, 6), inter, 2)
@@ -306,16 +307,28 @@ class TestBufferedGraphStepMatchesNaiveOracle:
                 assert got is out
                 assert_same_bits(got, matrix @ x)
 
-    def test_product_rejects_a_wrong_shape(self):
-        # the kernel would read past x or write past out
+    def test_spmm_into_rejects_a_wrong_output_shape(self):
+        # the kernel would write past out
+        _, g = self.random_graph(1, seed=7)
+        n, rows = g.base.emb.shape[0], np.array([0, 3, 5])
+        cases = (
+            (np.ones((n, 3)), np.empty((n, 4)), ()),  # out width
+            (np.ones((n, 2)), np.empty((n + 1, 2)), ()),  # out rows
+            (np.ones((n, 2)), np.empty((n, 4))[:, ::2], ()),  # out not C-contiguous
+            (np.ones((n, 2)), np.empty((n, 2)), (rows,)),  # a slice's out rows
+        )
+        for x, out, args in cases:
+            with pytest.raises(ValueError):
+                g._product(x, out, *args)
+
+    def test_spmm_into_rejects_a_shape_that_disagrees_with_indptr(self):
+        # _product reads the graph's and the slice's sizes from indptr; an x
+        # of another row count would make the kernel read past it
         _, g = self.random_graph(1, seed=7)
         n, rows = g.base.emb.shape[0], np.array([0, 3, 5])
         cases = (
             (np.ones((n + 1, 2)), np.empty((n, 2)), ()),  # x rows
             (np.ones((n - 1, 2)), np.empty((rows.size, 2)), (rows,)),  # a slice's x rows
-            (np.ones((n, 3)), np.empty((n, 4)), ()),  # out width
-            (np.ones((n, 2)), np.empty((n + 1, 2)), ()),  # out rows
-            (np.ones((n, 2)), np.empty((n, 4))[:, ::2], ()),  # out not C-contiguous
             (np.ones((n, 2)), np.empty((n, 2)), (rows, True)),  # transposed x rows
         )
         for x, out, args in cases:
