@@ -8,7 +8,7 @@ through the Jacobian d(x/||x||)/dx = (I - x_n x_n^T) / ||x||.
 Numerical conventions: BPR's -log(sigmoid(x)) and its gradient both come
 from one exp(-|x|), which cannot overflow; log-mean-exp uses
 max-subtraction. DirectAU normalizes each side once and runs both
-in-batch uniformities in one reused B x B buffer.
+in-batch uniformities in one B x B buffer, as exp(min(2t x.y - 2t, 0)).
 """
 
 from __future__ import annotations
@@ -53,18 +53,17 @@ def _uniformity(xn: np.ndarray, norms: np.ndarray, buf: np.ndarray) -> tuple[flo
     """Uniformity value of the unit rows `xn` and its gradient w.r.t. the
     raw rows, computed in the (n, n) buffer `buf`, which is overwritten.
 
-    Each in-place step keeps the operation order of
-    logits = -t * clip(2 - 2 * (xn @ xn.T), 0, None) and exp(logits - max),
-    so the results equal those out-of-place expressions bit for bit.
+    On unit rows the logits -t ||x - y||^2 are min(2t x.y - 2t, 0), from
+    rows scaled by sqrt(2t) = 2; that scale is exact, so the bits are those
+    of -t * clip(2 - 2 x.y, 0, None), but for a capped logit's signed zero.
     """
     n = xn.shape[0]
-    # numpy runs the xn @ xn.T form as one symmetric rank-k update; a gemm
-    # on a copy of xn.T differs in the last bits
-    np.matmul(xn, xn.T, out=buf)
-    buf *= 2.0
-    np.subtract(2.0, buf, out=buf)
-    np.clip(buf, 0.0, None, out=buf)
-    buf *= -UNIFORMITY_SCALE
+    x2 = xn * np.sqrt(2.0 * UNIFORMITY_SCALE)
+    # numpy runs the x2 @ x2.T form as one symmetric rank-k update; a gemm
+    # on a copy of x2.T differs in the last bits
+    np.matmul(x2, x2.T, out=buf)
+    buf -= 2.0 * UNIFORMITY_SCALE
+    np.minimum(buf, 0.0, out=buf)
     np.fill_diagonal(buf, -np.inf)
     m = float(np.max(buf))
     buf -= m

@@ -168,12 +168,12 @@ def _training_batches(split: DatasetSplit, cfg: TrainConfig, epoch: int) -> list
     return np.split(substream(cfg.seed, "shuffle", epoch).permutation(n), starts)
 
 
-def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float, EmbeddingTable]]:
-    """Train, one epoch per pull: yields (0, nan, the initial table), then
-    (epoch, mean batch loss, scoring table) after each epoch's batches.
-    Epoch e + 1 runs, and draws, only when the caller pulls again. Each
-    yielded table is the caller's: a copy of the parameters for mf, the
-    fresh propagated outputs for lgcn.
+def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[float, EmbeddingTable]]:
+    """Train, one epoch per pull: yields (nan, the initial table), then
+    (mean batch loss, scoring table) after each epoch's batches. Epoch
+    e + 1 runs, and draws, only when the caller pulls again. Each yielded
+    table is the caller's: a copy of the parameters for mf, the fresh
+    propagated outputs for lgcn.
     """
     n_users = split.train.n_users
     table = init_xavier(n_users, split.train.n_items, cfg.d, cfg.seed)
@@ -184,7 +184,7 @@ def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float,
     def scoring_table() -> EmbeddingTable:
         return EmbeddingTable(propagator.propagate(), n_users) if propagator is not None else table.copy()
 
-    yield 0, nan, scoring_table()
+    yield nan, scoring_table()
     for epoch in count(1):
         batches = _training_batches(split, cfg, epoch)
         loss_sum = 0.0
@@ -195,7 +195,7 @@ def _epochs(split: DatasetSplit, cfg: TrainConfig) -> Iterator[tuple[int, float,
             )
             adam_step(state, table.emb, rows, grads)
             loss_sum += value
-        yield epoch, loss_sum / len(batches), scoring_table()
+        yield loss_sum / len(batches), scoring_table()
 
 
 def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTrace]]:
@@ -218,12 +218,12 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[Snapshot, list[EpochTr
         return Snapshot(scoring, epoch, geo, rank_eval(scoring, split, "validation") if has_val else None)
 
     epochs = _epochs(split, cfg)
-    best = Snapshot(next(epochs)[2], 0, None, None)
+    best = Snapshot(next(epochs)[1], 0, None, None)
     best_val, stale, traces = -inf, 0, []
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         try:
-            _, loss, scoring = next(epochs)
+            loss, scoring = next(epochs)
             now = measure(epoch, scoring)
         except NumericError as exc:
             diverged = f"epoch {epoch}: {exc}"

@@ -259,6 +259,22 @@ class TestTrainCommand:
         for name in ("embeddings.npz", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_keys_the_run_does_not_read_are_echoed_only(self, tmp_path, data_file):
+        # layers is read by lgcn alone and ds_candidates by bpr_ds alone: an
+        # mf direct_au run given both trains as without them, and its
+        # record still keeps what it was given
+        cfg = write_config(tmp_path)
+        runs = []
+        for name, extra in (("plain", []), ("unread", ["--set", "layers=2", "--set", "ds_candidates=7"])):
+            out = tmp_path / name
+            assert main(["train", "--data", str(data_file), "--config", str(cfg),
+                         "--out-dir", str(out), *extra]) == 0
+            trace = [row.rsplit(",", 1)[0] for row in (out / "trace.csv").read_text().splitlines()]
+            runs.append(((out / "embeddings.npz").read_bytes(), trace))
+        assert runs[0] == runs[1]
+        config = read_record(tmp_path / "unread")["config"]
+        assert config["layers"] == "2" and config["ds_candidates"] == "7"
+
     def test_config_byte_order_mark_is_dropped(self, tmp_path, data_file):
         # the first line is a key, which the mark would otherwise lead
         text = BASE_CONFIG.split("\n", 1)[1].replace("max_epochs = 3", "max_epochs = 1")

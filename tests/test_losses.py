@@ -151,11 +151,18 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def oracle_batch(rng, n, duplicated, d=64):
+def oracle_batch(rng, n, kind, d=64):
+    """Independent rows (kind False); every row one of n // 4 rows (True;
+    all one row at n = 2); or rows capped at the logit 0 ("one_row": every
+    row one vector, "one_pair": independent rows but for one duplicate
+    pair). A capped row is a power of two times random signs, so its unit
+    row's self dot product is exactly 1 in any summation order."""
     x = rng.standard_normal((n, d))
-    if duplicated:
-        # every row repeats one of n // 4 rows (all one row at n = 2)
+    if kind is True:
         x = x[rng.integers(0, max(1, n // 4), size=n)]
+    elif kind:
+        capped = 2.0 ** rng.integers(-4, 5) * rng.choice([-1.0, 1.0], size=d)
+        x[np.arange(n) if kind == "one_row" else [0, n - 1]] = capped
     return x
 
 
@@ -168,6 +175,7 @@ def raised(fn, *args):
 
 
 ORACLE_SIZES = [2, 24, 256, 257, 1024]
+BATCH_KINDS = [False, True, "one_row", "one_pair"]
 BAD_BATCHES = {
     "shape_mismatch": (np.ones((3, 4)), np.ones((3, 5))),
     "one_dimensional": (np.ones(4), np.ones(4)),
@@ -181,28 +189,30 @@ BAD_BATCHES = {
 
 class TestMatchesNaiveOracle:
     """The in-place uniformity kernel reproduces the out-of-place
-    expressions bit for bit: values ==, gradients equal with sign bits."""
+    expressions bit for bit: values and gradients equal with sign bits."""
 
-    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     @pytest.mark.parametrize("n", ORACLE_SIZES)
-    def test_direct_au(self, n, gamma, duplicated):
+    def test_direct_au(self, n, gamma, kind):
         rng = np.random.default_rng(n)
-        u, i = oracle_batch(rng, n, duplicated), oracle_batch(rng, n, duplicated)
+        u, i = oracle_batch(rng, n, kind), oracle_batch(rng, n, kind)
         got_value, got_grad = direct_au_loss(u, i, gamma)
         want_value, *want_grads = naive_direct_au_loss(u, i, gamma)
-        assert got_value == want_value
+        assert same_bits(got_value, want_value)
         # one C-contiguous array: the arguments' gradients in argument order
         assert got_grad.flags.c_contiguous and got_grad.dtype == np.float64
         assert same_bits(got_grad, np.concatenate(want_grads))
 
-    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
     @pytest.mark.parametrize("n", ORACLE_SIZES)
-    def test_uniform(self, n, duplicated):
-        x = oracle_batch(np.random.default_rng(n + 1), n, duplicated)
+    def test_uniform(self, n, kind):
+        x = oracle_batch(np.random.default_rng(n + 1), n, kind)
         (got_value, got_grad), (want_value, want_grad) = uniform_loss(x), naive_uniform_loss(x)
-        assert got_value == want_value
+        assert same_bits(got_value, want_value)
         assert same_bits(got_grad, want_grad)
+        if kind == "one_row":  # every weight exp(0): the mean potential is 1
+            assert same_bits(got_value, 0.0)
 
     @pytest.mark.parametrize("case", sorted(BAD_BATCHES))
     def test_direct_au_raises_like_oracle(self, case):

@@ -13,7 +13,10 @@ skips where the fingerprint they were written with differs. Whatever the
 fingerprint, a CLI run writes the same bytes under any BLAS thread count
 the environment asks for.
 
-Regenerate the digests with `python tests/test_seeded_outputs.py --write`.
+Regenerate the digests with `python tests/test_seeded_outputs.py --write`;
+`--print` writes the same JSON to stdout instead, and `--src DIR` runs
+the pipeline from another source tree, so that two trees' digests can be
+compared on one machine.
 """
 
 import csv
@@ -137,10 +140,11 @@ def trace_without_wall_seconds(path):
     return out.getvalue().encode()
 
 
-def run_digests(work):
-    """Run the seeded pipeline in the empty directory `work`; the digests
-    of the preprocessed files, under "preprocess" and "preprocess-generated",
-    and of each run's outputs."""
+def run_digests(work, src=SRC):
+    """Run the seeded pipeline in the empty directory `work`, importing
+    `directau` from the directory `src`; the digests of the preprocessed
+    files, under "preprocess" and "preprocess-generated", and of each run's
+    outputs."""
     (work / "raw.txt").write_text(seeded_log(), encoding="utf-8")
     generate = runpy.run_path(str(ROOT / "perfbench" / "generate.py"))["generate"]
     generate(*GENERATED, work / "generated.txt")
@@ -155,7 +159,7 @@ def run_digests(work):
         os.environ,
         OPENBLAS_NUM_THREADS="1",
         OMP_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
     )
     done = subprocess.run([sys.executable, "-c", SCRIPT, *runs], cwd=work, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -226,12 +230,19 @@ if __name__ == "__main__":
     import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", required=True,
-                        help=f"rerun the seeded pipeline and rewrite {DIGESTS.name}")
-    parser.parse_args()
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true",
+                      help=f"rerun the seeded pipeline and rewrite {DIGESTS.name}")
+    mode.add_argument("--print", action="store_true",
+                      help=f"rerun the seeded pipeline and write {DIGESTS.name}'s JSON to stdout")
+    parser.add_argument("--src", type=Path, default=SRC, metavar="DIR",
+                        help="the source tree the runs import directau from (default: %(default)s)")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
-        digests = run_digests(Path(work))
-    with DIGESTS.open("w", encoding="utf-8") as fh:
-        json.dump({"fingerprint": fingerprint(), "digests": digests}, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {DIGESTS}")
+        digests = run_digests(Path(work), args.src.resolve())
+    text = json.dumps({"fingerprint": fingerprint(), "digests": digests}, indent=2) + "\n"
+    if args.print:
+        sys.stdout.write(text)
+    else:
+        DIGESTS.write_text(text, encoding="utf-8")
+        print(f"wrote {DIGESTS}")

@@ -196,31 +196,30 @@ class TestTrain:
         # without validation a k-epoch run keeps its last table
         ds = naive_split(two_cluster, (1, 0, 0), seed=5)
         cfg = small_cfg(encoder=encoder, layers=layers)
-        pulled = [(epoch, loss, table.emb)
-                  for epoch, loss, table in islice(training_mod._epochs(ds, cfg), 4)]
+        pulled = [(loss, table.emb) for loss, table in islice(training_mod._epochs(ds, cfg), 4)]
         _, traces = train(ds, replace(cfg, max_epochs=3))
-        assert [epoch for epoch, _, _ in pulled] == [0, 1, 2, 3] and math.isnan(pulled[0][1])
-        assert [loss for _, loss, _ in pulled[1:]] == [t.train_loss for t in traces]
+        assert math.isnan(pulled[0][0])
+        assert [loss for loss, _ in pulled[1:]] == [t.train_loss for t in traces]
         for k in (0, 1, 3):
             best, _ = train(ds, replace(cfg, max_epochs=k))
-            assert best.table.emb.tobytes() == pulled[k][2].tobytes()
+            assert best.table.emb.tobytes() == pulled[k][1].tobytes()
 
     def test_a_yielded_mf_table_is_the_callers(self, two_cluster, monkeypatch, tmp_path):
         # writing to epoch k's table changes neither epoch k + 1's table nor
         # the dump of a (k + 1)-epoch run, which without validation is k + 1's
         ds = naive_split(two_cluster, (1, 0, 0), seed=5)
         k, cfg = 2, small_cfg(max_epochs=3)
-        want = [table.emb.copy() for _, _, table in islice(training_mod._epochs(ds, cfg), k + 2)]
+        want = [table.emb.copy() for _, table in islice(training_mod._epochs(ds, cfg), k + 2)]
         epochs = training_mod._epochs(ds, cfg)
-        table = next(islice(epochs, k, None))[2]
+        table = next(islice(epochs, k, None))[1]
         table.emb *= -1.0
-        assert next(epochs)[2].emb.tobytes() == want[k + 1].tobytes()
+        assert next(epochs)[1].emb.tobytes() == want[k + 1].tobytes()
 
         real = training_mod._epochs
 
         def writing(split_, cfg_):
-            for epoch, loss, table in real(split_, cfg_):
-                yield epoch, loss, table
+            for epoch, (loss, table) in enumerate(real(split_, cfg_)):
+                yield loss, table
                 if epoch == k:
                     table.emb *= -1.0
 
